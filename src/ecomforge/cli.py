@@ -71,22 +71,41 @@ def make_backend(config: PipelineConfig, kind: str) -> Backend:
 
 
 class OutDirLock:
-    """One command instance per out_dir; guards against concurrent clobbering."""
+    """One command instance per out_dir; guards against concurrent clobbering.
+
+    The lock file holds the owner's pid. A lock whose pid no longer names a
+    process was left by a run that died, and is taken over.
+    """
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".forge.lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise CliError(
-                f"lock {self.path} exists; another run is active (or remove it)"
-            ) from None
+        for attempt in range(2):
+            try:
+                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                break
+            except FileExistsError:
+                if attempt or not self._owner_exited():
+                    raise CliError(
+                        f"lock {self.path} exists; another run is active (or remove it)"
+                    ) from None
+                self.path.unlink(missing_ok=True)
         with os.fdopen(fd, "w") as fh:
             fh.write(str(os.getpid()))
         return self
+
+    def _owner_exited(self) -> bool:
+        """True only when the lock names a pid that no process has. An
+        unreadable lock may be one its owner has not finished writing."""
+        try:
+            os.kill(int(self.path.read_text(encoding="utf-8")), 0)
+        except ProcessLookupError:
+            return True
+        except (OSError, ValueError, OverflowError):
+            pass
+        return False
 
     def __exit__(self, *exc_info):
         self.path.unlink(missing_ok=True)
@@ -95,6 +114,11 @@ class OutDirLock:
 
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _write_json(path: Path, obj) -> None:
+    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    curate.write_atomic(path, text.encode("utf-8"))
 
 
 def _update_run_manifest(
@@ -110,9 +134,7 @@ def _update_run_manifest(
         "outputs": {name: _sha256_file(path) for name, path in outputs.items()},
         "seconds": round(seconds, 3),
     }
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(manifest_path, manifest)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +216,8 @@ def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
         expanded_path = out_dir / "expanded.jsonl"
         manifest = curate.emit_jsonl(result.pairs, expanded_path)
         diagnostics_path = out_dir / "diagnostics.jsonl"
-        diagnostics_path.write_text(
+        curate.write_atomic(
+            diagnostics_path,
             "".join(
                 json.dumps(
                     {
@@ -207,8 +230,7 @@ def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
                 )
                 + "\n"
                 for f in result.failures
-            ),
-            encoding="utf-8",
+            ).encode("utf-8"),
         )
         _update_run_manifest(
             config,
@@ -272,10 +294,7 @@ def cmd_curate(config: PipelineConfig) -> int:
         curate.emit_pack(recommendation_prompts, recommendation_path)
 
         manifest_path = out_dir / "manifest.json"
-        manifest_path.write_text(
-            json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
+        _write_json(manifest_path, manifest.to_json())
         _update_run_manifest(
             config,
             "curate",
@@ -385,11 +404,9 @@ def cmd_evaluate(
         rouge_beta=config["metrics"]["rouge_beta"],
     )
     report_path = out_dir / "report.json"
-    report_path.write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(report_path, report.to_json())
     table = evalsuite.render_table([("run", report)])
-    (out_dir / "report.txt").write_text(table + "\n", encoding="utf-8")
+    curate.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
     print(table)
     if report.partial:
         print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
@@ -412,13 +429,7 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
         reports.append((name, evalsuite.MetricReport(values=dict(metrics), gm=gm)))
     table = evalsuite.render_table(reports)
     out_path = config.out_dir / "replay_report.json"
-    out_path.write_text(
-        json.dumps(
-            {name: report.to_json() for name, report in reports}, indent=2, sort_keys=True
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_path, {name: report.to_json() for name, report in reports})
     print(table)
     return EXIT_OK
 
@@ -503,9 +514,7 @@ def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "human_eval.json"
-    out_path.write_text(
-        json.dumps(report.to_json(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out_path, report.to_json())
     for task, dist in sorted(report.per_task.items()):
         parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
         print(f"{task}: {parts}")

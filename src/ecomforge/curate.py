@@ -2,14 +2,19 @@
 prompt packs.
 
 Near-duplicate detection uses token 3-gram Jaccard similarity over the
-normalized instruction+input+output text; the emitted JSONL is canonical
-(sorted keys, compact separators, LF line ends) so content hashes are
-reproducible.
+normalized instruction+input+output text. Candidates come from an exact
+prefix-filter index over 3-grams ordered by ascending document frequency,
+so it keeps the earliest pair of each group and the same survivors as an
+all-pairs comparison without making most of the comparisons. The emitted
+JSONL is canonical (sorted keys, compact separators, LF line ends) so
+content hashes are reproducible, and every artifact is replaced atomically.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,31 +97,63 @@ def jaccard(a: frozenset, b: frozenset) -> float:
 
 def dedup(pairs: list[InstructionPair], threshold: float = 0.9) -> list[InstructionPair]:
     """Remove exact duplicates, then near-duplicates at or above the Jaccard
-    threshold, keeping earliest occurrences. Stable order; idempotent."""
+    threshold, keeping earliest occurrences. Stable order; idempotent.
+
+    Candidates come from a prefix-filter index (Bayardo et al., WWW 2007):
+    with grams ranked rarest first, two sets at Jaccard >= t share a gram
+    within each one's first ``size - ceil(t * size) + 1`` ranked grams. Only
+    those prefixes are indexed and probed, and every candidate is verified
+    exactly, so the survivors are those of an all-pairs comparison.
+    """
     if not pairs:
         raise ValueError("pairs must be nonempty")
+    if threshold <= 0:
+        # Every pair matches the first one, even with no gram in common.
+        return pairs[:1]
+    tokens = [pair_tokens(pair) for pair in pairs]
+    # Grams become ints shared by every set, so each distinct gram is held
+    # once; set sizes and Jaccard values are those of the gram sets.
+    gram_ids: dict[tuple[str, ...], int] = {}
+    grams = [
+        frozenset([gram_ids.setdefault(g, len(gram_ids)) for g in ngram_set(toks)])
+        for toks in tokens
+    ]
+    # Document frequency per gram id, then overwritten by its rank: rarest
+    # first, ties in order of first appearance.
+    rank = [0] * len(gram_ids)
+    for pair_grams in grams:
+        for g in pair_grams:
+            rank[g] += 1
+    for r, g in enumerate(sorted(range(len(rank)), key=rank.__getitem__)):
+        rank[g] = r
     survivors: list[InstructionPair] = []
     seen_exact: set[tuple[str, ...]] = set()
     kept_grams: list[frozenset] = []
-    for pair in pairs:
-        tokens = pair_tokens(pair)
-        if tokens in seen_exact:
+    index: dict[int, list[int]] = defaultdict(list)
+    for pair, toks, pair_grams in zip(pairs, tokens, grams):
+        if toks in seen_exact:
             continue
-        grams = ngram_set(tokens)
-        size = len(grams)
+        size = len(pair_grams)
+        # int() floors, so a t*size that rounds up past an integer cannot
+        # shorten the prefix below the exact ceil bound.
+        prefix = sorted(pair_grams, key=rank.__getitem__)[: size - int(threshold * size) + 1]
+        candidates = {k for g in prefix for k in index.get(g, ())}
         duplicate = False
-        for other in kept_grams:
+        for k in candidates:
+            other = kept_grams[k]
             # |a∩b|/|a∪b| can reach t only if min/max set sizes do.
             lo, hi = min(size, len(other)), max(size, len(other))
             if hi and lo / hi < threshold:
                 continue
-            if jaccard(grams, other) >= threshold:
+            if jaccard(pair_grams, other) >= threshold:
                 duplicate = True
                 break
         if duplicate:
             continue
-        seen_exact.add(tokens)
-        kept_grams.append(grams)
+        seen_exact.add(toks)
+        for g in prefix:
+            index[g].append(len(kept_grams))
+        kept_grams.append(pair_grams)
         survivors.append(pair)
     return survivors
 
@@ -184,13 +221,30 @@ def canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: write a temp file in the
+    same directory, then ``os.replace`` it over the target. A crash or failed
+    write leaves the previous file whole and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
     """Write canonical JSONL and return a manifest with per-task counts and
     the file's content hash. emit -> load -> emit is byte-identical."""
     path = Path(path)
     data = "".join(canonical_json(_pair_to_obj(p)) + "\n" for p in pairs).encode("utf-8")
     try:
-        path.write_bytes(data)
+        write_atomic(path, data)
     except OSError as exc:
         raise CurateError(f"cannot write {path}: {exc}") from exc
     per_task = {task.value: 0 for task in TaskKind}
@@ -278,5 +332,5 @@ def emit_pack(prompts: list[HeldoutPrompt], path: str | Path) -> int:
         canonical_json({"id": p.id, "kind": p.kind, "prompt": p.prompt}) + "\n"
         for p in prompts
     ).encode("utf-8")
-    path.write_bytes(data)
+    write_atomic(path, data)
     return len(prompts)

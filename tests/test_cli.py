@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -361,8 +364,17 @@ class TestManifestAndLock:
     def test_lockfile_blocks_concurrent_runs(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir(parents=True)
-        (out / ".forge.lock").write_text("12345")
+        (out / ".forge.lock").write_text(str(os.getpid()))
         assert _run(tmp_path, "formulate") == EXIT_ERROR
+
+    def test_stale_lock_of_exited_process_is_taken_over(self, tmp_path):
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        assert child.wait(timeout=60) == 0
+        out = tmp_path / "out"
+        out.mkdir(parents=True)
+        (out / ".forge.lock").write_text(str(child.pid))
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert not (out / ".forge.lock").exists()
 
     def test_lock_released_after_run(self, tmp_path):
         _run(tmp_path, "formulate")

@@ -1,4 +1,6 @@
 import json
+import os
+import random
 from collections import Counter
 
 import pytest
@@ -7,6 +9,7 @@ from ecomforge.core import TaskKind
 from ecomforge.curate import (
     RECOMMENDATION,
     SCENARIO_ADS,
+    CurateError,
     CurationConfig,
     EmptyInputs,
     InsufficientPairs,
@@ -36,6 +39,24 @@ def _pair(i, task=TaskKind.ADS_GENERATION, instruction=None, output=None):
     )
 
 
+def _oracle_dedup(pairs, threshold):
+    """O(n^2) oracle over token streams, then greedy keep-earliest."""
+    tokens = {p.id: list(pair_tokens(p)) for p in pairs}
+    expected = []
+    for p in pairs:
+        dup = False
+        for kept in expected:
+            if tokens[p.id] == tokens[kept.id]:
+                dup = True
+                break
+            if oracle_jaccard(tokens[p.id], tokens[kept.id]) >= threshold:
+                dup = True
+                break
+        if not dup:
+            expected.append(p)
+    return expected
+
+
 class TestDedup:
     def test_exact_duplicates_collapse(self):
         a = _pair(0)
@@ -63,7 +84,8 @@ class TestDedup:
         c = InstructionPair(id="dup", task=a.task, instruction=a.instruction, input=a.input, output=a.output)
         assert dedup([a, b, c], 0.9) == [a, b]
 
-    def test_pairwise_jaccard_oracle(self):
+    @pytest.mark.parametrize("threshold", [0, 0.5, 0.7, 0.9, 1.0])
+    def test_pairwise_jaccard_oracle(self, threshold):
         # 50-pair fixture with planted near-duplicate clusters.
         pairs = []
         for i in range(50):
@@ -80,24 +102,64 @@ class TestDedup:
                 )
             else:
                 pairs.append(_pair(i))
-        threshold = 0.9
-        survivors = dedup(pairs, threshold)
+        assert dedup(pairs, threshold) == _oracle_dedup(pairs, threshold)
 
-        # O(n^2) oracle over token streams, then greedy keep-earliest.
-        tokens = {p.id: list(pair_tokens(p)) for p in pairs}
-        expected = []
-        for p in pairs:
-            dup = False
-            for kept in expected:
-                if tokens[p.id] == tokens[kept.id]:
-                    dup = True
-                    break
-                if oracle_jaccard(tokens[p.id], tokens[kept.id]) >= threshold:
-                    dup = True
-                    break
-            if not dup:
-                expected.append(p)
-        assert survivors == expected
+    @pytest.mark.parametrize("threshold", [0, 0.3, 0.5, 0.56, 0.7, 0.9, 1.0])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_clone_corpus_matches_oracle(self, seed, threshold):
+        # Edit-perturbed clones over a small vocabulary, so many pairs sit just
+        # above or below the threshold against an earlier one.
+        rng = random.Random(seed)
+        vocab = [f"w{i}" for i in range(8)]
+        texts: list[list[str]] = []
+        for _ in range(60):
+            if texts and rng.random() < 0.6:
+                words = list(rng.choice(texts))
+                for _ in range(rng.randint(0, 3)):
+                    at = rng.randint(0, len(words))
+                    if rng.random() < 0.5 and words:
+                        del words[min(at, len(words) - 1)]
+                    else:
+                        words.insert(at, rng.choice(vocab))
+            else:
+                words = [rng.choice(vocab) for _ in range(rng.randint(1, 20))]
+            texts.append(words or [rng.choice(vocab)])
+        pairs = [
+            InstructionPair(
+                id=f"r{i:03d}",
+                task=TaskKind.GENERAL_QA,
+                instruction=words[0],
+                input=" ".join(words[1:-1]),
+                output=words[-1],
+            )
+            for i, words in enumerate(texts)
+        ]
+        assert dedup(pairs, threshold) == _oracle_dedup(pairs, threshold)
+
+    def test_rounded_up_threshold_product_keeps_match(self):
+        # J = 14/25 reaches 0.56 exactly, but 0.56 * 25 rounds up past 14. A
+        # prefix of 25 - ceil(0.56 * 25) + 1 = 11 grams would hold only the 11
+        # grams unique to the longer pair (the rarest) and miss the match.
+        words = [f"t{i}" for i in range(27)]
+        short = InstructionPair(
+            id="short",
+            task=TaskKind.GENERAL_QA,
+            instruction=" ".join(words[:15]),
+            input="",
+            output=words[15],
+        )
+        long = InstructionPair(
+            id="long",
+            task=TaskKind.GENERAL_QA,
+            instruction=" ".join(words[:15]),
+            input="",
+            output=" ".join(words[15:]),
+        )
+        assert 0.56 * 25 > 14
+        assert len(ngram_set(pair_tokens(short))) == 14
+        assert len(ngram_set(pair_tokens(long))) == 25
+        assert oracle_jaccard(pair_tokens(short), pair_tokens(long)) == 0.56
+        assert dedup([short, long], 0.56) == [short]
 
     def test_idempotent(self):
         pairs = [_pair(i) for i in range(20)] + [_pair(0)]
@@ -222,6 +284,20 @@ class TestEmitJsonl:
         obj = json.loads(path.read_text().splitlines()[0])
         assert set(obj) == {"id", "task", "instruction", "input", "output", "provenance"}
         assert set(obj["provenance"]) == {"origin", "strategy", "seed_id", "teacher"}
+
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.jsonl"
+        emit_jsonl([_pair(0)], path)
+        before = path.read_bytes()
+
+        def fail(fd):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "fsync", fail)
+        with pytest.raises(CurateError, match="disk full"):
+            emit_jsonl([_pair(i) for i in range(5)], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
 
     def test_non_ascii_round_trip(self, tmp_path):
         pair = InstructionPair(
