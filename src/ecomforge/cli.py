@@ -10,6 +10,7 @@ Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -118,7 +119,7 @@ def _sha256_file(path: Path) -> str:
 
 def _write_json(path: Path, obj) -> None:
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
-    curate.write_atomic(path, text.encode("utf-8"))
+    ingest.write_atomic(path, text.encode("utf-8"))
 
 
 def _update_run_manifest(
@@ -216,19 +217,10 @@ def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
         expanded_path = out_dir / "expanded.jsonl"
         manifest = curate.emit_jsonl(result.pairs, expanded_path)
         diagnostics_path = out_dir / "diagnostics.jsonl"
-        curate.write_atomic(
+        ingest.write_atomic(
             diagnostics_path,
             "".join(
-                json.dumps(
-                    {
-                        "seed_id": f.seed_id,
-                        "strategy": f.strategy,
-                        "index": f.index,
-                        "reason": f.reason,
-                    },
-                    ensure_ascii=False,
-                )
-                + "\n"
+                json.dumps(dataclasses.asdict(f), ensure_ascii=False) + "\n"
                 for f in result.failures
             ).encode("utf-8"),
         )
@@ -406,7 +398,7 @@ def cmd_evaluate(
     report_path = out_dir / "report.json"
     _write_json(report_path, report.to_json())
     table = evalsuite.render_table([("run", report)])
-    curate.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
+    ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
     print(table)
     if report.partial:
         print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")

@@ -21,7 +21,6 @@ DEFAULTS: dict = {
         "max_retries": 3,
         "concurrency": 4,
         "expand_temperature": 0.7,
-        "score_temperature": 0.0,
         "max_tokens": 256,
     },
     "pipeline": {
@@ -126,7 +125,6 @@ def _validate(cfg: dict) -> None:
         (backend["max_retries"] >= 0, "backend.max_retries must be >= 0"),
         (backend["timeout_s"] > 0, "backend.timeout_s must be > 0"),
         (backend["expand_temperature"] >= 0, "backend.expand_temperature must be >= 0"),
-        (backend["score_temperature"] >= 0, "backend.score_temperature must be >= 0"),
         (backend["max_tokens"] >= 1, "backend.max_tokens must be >= 1"),
         (pipeline["seed_per_task"] >= 1, "pipeline.seed_per_task must be >= 1"),
         (pipeline["instruction_rewrites"] >= 0, "pipeline.instruction_rewrites must be >= 0"),

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import shuffle_key
+from .ingest import shuffle_key, write_atomic
 
 NGRAM_ORDER = 3
 
@@ -219,23 +218,6 @@ def _pair_from_obj(obj: dict) -> InstructionPair:
 
 def canonical_json(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one step: write a temp file in the
-    same directory, then ``os.replace`` it over the target. A crash or failed
-    write leaves the previous file whole and removes the temp file."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:

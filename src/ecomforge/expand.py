@@ -2,19 +2,20 @@
 
 Three strategies: instruction rewriting (all tasks), response generation and
 response rewriting (generative tasks only; classification-style outputs are
-fixed labels and must not change). Backend calls run with bounded
-concurrency, but output assembly is deterministic: seed order, then strategy
-order, then variant index.
+fixed labels and must not change). Each teacher call is one job: a seed
+pair, a strategy, a variant index and a prompt. The jobs run as two flat
+passes over one bounded thread pool: first every instruction rewrite, then
+the response jobs, because response generation j reuses the j-th
+successful rewrite. Output assembly is deterministic: seed order, then
+strategy order, then variant index.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .core import TaskKind
 from .formulate import (
     EXPANDED_ORIGIN,
-    GENERATIVE_TASKS,
     INSTRUCTION_REWRITE,
     LABEL_TASKS,
     RESPONSE_GENERATION,
@@ -52,21 +53,18 @@ class AllCallsFailed(ExpandError):
 
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """Variant counts per strategy plus the tasks restricted to
-    instruction-only rewriting."""
+    """Variant counts per strategy. Classification-style tasks
+    (``LABEL_TASKS``) get instruction rewrites only."""
 
     instruction_rewrites: int = 4
     response_generations: int = 1
     response_rewrites: int = 1
-    tasks_instruction_only: frozenset[TaskKind] = LABEL_TASKS
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         for n in (self.instruction_rewrites, self.response_generations, self.response_rewrites):
             if n < 0:
                 raise ValueError("variant counts must be >= 0")
-        if not self.tasks_instruction_only <= LABEL_TASKS:
-            raise ValueError("only classification-style tasks may be instruction-only")
 
 
 @dataclass(frozen=True)
@@ -89,103 +87,6 @@ class Decoding:
     max_tokens: int = 256
 
 
-def _variant_seed(rng_seed: int, seed_id: str, strategy: str, index: int) -> int:
-    return stable_hash(rng_seed, seed_id, strategy, index) % (2**31)
-
-
-def _call(
-    backend: Backend,
-    prompt: str,
-    *,
-    model: str | None,
-    decoding: Decoding,
-    seed: int,
-) -> str:
-    request = BackendRequest(
-        kind=COMPLETE,
-        text=prompt,
-        model=model or backend.default_model(),
-        temperature=decoding.temperature,
-        max_tokens=decoding.max_tokens,
-        seed=seed,
-    )
-    text = backend.complete(request)
-    if not text:
-        raise EmptyGeneration("teacher returned empty text after cleaning")
-    return text
-
-
-def rewrite_instruction(
-    backend: Backend,
-    pair: InstructionPair,
-    n_variants: int,
-    *,
-    rng_seed: int = 0,
-    decoding: Decoding = Decoding(),
-    model: str | None = None,
-) -> tuple[list[InstructionPair], list[ExpansionFailure]]:
-    """Ask the teacher for instruction paraphrases; input/output unchanged.
-
-    Partial success is allowed: failures are collected per variant.
-    """
-    prompt = f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}"
-    teacher = model or backend.default_model()
-    variants: list[InstructionPair] = []
-    failures: list[ExpansionFailure] = []
-    for j in range(n_variants):
-        seed = _variant_seed(rng_seed, pair.id, INSTRUCTION_REWRITE, j)
-        try:
-            text = _call(backend, prompt, model=teacher, decoding=decoding, seed=seed)
-            variants.append(
-                InstructionPair(
-                    id=f"{pair.id}-ir{j}",
-                    task=pair.task,
-                    instruction=text,
-                    input=pair.input,
-                    output=pair.output,
-                    provenance=Provenance(
-                        EXPANDED_ORIGIN, INSTRUCTION_REWRITE, pair.id, teacher
-                    ),
-                )
-            )
-        except (BackendError, EmptyGeneration) as exc:
-            failures.append(ExpansionFailure(pair.id, INSTRUCTION_REWRITE, j, str(exc)))
-    return variants, failures
-
-
-def generate_response(
-    backend: Backend,
-    instruction: str,
-    seed_input: str,
-    *,
-    task: TaskKind,
-    seed: int = 0,
-    decoding: Decoding = Decoding(),
-    model: str | None = None,
-) -> str:
-    """Have the teacher produce a fresh response for a generative-task
-    instruction and its fixed input features."""
-    if task not in GENERATIVE_TASKS:
-        raise ValueError(f"response generation is restricted to generative tasks, got {task.value}")
-    prompt = f"{instruction}\n{seed_input}" if seed_input else instruction
-    return _call(backend, prompt, model=model, decoding=decoding, seed=seed)
-
-
-def rewrite_response(
-    backend: Backend,
-    response: str,
-    *,
-    seed: int = 0,
-    decoding: Decoding = Decoding(),
-    model: str | None = None,
-) -> str:
-    """Paraphrase an existing response; the paired instruction stays fixed."""
-    if not response:
-        raise ValueError("response must be nonempty")
-    prompt = f"{RESPONSE_REWRITE_PROMPT}\n{response}"
-    return _call(backend, prompt, model=model, decoding=decoding, seed=seed)
-
-
 def expand_corpus(
     backend: Backend,
     seeds: list[InstructionPair],
@@ -193,127 +94,95 @@ def expand_corpus(
     *,
     concurrency: int = 4,
     decoding: Decoding = Decoding(),
-    model: str | None = None,
 ) -> ExpansionResult:
     """Grow the seed set per the plan, returning seeds plus variants.
 
-    Instruction rewrites run first (response generation reuses the j-th
-    rewritten instruction when available), then response strategies; each
-    phase fans out over the backend with bounded concurrency. Raises
-    AllCallsFailed only when every teacher call failed.
+    Instruction rewrites run first; response generation j then asks for a
+    response to the j-th successful rewrite, or to the seed instruction when
+    fewer rewrites succeeded. Both passes share one pool of ``concurrency``
+    threads. Failed calls are collected, rewrites first, then per seed the
+    generations before the response rewrites. Raises AllCallsFailed only
+    when every teacher call failed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
     if concurrency < 1:
         raise ValueError("concurrency must be >= 1")
-    teacher = model or backend.default_model()
+    teacher = backend.default_model()
 
-    rewrites: dict[str, list[InstructionPair]] = {}
-    failures: list[ExpansionFailure] = []
-    total_calls = 0
-
-    def run_rewrites(pair: InstructionPair):
-        return rewrite_instruction(
-            backend,
-            pair,
-            plan.instruction_rewrites,
-            rng_seed=plan.rng_seed,
-            decoding=decoding,
+    def call(job: tuple) -> str | ExpansionFailure:
+        pair, strategy, j, _, prompt = job
+        request = BackendRequest(
+            kind=COMPLETE,
+            text=prompt,
             model=teacher,
+            temperature=decoding.temperature,
+            max_tokens=decoding.max_tokens,
+            seed=stable_hash(plan.rng_seed, pair.id, strategy, j) % (2**31),
+        )
+        try:
+            text = backend.complete(request)
+            if not text:
+                raise EmptyGeneration("teacher returned empty text after cleaning")
+            return text
+        except (BackendError, EmptyGeneration) as exc:
+            return ExpansionFailure(pair.id, strategy, j, str(exc))
+
+    def variant(pair, strategy, j, instruction, output) -> InstructionPair:
+        return InstructionPair(
+            id=f"{pair.id}-{_STRATEGY_TAGS[strategy]}{j}",
+            task=pair.task,
+            instruction=instruction,
+            input=pair.input,
+            output=output,
+            provenance=Provenance(EXPANDED_ORIGIN, strategy, pair.id, teacher),
         )
 
+    variants: dict[str, list[InstructionPair]] = {pair.id: [] for pair in seeds}
+    failures: list[ExpansionFailure] = []
+
+    # A job is (seed pair, strategy, index, instruction of the variant, prompt);
+    # an instruction rewrite's variant takes the teacher's text instead.
+    def collect(jobs: list[tuple], results) -> None:
+        for (pair, strategy, j, instruction, _), out in zip(jobs, results):
+            if isinstance(out, ExpansionFailure):
+                failures.append(out)
+            elif strategy == INSTRUCTION_REWRITE:
+                variants[pair.id].append(variant(pair, strategy, j, out, pair.output))
+            else:
+                variants[pair.id].append(variant(pair, strategy, j, instruction, out))
+
+    rewrite_jobs = [
+        (
+            pair,
+            INSTRUCTION_REWRITE,
+            j,
+            None,
+            f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}",
+        )
+        for pair in seeds
+        for j in range(plan.instruction_rewrites)
+    ]
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for pair, (variants, fails) in zip(seeds, pool.map(run_rewrites, seeds)):
-            rewrites[pair.id] = variants
-            failures.extend(fails)
-            total_calls += plan.instruction_rewrites
-
-    def run_response_strategies(pair: InstructionPair):
-        generated: list[tuple[int, str] | ExpansionFailure] = []
-        rewritten: list[tuple[int, str] | ExpansionFailure] = []
-        if pair.task in plan.tasks_instruction_only:
-            return generated, rewritten
-        ir_variants = rewrites[pair.id]
-        for j in range(plan.response_generations):
-            instruction = (
-                ir_variants[j].instruction if j < len(ir_variants) else pair.instruction
-            )
-            seed = _variant_seed(plan.rng_seed, pair.id, RESPONSE_GENERATION, j)
-            try:
-                text = generate_response(
-                    backend,
-                    instruction,
-                    pair.input,
-                    task=pair.task,
-                    seed=seed,
-                    decoding=decoding,
-                    model=teacher,
-                )
-                generated.append((j, text))
-            except (BackendError, EmptyGeneration) as exc:
-                generated.append(ExpansionFailure(pair.id, RESPONSE_GENERATION, j, str(exc)))
-        for j in range(plan.response_rewrites):
-            seed = _variant_seed(plan.rng_seed, pair.id, RESPONSE_REWRITE, j)
-            try:
-                text = rewrite_response(
-                    backend, pair.output, seed=seed, decoding=decoding, model=teacher
-                )
-                rewritten.append((j, text))
-            except (BackendError, EmptyGeneration) as exc:
-                rewritten.append(ExpansionFailure(pair.id, RESPONSE_REWRITE, j, str(exc)))
-        return generated, rewritten
-
-    response_results: dict[str, tuple[list, list]] = {}
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        for pair, result in zip(seeds, pool.map(run_response_strategies, seeds)):
-            response_results[pair.id] = result
-            if pair.task not in plan.tasks_instruction_only:
-                total_calls += plan.response_generations + plan.response_rewrites
-
-    pairs: list[InstructionPair] = []
-    for pair in seeds:
-        pairs.append(pair)
-        ir_variants = rewrites[pair.id]
-        pairs.extend(ir_variants)
-        generated, rewritten = response_results[pair.id]
-        for item in generated:
-            if isinstance(item, ExpansionFailure):
-                failures.append(item)
+        collect(rewrite_jobs, pool.map(call, rewrite_jobs))
+        response_jobs = []
+        for pair in seeds:
+            if pair.task in LABEL_TASKS:
                 continue
-            j, text = item
-            instruction = (
-                ir_variants[j].instruction if j < len(ir_variants) else pair.instruction
+            rewrites = [v.instruction for v in variants[pair.id]]
+            for j in range(plan.response_generations):
+                instruction = rewrites[j] if j < len(rewrites) else pair.instruction
+                prompt = f"{instruction}\n{pair.input}" if pair.input else instruction
+                response_jobs.append((pair, RESPONSE_GENERATION, j, instruction, prompt))
+            rewrite_prompt = f"{RESPONSE_REWRITE_PROMPT}\n{pair.output}"
+            response_jobs.extend(
+                (pair, RESPONSE_REWRITE, j, pair.instruction, rewrite_prompt)
+                for j in range(plan.response_rewrites)
             )
-            pairs.append(
-                InstructionPair(
-                    id=f"{pair.id}-rg{j}",
-                    task=pair.task,
-                    instruction=instruction,
-                    input=pair.input,
-                    output=text,
-                    provenance=Provenance(
-                        EXPANDED_ORIGIN, RESPONSE_GENERATION, pair.id, teacher
-                    ),
-                )
-            )
-        for item in rewritten:
-            if isinstance(item, ExpansionFailure):
-                failures.append(item)
-                continue
-            j, text = item
-            pairs.append(
-                InstructionPair(
-                    id=f"{pair.id}-rr{j}",
-                    task=pair.task,
-                    instruction=pair.instruction,
-                    input=pair.input,
-                    output=text,
-                    provenance=Provenance(
-                        EXPANDED_ORIGIN, RESPONSE_REWRITE, pair.id, teacher
-                    ),
-                )
-            )
+        collect(response_jobs, pool.map(call, response_jobs))
 
+    total_calls = len(rewrite_jobs) + len(response_jobs)
     if total_calls > 0 and len(failures) == total_calls:
         raise AllCallsFailed(f"all {total_calls} teacher calls failed")
+    pairs = [p for pair in seeds for p in (pair, *variants[pair.id])]
     return ExpansionResult(pairs=pairs, failures=failures)

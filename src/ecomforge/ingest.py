@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,8 +42,6 @@ class MalformedLine:
 class DatasetSplit:
     train: list[ProductRecord]
     test: list[ProductRecord]
-    seed: int
-    ratio: float
 
 
 def _optional_text(value) -> str | None:
@@ -113,7 +112,24 @@ def write_error_sidecar(diagnostics: list[MalformedLine], path: str | Path) -> N
         json.dumps({"line": d.line, "reason": d.reason}, ensure_ascii=False)
         for d in diagnostics
     ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step: write a temp file in the
+    same directory, then ``os.replace`` it over the target. A crash or failed
+    write leaves the previous file whole and removes the temp file."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def filter_by_action(records: list[ProductRecord]) -> list[ProductRecord]:
@@ -148,4 +164,4 @@ def split_generic(items: list, ratio: float, seed: int, id_of) -> tuple[list, li
 def split(records: list[ProductRecord], ratio: float, seed: int) -> DatasetSplit:
     """Deterministic train/test split on record ids."""
     train, test = split_generic(records, ratio, seed, lambda r: r.id)
-    return DatasetSplit(train=train, test=test, seed=seed, ratio=ratio)
+    return DatasetSplit(train=train, test=test)

@@ -43,10 +43,6 @@ class MalformedResponseError(BackendError):
     pass
 
 
-class UnsupportedError(BackendError):
-    pass
-
-
 @dataclass(frozen=True)
 class BackendRequest:
     """One model call. Frozen so requests are value-comparable and cacheable.

@@ -25,6 +25,7 @@ from ecomforge.curate import (
     pair_tokens,
 )
 from ecomforge.formulate import InstructionPair, Provenance
+from ecomforge.ingest import MalformedLine, write_error_sidecar
 
 from oracles import oracle_jaccard
 
@@ -286,9 +287,10 @@ class TestEmitJsonl:
         assert set(obj["provenance"]) == {"origin", "strategy", "seed_id", "teacher"}
 
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
-        path = tmp_path / "out.jsonl"
+        path, sidecar = tmp_path / "out.jsonl", tmp_path / "in.jsonl.errors.jsonl"
         emit_jsonl([_pair(0)], path)
-        before = path.read_bytes()
+        write_error_sidecar([MalformedLine(1, "bad")], sidecar)
+        before = {p: p.read_bytes() for p in (path, sidecar)}
 
         def fail(fd):
             raise OSError("disk full")
@@ -296,8 +298,10 @@ class TestEmitJsonl:
         monkeypatch.setattr(os, "fsync", fail)
         with pytest.raises(CurateError, match="disk full"):
             emit_jsonl([_pair(i) for i in range(5)], path)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+        with pytest.raises(OSError, match="disk full"):
+            write_error_sidecar([MalformedLine(i, "bad") for i in range(5)], sidecar)
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
 
     def test_non_ascii_round_trip(self, tmp_path):
         pair = InstructionPair(

@@ -10,12 +10,8 @@ from ecomforge.expand import (
     RESPONSE_REWRITE_PROMPT,
     AllCallsFailed,
     Decoding,
-    EmptyGeneration,
     ExpansionPlan,
     expand_corpus,
-    generate_response,
-    rewrite_instruction,
-    rewrite_response,
 )
 from ecomforge.formulate import (
     EXPANDED_ORIGIN,
@@ -26,7 +22,7 @@ from ecomforge.formulate import (
     InstructionPair,
     Provenance,
 )
-from ecomforge.modelio import BackendResponse, MockBackend, TransportError
+from ecomforge.modelio import MockBackend, TransportError, stable_hash
 
 
 def _seed(task, i=0, output="a perfectly fine output text"):
@@ -52,11 +48,37 @@ class FailingBackend(MockBackend):
         return super().send(request)
 
 
+class Probe(MockBackend):
+    """Mock that records every request it is sent."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.requests = []
+
+    def send(self, request):
+        self.requests.append(request)
+        return super().send(request)
+
+
+def _only(strategy, n=1):
+    """Plan with ``n`` variants of one strategy and none of the others."""
+    return ExpansionPlan(
+        instruction_rewrites=n if strategy == INSTRUCTION_REWRITE else 0,
+        response_generations=n if strategy == RESPONSE_GENERATION else 0,
+        response_rewrites=n if strategy == RESPONSE_REWRITE else 0,
+    )
+
+
+def _variant_seed(seed_id, strategy, index, rng_seed=0):
+    return stable_hash(rng_seed, seed_id, strategy, index) % (2**31)
+
+
 class TestRewriteInstruction:
     def test_variants_share_input_output(self):
         pair = _seed(TaskKind.ADS_GENERATION)
-        variants, failures = rewrite_instruction(MockBackend(), pair, 3)
-        assert not failures and len(variants) == 3
+        result = expand_corpus(MockBackend(), [pair], _only(INSTRUCTION_REWRITE, 3))
+        variants = result.pairs[1:]
+        assert not result.failures and len(variants) == 3
         # Field-compare oracle: everything except id/instruction matches.
         for i, v in enumerate(variants):
             assert v.id == f"{pair.id}-ir{i}"
@@ -68,67 +90,98 @@ class TestRewriteInstruction:
         assert len({v.instruction for v in variants}) == 3
 
     def test_prompt_uses_exact_wording(self):
-        captured = []
-
-        class Probe(MockBackend):
-            def send(self, request):
-                captured.append(request.text)
-                return super().send(request)
-
+        probe = Probe()
         pair = _seed(TaskKind.PRODUCT_CLASSIFICATION)
-        rewrite_instruction(Probe(), pair, 1)
-        assert captured[0] == f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}"
+        expand_corpus(probe, [pair], _only(INSTRUCTION_REWRITE))
+        assert [r.text for r in probe.requests] == [
+            f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}"
+        ]
 
     def test_echo_mock_variant_equals_seed(self):
         pair = _seed(TaskKind.ADS_GENERATION)
         prompt = f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}"
         echo = MockBackend(table={prompt: pair.instruction})
-        variants, _ = rewrite_instruction(echo, pair, 1)
-        assert variants[0].instruction == pair.instruction  # dedup removes it later
+        result = expand_corpus(echo, [pair], _only(INSTRUCTION_REWRITE))
+        assert result.pairs[1].instruction == pair.instruction  # dedup removes it later
 
     def test_partial_failure_collected(self):
         pair = _seed(TaskKind.ADS_GENERATION)
-        empty = MockBackend(table={f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}": "​"})
-        variants, failures = rewrite_instruction(empty, pair, 2)
-        assert not variants and len(failures) == 2
-        assert all(f.strategy == INSTRUCTION_REWRITE for f in failures)
+        # A zero-width space is nonempty on the wire and empty after cleaning.
+        empty = MockBackend(table={f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}": "\u200b"})
+        plan = ExpansionPlan(instruction_rewrites=2, response_generations=0, response_rewrites=1)
+        result = expand_corpus(empty, [pair], plan)
+        assert [p.id for p in result.pairs] == [pair.id, f"{pair.id}-rr0"]
+        assert [(f.strategy, f.index) for f in result.failures] == [
+            (INSTRUCTION_REWRITE, 0),
+            (INSTRUCTION_REWRITE, 1),
+        ]
+
+
+def _ad_seed():
+    return InstructionPair(
+        id="ad-0",
+        task=TaskKind.ADS_GENERATION,
+        instruction="Write an ad.",
+        input="salt lamp",
+        output="A lamp of salt.",
+    )
 
 
 class TestResponseOps:
     def test_generate_response(self):
         mock = MockBackend(table={"Write an ad.\nsalt lamp": "Buy now!"})
-        out = generate_response(
-            mock, "Write an ad.", "salt lamp", task=TaskKind.ADS_GENERATION
+        result = expand_corpus(mock, [_ad_seed()], _only(RESPONSE_GENERATION))
+        rg0 = result.pairs[1]
+        assert rg0.id == "ad-0-rg0" and rg0.output == "Buy now!"
+        assert rg0.instruction == "Write an ad." and rg0.input == "salt lamp"
+        assert rg0.provenance.strategy == RESPONSE_GENERATION
+
+    def test_generate_prompt_without_input_is_the_instruction(self):
+        pair = InstructionPair(
+            id="qa-0",
+            task=TaskKind.GENERAL_QA,
+            instruction="How do I descale a kettle?",
+            input="",
+            output="Boil vinegar and water in it.",
         )
-        assert out == "Buy now!"
+        probe = Probe()
+        expand_corpus(probe, [pair], _only(RESPONSE_GENERATION))
+        assert [r.text for r in probe.requests] == [pair.instruction]
 
-    def test_generate_rejects_label_tasks(self):
-        with pytest.raises(ValueError, match="generative"):
-            generate_response(
-                MockBackend(), "Classify.", "x", task=TaskKind.PRODUCT_CLASSIFICATION
-            )
-
-    def test_generate_empty_output_raises(self):
-        mock = MockBackend(table={"Write an ad.\nsalt lamp": " ​ "})
-        with pytest.raises(EmptyGeneration):
-            generate_response(mock, "Write an ad.", "salt lamp", task=TaskKind.ADS_GENERATION)
+    @pytest.mark.parametrize(
+        "prompt, failed, kept",
+        [
+            ("Write an ad.\nsalt lamp", RESPONSE_GENERATION, "ad-0-rr0"),
+            (f"{RESPONSE_REWRITE_PROMPT}\nA lamp of salt.", RESPONSE_REWRITE, "ad-0-rg0"),
+        ],
+        ids=["generate", "rewrite"],
+    )
+    def test_empty_output_is_a_failure(self, prompt, failed, kept):
+        mock = MockBackend(table={prompt: " \u200b "})
+        plan = ExpansionPlan(instruction_rewrites=0, response_generations=1, response_rewrites=1)
+        result = expand_corpus(mock, [_ad_seed()], plan)
+        assert [p.id for p in result.pairs] == ["ad-0", kept]
+        assert [(f.strategy, f.index) for f in result.failures] == [(failed, 0)]
+        assert "empty" in result.failures[0].reason
 
     def test_rewrite_response_prompt_and_result(self):
         mock = MockBackend(
             table={f"{RESPONSE_REWRITE_PROMPT}\nold response": "a fresh paraphrase"}
         )
-        assert rewrite_response(mock, "old response") == "a fresh paraphrase"
+        pair = _seed(TaskKind.TITLE_REWRITING, output="old response")
+        result = expand_corpus(mock, [pair], _only(RESPONSE_REWRITE))
+        rr0 = result.pairs[1]
+        assert rr0.id == f"{pair.id}-rr0" and rr0.output == "a fresh paraphrase"
+        assert rr0.instruction == pair.instruction
 
-    def test_rewrite_response_rejects_empty(self):
-        with pytest.raises(ValueError):
-            rewrite_response(MockBackend(), "")
+    def test_generate_prompt_uses_the_rewritten_instruction(self):
+        probe = Probe()
+        plan = ExpansionPlan(instruction_rewrites=1, response_generations=1, response_rewrites=0)
+        result = expand_corpus(probe, [_ad_seed()], plan)
+        assert probe.requests[-1].text == f"{result.pairs[1].instruction}\nsalt lamp"
 
 
 class TestExpansionPlan:
-    def test_instruction_only_restricted(self):
-        with pytest.raises(ValueError):
-            ExpansionPlan(tasks_instruction_only=frozenset({TaskKind.ADS_GENERATION}))
-
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ExpansionPlan(instruction_rewrites=-1)
@@ -233,6 +286,45 @@ class TestExpandCorpus:
         assert Counter(f.strategy for f in result.failures) == {INSTRUCTION_REWRITE: 2}
         assert len(result.pairs) == 2  # seed + rr0
 
+    def test_failed_rewrite_shifts_generation_and_orders_failures(self):
+        a, b = _seed(TaskKind.ADS_GENERATION, 0), _seed(TaskKind.TITLE_REWRITING, 1)
+        fail = {
+            _variant_seed(a.id, INSTRUCTION_REWRITE, 0),
+            _variant_seed(b.id, INSTRUCTION_REWRITE, 1),
+            _variant_seed(a.id, RESPONSE_REWRITE, 0),
+            _variant_seed(b.id, RESPONSE_GENERATION, 1),
+            _variant_seed(b.id, RESPONSE_REWRITE, 0),
+        }
+
+        class Flaky(MockBackend):
+            def send(self, request):
+                if request.seed in fail:
+                    raise TransportError("injected", status=500)
+                return super().send(request)
+
+        plan = ExpansionPlan(
+            instruction_rewrites=2, response_generations=2, response_rewrites=1
+        )
+        result = expand_corpus(Flaky(), [a, b], plan, concurrency=3)
+        by_id = {p.id: p for p in result.pairs}
+        # rg j uses the j-th successful rewrite: a's ir0 failed, so rg0 takes
+        # ir1's text and rg1 falls back to the seed instruction.
+        assert by_id[f"{a.id}-rg0"].instruction == by_id[f"{a.id}-ir1"].instruction
+        assert by_id[f"{a.id}-rg1"].instruction == a.instruction
+        assert by_id[f"{b.id}-rg0"].instruction == by_id[f"{b.id}-ir0"].instruction
+        # Every rewrite failure in seed order, then per seed rg before rr.
+        assert [(f.seed_id, f.strategy, f.index) for f in result.failures] == [
+            (a.id, INSTRUCTION_REWRITE, 0),
+            (b.id, INSTRUCTION_REWRITE, 1),
+            (a.id, RESPONSE_REWRITE, 0),
+            (b.id, RESPONSE_GENERATION, 1),
+            (b.id, RESPONSE_REWRITE, 0),
+        ]
+        assert [p.id for p in result.pairs] == [
+            a.id, f"{a.id}-ir1", f"{a.id}-rg0", f"{a.id}-rg1",
+            b.id, f"{b.id}-ir0", f"{b.id}-rg0",
+        ]
+
     def test_all_calls_failed(self):
         class Dead(MockBackend):
             def send(self, request):
@@ -269,14 +361,8 @@ class TestExpandCorpus:
             expand_corpus(MockBackend(), [], ExpansionPlan())
 
     def test_decoding_passed_through(self):
-        captured = []
-
-        class Probe(MockBackend):
-            def send(self, request):
-                captured.append(request)
-                return super().send(request)
-
+        probe = Probe()
         seeds = [_seed(TaskKind.ADS_GENERATION)]
-        plan = ExpansionPlan(instruction_rewrites=1, response_generations=0, response_rewrites=0)
-        expand_corpus(Probe(), seeds, plan, decoding=Decoding(temperature=0.3, max_tokens=64))
-        assert captured[0].temperature == 0.3 and captured[0].max_tokens == 64
+        plan = _only(INSTRUCTION_REWRITE)
+        expand_corpus(probe, seeds, plan, decoding=Decoding(temperature=0.3, max_tokens=64))
+        assert probe.requests[0].temperature == 0.3 and probe.requests[0].max_tokens == 64
