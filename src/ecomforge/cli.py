@@ -315,64 +315,44 @@ def _read_generations(path: Path) -> dict[str, str]:
             continue
         try:
             obj = json.loads(line)
-            out[str(obj["id"])] = str(obj[GENERATION_KEY])
+            sample_id, generation = str(obj["id"]), str(obj[GENERATION_KEY])
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise CliError(f"{path}:{line_no}: bad generation row ({exc})") from exc
+        if sample_id in out:
+            raise CliError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+        out[sample_id] = generation
     return out
 
 
 def _build_eval_data(
     config: PipelineConfig, generations_dir: Path
-) -> tuple[evalsuite.EvalData, list[str]]:
+) -> dict[TaskKind, list[evalsuite.Sample]]:
+    """Pair each generation with its reference fields from
+    ``evalsuite.TASK_REFERENCES``: test records, or test Q&A for general_qa.
+    A task without a generations file is left out."""
     dsplit, _ = _load_split(config)
     _, qa_test = _load_qa_split(config)
     records = {r.id: r for r in dsplit.test}
     qa_refs = {q.id: q for q in qa_test}
 
-    def _record(sample_id: str, task: TaskKind):
-        if sample_id not in records:
-            raise CliError(f"{task.value}: id {sample_id!r} not in the test split")
-        return records[sample_id]
-
-    data = evalsuite.EvalData()
-    missing_files: list[str] = []
-    for task in TaskKind:
+    data: dict[TaskKind, list[evalsuite.Sample]] = {}
+    for task, fields in evalsuite.TASK_REFERENCES.items():
         path = generations_dir / f"{task.value}.jsonl"
         if not path.exists():
-            missing_files.append(task.value)
             continue
+        source, source_name = records, "test split"
+        if task is TaskKind.GENERAL_QA:
+            source, source_name = qa_refs, "test QA set"
+        samples = data[task] = []
         for sample_id, generation in _read_generations(path).items():
-            if task is TaskKind.ADS_GENERATION:
-                record = _record(sample_id, task)
-                if not record.description:
-                    raise CliError(f"{task.value}: record {sample_id!r} has no description")
-                data.ads.append(
-                    evalsuite.AdsSample(sample_id, generation, record.title, record.description)
-                )
-            elif task is TaskKind.TITLE_REWRITING:
-                record = _record(sample_id, task)
-                if not record.query:
-                    raise CliError(f"{task.value}: record {sample_id!r} has no query")
-                data.rewrites.append(
-                    evalsuite.RewriteSample(sample_id, generation, record.title, record.query)
-                )
-            elif task is TaskKind.PRODUCT_CLASSIFICATION:
-                record = _record(sample_id, task)
-                data.classification.append(
-                    evalsuite.LabelSample(sample_id, generation, record.taxonomy)
-                )
-            elif task is TaskKind.INTENT_SPECULATION:
-                record = _record(sample_id, task)
-                data.intent.append(
-                    evalsuite.LabelSample(sample_id, generation, record.taxonomy)
-                )
-            else:
-                if sample_id not in qa_refs:
-                    raise CliError(f"{task.value}: id {sample_id!r} not in the test QA set")
-                data.qa.append(
-                    evalsuite.QASample(sample_id, generation, qa_refs[sample_id].answer)
-                )
-    return data, missing_files
+            if sample_id not in source:
+                raise CliError(f"{task.value}: id {sample_id!r} not in the {source_name}")
+            references = tuple(getattr(source[sample_id], name) for name, _ in fields)
+            for (name, _), text in zip(fields, references):
+                if not text:
+                    raise CliError(f"{task.value}: record {sample_id!r} has no {name}")
+            samples.append(evalsuite.Sample(sample_id, generation, references))
+    return data
 
 
 def cmd_evaluate(
@@ -381,24 +361,32 @@ def cmd_evaluate(
     generations_dir: Path | None,
     replay_path: Path | None,
 ) -> int:
+    started = time.perf_counter()
     out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if replay_path is not None:
-        return _cmd_replay(config, replay_path)
-    if generations_dir is None:
+    if replay_path is None and generations_dir is None:
         raise CliError("evaluate needs --generations DIR or --replay FILE")
-    data, _ = _build_eval_data(config, generations_dir)
-    backend = make_backend(config, backend_kind)
-    report = evalsuite.evaluate_run(
-        data,
-        backend,
-        bleu_epsilon=config["metrics"]["bleu_epsilon"],
-        rouge_beta=config["metrics"]["rouge_beta"],
-    )
-    report_path = out_dir / "report.json"
-    _write_json(report_path, report.to_json())
-    table = evalsuite.render_table([("run", report)])
-    ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
+    with OutDirLock(out_dir):
+        if replay_path is not None:
+            return _cmd_replay(config, replay_path)
+        data = _build_eval_data(config, generations_dir)
+        backend = make_backend(config, backend_kind)
+        report = evalsuite.evaluate_run(
+            data,
+            backend,
+            bleu_epsilon=config["metrics"]["bleu_epsilon"],
+            rouge_beta=config["metrics"]["rouge_beta"],
+        )
+        report_path = out_dir / "report.json"
+        _write_json(report_path, report.to_json())
+        table = evalsuite.render_table([("run", report)])
+        table_path = out_dir / "report.txt"
+        ingest.write_atomic(table_path, (table + "\n").encode("utf-8"))
+        _update_run_manifest(
+            config,
+            "evaluate",
+            {"report.json": report_path, "report.txt": table_path},
+            time.perf_counter() - started,
+        )
     print(table)
     if report.partial:
         print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
@@ -407,6 +395,7 @@ def cmd_evaluate(
 
 
 def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
+    started = time.perf_counter()
     if str(replay_path) == "builtin":
         replay_path = demo_data_path("reference_runs.json")
     rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
@@ -422,6 +411,9 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
     table = evalsuite.render_table(reports)
     out_path = config.out_dir / "replay_report.json"
     _write_json(out_path, {name: report.to_json() for name, report in reports})
+    _update_run_manifest(
+        config, "replay", {"replay_report.json": out_path}, time.perf_counter() - started
+    )
     print(table)
     return EXIT_OK
 

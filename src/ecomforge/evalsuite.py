@@ -9,7 +9,6 @@ the geometric mean like every other metric.
 """
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -17,6 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import TaskKind, normalize_label, tokenize
+from .formulate import LABEL_TASKS
+from .ingest import read_objects
 from .modelio import Backend
 
 
@@ -235,42 +236,27 @@ def geometric_mean(values: list[float]) -> float:
 
 
 @dataclass(frozen=True)
-class AdsSample:
+class Sample:
+    """One generation and its reference texts, in the order of its task's
+    fields in TASK_REFERENCES."""
+
     sample_id: str
     generation: str
-    title: str
-    description: str
+    references: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RewriteSample:
-    sample_id: str
-    generation: str
-    title: str
-    query: str
-
-
-@dataclass(frozen=True)
-class LabelSample:
-    sample_id: str
-    generation: str
-    gold: str
-
-
-@dataclass(frozen=True)
-class QASample:
-    sample_id: str
-    generation: str
-    answer: str
-
-
-@dataclass
-class EvalData:
-    ads: list[AdsSample] = field(default_factory=list)
-    rewrites: list[RewriteSample] = field(default_factory=list)
-    classification: list[LabelSample] = field(default_factory=list)
-    intent: list[LabelSample] = field(default_factory=list)
-    qa: list[QASample] = field(default_factory=list)
+# Each task's reference fields (attributes of the test record or Q&A pair)
+# and the report keys each one scores: macro P/R/F1 for label tasks, else
+# BLEU and ROUGE-L; PPL and BE_qa come on top. Metric functions are looked
+# up by name at call time, never stored here, so rebinding a module global
+# reaches every call.
+TASK_REFERENCES: dict[TaskKind, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    TaskKind.ADS_GENERATION: (("title", ("BL_At", "RL_At")), ("description", ("BL_Ad", "RL_Ad"))),
+    TaskKind.TITLE_REWRITING: (("title", ("BL_Tt", "RL_Tt")), ("query", ("BL_Tq", "RL_Tq"))),
+    TaskKind.PRODUCT_CLASSIFICATION: (("taxonomy", ("P_pt", "R_pt", "F1_pt")),),
+    TaskKind.INTENT_SPECULATION: (("taxonomy", ("P_qs", "R_qs", "F1_qs")),),
+    TaskKind.GENERAL_QA: (("answer", ("BL_qa", "RL_qa")),),
+}
 
 
 @dataclass
@@ -309,7 +295,7 @@ def _mean(xs: list[float]) -> float:
 
 
 def evaluate_run(
-    data: EvalData,
+    data: dict[TaskKind, list[Sample]],
     backend: Backend,
     *,
     bleu_epsilon: float = BLEU_EPSILON,
@@ -323,63 +309,36 @@ def evaluate_run(
     """
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     missing: list[str] = []
-
-    def _bleu(g, r):
-        return bleu(g, r, epsilon=bleu_epsilon)
-
-    def _rouge(g, r):
-        return rouge_l(g, r, beta=rouge_beta)
-
-    if data.ads:
-        gens = [tokenize(s.generation) for s in data.ads]
-        titles = [tokenize(s.title) for s in data.ads]
-        descs = [tokenize(s.description) for s in data.ads]
-        values["BL_At"] = _mean([_bleu(g, t) for g, t in zip(gens, titles)])
-        values["RL_At"] = _mean([_rouge(g, t) for g, t in zip(gens, titles)])
-        values["BL_Ad"] = _mean([_bleu(g, d) for g, d in zip(gens, descs)])
-        values["RL_Ad"] = _mean([_rouge(g, d) for g, d in zip(gens, descs)])
-    else:
-        missing.append(TaskKind.ADS_GENERATION.value)
-
-    if data.rewrites:
-        gens = [tokenize(s.generation) for s in data.rewrites]
-        titles = [tokenize(s.title) for s in data.rewrites]
-        queries = [tokenize(s.query) for s in data.rewrites]
-        values["BL_Tt"] = _mean([_bleu(g, t) for g, t in zip(gens, titles)])
-        values["RL_Tt"] = _mean([_rouge(g, t) for g, t in zip(gens, titles)])
-        values["BL_Tq"] = _mean([_bleu(g, q) for g, q in zip(gens, queries)])
-        values["RL_Tq"] = _mean([_rouge(g, q) for g, q in zip(gens, queries)])
-        values["PPL"] = _mean(
-            [perplexity(backend.score_logprobs(s.generation)) for s in data.rewrites]
-        )
-    else:
-        missing.append(TaskKind.TITLE_REWRITING.value)
-
-    for samples, keys, task in (
-        (data.classification, ("P_pt", "R_pt", "F1_pt"), TaskKind.PRODUCT_CLASSIFICATION),
-        (data.intent, ("P_qs", "R_qs", "F1_qs"), TaskKind.INTENT_SPECULATION),
-    ):
-        if samples:
-            predictions = [normalize_label(s.generation) for s in samples]
-            gold = [s.gold for s in samples]
-            p, r, f1 = macro_prf(predictions, gold)
-            values[keys[0]], values[keys[1]], values[keys[2]] = p, r, f1
-        else:
+    for task, fields in TASK_REFERENCES.items():
+        samples = data.get(task)
+        if not samples:
             missing.append(task.value)
-
-    if data.qa:
-        gens = [tokenize(s.generation) for s in data.qa]
-        answers = [tokenize(s.answer) for s in data.qa]
-        values["BL_qa"] = _mean([_bleu(g, a) for g, a in zip(gens, answers)])
-        values["RL_qa"] = _mean([_rouge(g, a) for g, a in zip(gens, answers)])
-        f1s = []
-        for s in data.qa:
-            cand_vectors = backend.embed_tokens(s.generation)
-            ref_vectors = backend.embed_tokens(s.answer)
-            f1s.append(bert_style_score(cand_vectors, ref_vectors)[2])
-        values["BE_qa"] = _mean(f1s)
-    else:
-        missing.append(TaskKind.GENERAL_QA.value)
+            continue
+        if task in LABEL_TASKS:
+            predictions = [normalize_label(s.generation) for s in samples]
+            gold = [s.references[0] for s in samples]
+            values.update(zip(fields[0][1], macro_prf(predictions, gold)))
+            continue
+        gens = [tokenize(s.generation) for s in samples]
+        for i, (_, (bleu_key, rouge_key)) in enumerate(fields):
+            refs = [tokenize(s.references[i]) for s in samples]
+            values[bleu_key] = _mean(
+                [bleu(g, r, epsilon=bleu_epsilon) for g, r in zip(gens, refs)]
+            )
+            values[rouge_key] = _mean(
+                [rouge_l(g, r, beta=rouge_beta) for g, r in zip(gens, refs)]
+            )
+        if task is TaskKind.TITLE_REWRITING:
+            values["PPL"] = _mean(
+                [perplexity(backend.score_logprobs(s.generation)) for s in samples]
+            )
+        elif task is TaskKind.GENERAL_QA:
+            f1s = []
+            for s in samples:
+                cand_vectors = backend.embed_tokens(s.generation)
+                ref_vectors = backend.embed_tokens(s.references[0])
+                f1s.append(bert_style_score(cand_vectors, ref_vectors)[2])
+            values["BE_qa"] = _mean(f1s)
 
     gm = None
     if not missing:
@@ -438,21 +397,15 @@ def human_eval_report(ratings: list[HumanRating]) -> HumanEvalReport:
 
 
 def load_ratings(path) -> list[HumanRating]:
-    ratings = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            ratings.append(
-                HumanRating(
-                    annotator=str(obj["annotator"]),
-                    sample_id=str(obj["sample_id"]),
-                    task=TaskKind(obj["task"]),
-                    rate=str(obj["rate"]),
-                )
-            )
-    return ratings
+    return [
+        HumanRating(
+            annotator=str(obj["annotator"]),
+            sample_id=str(obj["sample_id"]),
+            task=TaskKind(obj["task"]),
+            rate=str(obj["rate"]),
+        )
+        for obj in read_objects(path, ("annotator", "sample_id", "task", "rate"), EvalError)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ samples a fixed number of pairs per task, deterministically.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import ProductRecord, TaskKind, clean_text
-from .ingest import shuffle_key
+from .ingest import read_objects, shuffle_key
 
 SEED_ORIGIN = "seed"
 EXPANDED_ORIGIN = "expanded"
@@ -69,19 +68,14 @@ class QAPair:
 
 def load_qa_pairs(path: str | Path) -> list[QAPair]:
     """Load JSONL {id, question, answer} rows, cleaning text fields."""
-    pairs = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        obj = json.loads(line)
-        pairs.append(
-            QAPair(
-                id=str(obj["id"]),
-                question=clean_text(str(obj["question"])),
-                answer=clean_text(str(obj["answer"])),
-            )
+    return [
+        QAPair(
+            id=str(obj["id"]),
+            question=clean_text(str(obj["question"])),
+            answer=clean_text(str(obj["answer"])),
         )
-    return pairs
+        for obj in read_objects(path, ("id", "question", "answer"), FormulateError)
+    ]
 
 
 @dataclass(frozen=True)

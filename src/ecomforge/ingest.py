@@ -115,6 +115,26 @@ def write_error_sidecar(diagnostics: list[MalformedLine], path: str | Path) -> N
     write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
+def read_objects(path: str | Path, keys: tuple[str, ...], error: type[Exception]) -> list[dict]:
+    """The non-blank rows of a JSONL file, each a JSON object holding every
+    one of ``keys``. Any other row is refused with ``error`` naming path:line."""
+    rows = []
+    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise error(f"{path}:{line_no}: {exc}") from None
+        if not isinstance(obj, dict):
+            raise error(f"{path}:{line_no}: row is not a JSON object")
+        for key in keys:
+            if key not in obj:
+                raise error(f"{path}:{line_no}: row has no {key!r} key")
+        rows.append(obj)
+    return rows
+
+
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: write a temp file in the
     same directory, then ``os.replace`` it over the target. A crash or failed

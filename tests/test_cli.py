@@ -28,6 +28,20 @@ def _run(tmp_path, *argv, config=None):
     return main(args)
 
 
+def _write_ads_generation(gen_dir):
+    """Write a one-row ads_generation.jsonl for the first demo test record
+    with a description; returns its id."""
+    from ecomforge.cli import _load_split
+
+    dsplit, _ = _load_split(load_config())
+    record = next(r for r in dsplit.test if r.description)
+    gen_dir.mkdir(exist_ok=True)
+    (gen_dir / "ads_generation.jsonl").write_text(
+        json.dumps({"id": record.id, "generation": record.title}) + "\n", encoding="utf-8"
+    )
+    return record.id
+
+
 @pytest.fixture(scope="module")
 def pipeline_dir(tmp_path_factory):
     """One demo formulate+expand run shared by the downstream command tests."""
@@ -211,7 +225,7 @@ class TestEvaluateCommand:
     def test_smoke_generations_equal_references(self, pipeline_dir, tmp_path, capsys):
         out = pipeline_dir / "out"
         # Build generations == references from the test split.
-        from ecomforge.cli import _build_eval_data, _load_split, _load_qa_split
+        from ecomforge.cli import _load_split, _load_qa_split
 
         config = load_config(None, [f"paths.out_dir={out}"])
         dsplit, _ = _load_split(config)
@@ -272,6 +286,27 @@ class TestEvaluateCommand:
                      "--set", f"paths.out_dir={out}"])
         assert code == EXIT_ERROR
         assert "rec-9999" in capsys.readouterr().err
+
+    def test_duplicate_generation_id_is_refused(self, tmp_path, capsys):
+        gen_dir = tmp_path / "gens"
+        sample_id = _write_ads_generation(gen_dir)
+        path = gen_dir / "ads_generation.jsonl"
+        path.write_text(path.read_text() * 2, encoding="utf-8")
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+        assert code == EXIT_ERROR
+        assert f"{path}:2: duplicate id {sample_id!r}" in capsys.readouterr().err
+
+    def test_live_lock_blocks_evaluate(self, tmp_path):
+        gen_dir = tmp_path / "gens"
+        _write_ads_generation(gen_dir)
+        out = tmp_path / "out"
+        out.mkdir(parents=True)
+        (out / ".forge.lock").write_text(str(os.getpid()))
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+        assert code == EXIT_ERROR
+        assert not (out / "report.json").exists()
+        assert _run(tmp_path, "evaluate", "--replay", "builtin") == EXIT_ERROR
+        assert not (out / "replay_report.json").exists()
 
     def test_needs_generations_or_replay(self, tmp_path):
         assert _run(tmp_path, "evaluate") == EXIT_ERROR
@@ -350,6 +385,38 @@ class TestCliErrorSurface:
         assert code == EXIT_ERROR
         assert "bad generation row" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, row, message",
+        [
+            ("formulate", '{"id": "q-x", "question": "Fits?"}', "row has no 'answer' key"),
+            ("formulate", "[1]", "row is not a JSON object"),
+            ("formulate", "not json", "Expecting value"),
+            ("human-eval", '{"annotator": "a", "task": "ads_generation", "rate": "A"}',
+             "row has no 'sample_id' key"),
+            ("human-eval", "[1]", "row is not a JSON object"),
+            ("human-eval", "not json", "Expecting value"),
+        ],
+        ids=["qa-no-key", "qa-not-object", "qa-not-json",
+             "rating-no-key", "rating-not-object", "rating-not-json"],
+    )
+    def test_malformed_qa_or_rating_row_is_clean_error(
+        self, tmp_path, capsys, command, row, message
+    ):
+        rows = tmp_path / "rows.jsonl"
+        if command == "formulate":
+            good = demo_data_path("demo_qa.jsonl").read_text(encoding="utf-8").splitlines()[0]
+            argv, config = ["formulate"], {"paths": {"qa_in": str(rows)}}
+        else:
+            good = json.dumps(
+                {"annotator": "a", "sample_id": "s0", "task": "ads_generation", "rate": "A"}
+            )
+            argv, config = ["human-eval", "--ratings", str(rows)], None
+        rows.write_text(good + "\n" + row + "\n", encoding="utf-8")
+        assert _run(tmp_path, *argv, config=config) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"rows.jsonl:2: {message}" in err
+
 
 class TestManifestAndLock:
     def test_check_manifest_ok_then_detects_tamper(self, tmp_path, capsys):
@@ -360,6 +427,27 @@ class TestManifestAndLock:
         seeds.write_text(seeds.read_text() + "\n", encoding="utf-8")
         assert _run(tmp_path, "check-manifest") == EXIT_ERROR
         assert "MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["generations", "replay"])
+    def test_check_manifest_covers_evaluate_outputs(self, tmp_path, capsys, mode):
+        if mode == "generations":
+            gen_dir = tmp_path / "gens"
+            _write_ads_generation(gen_dir)
+            argv = ["evaluate", "--backend", "mock", "--generations", str(gen_dir)]
+            stage, names, code = "evaluate", ["report.json", "report.txt"], EXIT_PARTIAL
+        else:
+            argv = ["evaluate", "--replay", "builtin"]
+            stage, names, code = "replay", ["replay_report.json"], EXIT_OK
+        assert _run(tmp_path, *argv) == code
+        capsys.readouterr()
+        assert _run(tmp_path, "check-manifest") == EXIT_OK
+        out = capsys.readouterr().out
+        for name in names:
+            assert f"{stage}/{name}: OK" in out
+        tampered = tmp_path / "out" / names[0]
+        tampered.write_text(tampered.read_text() + "\n", encoding="utf-8")
+        assert _run(tmp_path, "check-manifest") == EXIT_ERROR
+        assert f"{stage}/{names[0]}: HASH MISMATCH" in capsys.readouterr().out
 
     def test_lockfile_blocks_concurrent_runs(self, tmp_path):
         out = tmp_path / "out"

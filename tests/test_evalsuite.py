@@ -8,22 +8,19 @@ from hypothesis import given, strategies as st
 from ecomforge.core import TaskKind, tokenize
 from ecomforge.evalsuite import (
     METRIC_NAMES,
-    AdsSample,
     DuplicateRating,
     EmptyCandidate,
     EmptyReference,
     EmptySide,
     EmptySequence,
-    EvalData,
     HumanRating,
-    LabelSample,
     LengthMismatch,
     MetricReport,
     NonPositiveValue,
     PositiveLogprob,
     PplAtOrBelowOne,
-    QASample,
-    RewriteSample,
+    Sample,
+    TASK_REFERENCES,
     WrongArity,
     bert_style_score,
     bleu,
@@ -266,16 +263,16 @@ class TestEvaluateRun:
         # ads and rewriting metrics hit 100 on both reference sides.
         text = "luxury walnut chess set with storage"
         label_samples = [
-            LabelSample("s1", "home and living", "home and living"),
-            LabelSample("s2", "jewelry", "jewelry"),
+            Sample("s1", "home and living", ("home and living",)),
+            Sample("s2", "jewelry", ("jewelry",)),
         ]
-        return EvalData(
-            ads=[AdsSample("a1", text, text, text)],
-            rewrites=[RewriteSample("t1", text, text, text)],
-            classification=list(label_samples),
-            intent=list(label_samples),
-            qa=[QASample("q1", text, text)],
-        )
+        return {
+            TaskKind.ADS_GENERATION: [Sample("a1", text, (text, text))],
+            TaskKind.TITLE_REWRITING: [Sample("t1", text, (text, text))],
+            TaskKind.PRODUCT_CLASSIFICATION: list(label_samples),
+            TaskKind.INTENT_SPECULATION: list(label_samples),
+            TaskKind.GENERAL_QA: [Sample("q1", text, (text,))],
+        }
 
     def test_smoke_all_hundreds(self):
         backend = MockBackend(logprob_per_token=-1.0)  # PPL = e, transform = 1
@@ -291,7 +288,7 @@ class TestEvaluateRun:
 
     def test_missing_task_partial_report(self):
         data = self._smoke_data()
-        data.qa = []
+        data[TaskKind.GENERAL_QA] = []
         report = evaluate_run(data, MockBackend(logprob_per_token=-1.0))
         assert report.partial
         assert report.missing_tasks == [TaskKind.GENERAL_QA.value]
@@ -300,11 +297,32 @@ class TestEvaluateRun:
         assert report.to_json()["GM"] is None
 
     def test_label_normalization_applied(self):
-        data = EvalData(
-            classification=[LabelSample("s1", "It belongs to Home & Living!", "home and living")]
-        )
+        data = {
+            TaskKind.PRODUCT_CLASSIFICATION: [
+                Sample("s1", "It belongs to Home & Living!", ("home and living",))
+            ]
+        }
         report = evaluate_run(data, MockBackend())
         assert report.values["P_pt"] == pytest.approx(100.0)
+
+    def test_each_reference_field_scores_its_own_keys(self):
+        title, other = "luxury walnut chess set", "handmade silver ring for women"
+        data = {
+            TaskKind.ADS_GENERATION: [Sample("a1", title, (title, other))],
+            TaskKind.TITLE_REWRITING: [Sample("t1", title, (other, title))],
+        }
+        values = evaluate_run(data, MockBackend()).values
+        assert values["BL_At"] == pytest.approx(100.0) and values["RL_At"] == pytest.approx(100.0)
+        assert values["BL_Ad"] < 1.0 and values["RL_Ad"] == 0.0
+        assert values["BL_Tq"] == pytest.approx(100.0) and values["RL_Tq"] == pytest.approx(100.0)
+        assert values["BL_Tt"] < 1.0 and values["RL_Tt"] == 0.0
+
+    def test_task_table_matches_report(self):
+        keys = [key for fields in TASK_REFERENCES.values() for _, ks in fields for key in ks]
+        keys += ["PPL", "BE_qa"]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == set(METRIC_NAMES)
+        assert list(TASK_REFERENCES) == list(TaskKind)
 
     def test_report_json_has_19_fields(self):
         report = evaluate_run(self._smoke_data(), MockBackend(logprob_per_token=-1.0))
