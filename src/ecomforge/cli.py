@@ -1,7 +1,7 @@
 """Command-line entry point: ``forge <stage> [options]``.
 
-Stages mirror the pipeline: formulate (ingest + seed set), expand (teacher
-variants), curate (dedup, balance, emit, held-out packs), evaluate (metric
+Stages mirror the pipeline: formulate (ingest, seed set, held-out packs),
+expand (teacher variants), curate (dedup, balance, emit), evaluate (metric
 report or replay), lora-verify (adapter math checks), human-eval (rating
 distributions), check-manifest (artifact re-verification).
 
@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from importlib import resources
@@ -122,20 +123,55 @@ def _write_json(path: Path, obj) -> None:
     ingest.write_atomic(path, text.encode("utf-8"))
 
 
-def _update_run_manifest(
-    config: PipelineConfig, stage: str, outputs: dict[str, Path], seconds: float
-) -> None:
-    manifest_path = config.out_dir / "run_manifest.json"
-    manifest = {"run_id": config.hash()[:12], "config_hash": config.hash(), "stages": {}}
-    if manifest_path.exists():
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest["run_id"] = config.hash()[:12]
-        manifest["config_hash"] = config.hash()
-    manifest.setdefault("stages", {})[stage] = {
-        "outputs": {name: _sha256_file(path) for name, path in outputs.items()},
-        "seconds": round(seconds, 3),
-    }
-    _write_json(manifest_path, manifest)
+def _run_stage(
+    config: PipelineConfig, stage: str, inputs: dict[str, str], outputs: tuple[str, ...], body
+) -> int:
+    """Run ``body()``, which writes the out-dir files ``outputs`` and returns
+    the exit code, under the out dir's lock, and record the stage in
+    ``run_manifest.json``.
+
+    ``inputs`` maps each out-dir file the stage reads to the stage that
+    writes it. An input that its producer's record lists must still have the
+    recorded sha256, and so must every input that producer read; an input no
+    record lists is read as it is. The record holds the config hash, the
+    sha256 of the inputs and outputs, wall and CPU seconds and the process's
+    peak RSS.
+    """
+    out_dir = config.out_dir
+    started, cpu_started = time.perf_counter(), time.process_time()
+    with OutDirLock(out_dir):
+        manifest_path = out_dir / "run_manifest.json"
+        stages = {}
+        if manifest_path.exists():
+            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
+        input_hashes = {}
+        for name, producer in inputs.items():
+            path = out_dir / name
+            if not path.exists():
+                raise CliError(f"{path} not found; run `forge {producer}` first")
+            input_hashes[name] = _sha256_file(path)
+            record = stages.get(producer, {})
+            if name not in record.get("outputs", {}):
+                continue
+            if record["outputs"][name] != input_hashes[name]:
+                raise CliError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
+            for upstream, digest in record.get("inputs", {}).items():
+                upstream_path = out_dir / upstream
+                if not upstream_path.exists() or _sha256_file(upstream_path) != digest:
+                    raise CliError(
+                        f"{path} was built from an older {upstream}; rerun `forge {producer}`"
+                    )
+        code = body()
+        stages[stage] = {
+            "config_hash": config.hash(),
+            "inputs": input_hashes,
+            "outputs": {name: _sha256_file(out_dir / name) for name in outputs},
+            "seconds": round(time.perf_counter() - started, 3),
+            "cpu_s": round(time.process_time() - cpu_started, 3),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+        }
+        _write_json(manifest_path, {"stages": stages})
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +179,7 @@ def _update_run_manifest(
 
 
 def _load_split(config: PipelineConfig) -> tuple[ingest.DatasetSplit, list]:
-    records, diagnostics = ingest.load_interactions(_records_path(config), write_sidecar=False)
-    if diagnostics:
-        out = config.out_dir / "ingest.errors.jsonl"
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        ingest.write_error_sidecar(diagnostics, out)
+    records, diagnostics = ingest.load_interactions(_records_path(config))
     filtered = ingest.filter_by_action(records)
     dsplit = ingest.split(filtered, config["pipeline"]["split_ratio"], config.rng_seed)
     return dsplit, diagnostics
@@ -158,80 +190,6 @@ def _load_qa_split(config: PipelineConfig) -> tuple[list, list]:
     return ingest.split_generic(
         qa_pairs, config["pipeline"]["split_ratio"], config.rng_seed, lambda q: q.id
     )
-
-
-def cmd_formulate(config: PipelineConfig) -> int:
-    started = time.perf_counter()
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with OutDirLock(out_dir):
-        dsplit, diagnostics = _load_split(config)
-        qa_train, _ = _load_qa_split(config)
-        seeds = formulate.build_seed_set(
-            dsplit.train,
-            qa_train,
-            per_task=config["pipeline"]["seed_per_task"],
-            seed=config.rng_seed,
-        )
-        seeds_path = out_dir / "seeds.jsonl"
-        manifest = curate.emit_jsonl(seeds, seeds_path)
-        _update_run_manifest(
-            config, "formulate", {"seeds.jsonl": seeds_path}, time.perf_counter() - started
-        )
-    print(f"formulate: {manifest.count} seed pairs -> {seeds_path}")
-    for task, count in manifest.per_task.items():
-        print(f"  {task}: {count}")
-    if diagnostics:
-        print(f"  {len(diagnostics)} malformed input lines (see ingest.errors.jsonl)")
-        return EXIT_PARTIAL
-    return EXIT_OK
-
-
-def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
-    started = time.perf_counter()
-    out_dir = config.out_dir
-    seeds_path = out_dir / "seeds.jsonl"
-    if not seeds_path.exists():
-        raise CliError(f"{seeds_path} not found; run `forge formulate` first")
-    seeds = curate.load_jsonl(seeds_path)
-    backend = make_backend(config, backend_kind)
-    pipeline_cfg = config["pipeline"]
-    plan = expand.ExpansionPlan(
-        instruction_rewrites=pipeline_cfg["instruction_rewrites"],
-        response_generations=pipeline_cfg["response_generations"],
-        response_rewrites=pipeline_cfg["response_rewrites"],
-        rng_seed=config.rng_seed,
-    )
-    decoding = expand.Decoding(
-        temperature=config["backend"]["expand_temperature"],
-        max_tokens=config["backend"]["max_tokens"],
-    )
-    with OutDirLock(out_dir):
-        result = expand.expand_corpus(
-            backend,
-            seeds,
-            plan,
-            concurrency=config["backend"]["concurrency"],
-            decoding=decoding,
-        )
-        expanded_path = out_dir / "expanded.jsonl"
-        manifest = curate.emit_jsonl(result.pairs, expanded_path)
-        diagnostics_path = out_dir / "diagnostics.jsonl"
-        ingest.write_atomic(
-            diagnostics_path,
-            "".join(
-                json.dumps(dataclasses.asdict(f), ensure_ascii=False) + "\n"
-                for f in result.failures
-            ).encode("utf-8"),
-        )
-        _update_run_manifest(
-            config,
-            "expand",
-            {"expanded.jsonl": expanded_path, "diagnostics.jsonl": diagnostics_path},
-            time.perf_counter() - started,
-        )
-    print(f"expand: {manifest.count} pairs ({len(result.failures)} failed calls) -> {expanded_path}")
-    return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
 def _heldout_product_sets(config: PipelineConfig, dsplit: ingest.DatasetSplit) -> list[list[str]]:
@@ -248,64 +206,111 @@ def _heldout_product_sets(config: PipelineConfig, dsplit: ingest.DatasetSplit) -
     return [titles[i * set_size : (i + 1) * set_size] for i in range(n_sets)]
 
 
-def cmd_curate(config: PipelineConfig) -> int:
-    started = time.perf_counter()
+HELDOUT_PACKS = ("heldout_scenario_ads.jsonl", "heldout_recommendation.jsonl")
+
+
+def cmd_formulate(config: PipelineConfig) -> int:
     out_dir = config.out_dir
-    expanded_path = out_dir / "expanded.jsonl"
-    if not expanded_path.exists():
-        raise CliError(f"{expanded_path} not found; run `forge expand` first")
-    pairs = curate.load_jsonl(expanded_path)
-    pipeline_cfg = config["pipeline"]
-    cur_config = curate.CurationConfig(
-        near_dup_threshold=pipeline_cfg["near_dup_threshold"],
-        target_total=pipeline_cfg["target_total"],
-        rng_seed=config.rng_seed,
-    )
-    with OutDirLock(out_dir):
+
+    def body():
+        dsplit, diagnostics = _load_split(config)
+        qa_train, _ = _load_qa_split(config)
+        pipeline_cfg = config["pipeline"]
+        seeds = formulate.build_seed_set(
+            dsplit.train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
+        )
+        packs = [
+            curate.build_heldout_packs(
+                curate.SCENARIO_ADS,
+                scenarios=pipeline_cfg["heldout_scenarios"],
+                product_sets=_heldout_product_sets(config, dsplit),
+            ),
+            curate.build_heldout_packs(
+                curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]
+            ),
+        ]
+        ingest.write_error_sidecar(diagnostics, out_dir / "ingest.errors.jsonl")
+        manifest = curate.emit_jsonl(seeds, out_dir / "seeds.jsonl")
+        for prompts, name in zip(packs, HELDOUT_PACKS):
+            curate.emit_pack(prompts, out_dir / name)
+        print(f"formulate: {manifest.count} seed pairs -> {out_dir / 'seeds.jsonl'}")
+        for task, count in manifest.per_task.items():
+            print(f"  {task}: {count}")
+        print(f"  held-out packs: {len(packs[0])} scenario ads, {len(packs[1])} recommendation")
+        if diagnostics:
+            print(f"  {len(diagnostics)} malformed input lines (see ingest.errors.jsonl)")
+        return EXIT_PARTIAL if diagnostics else EXIT_OK
+
+    outputs = ("seeds.jsonl", "ingest.errors.jsonl", *HELDOUT_PACKS)
+    return _run_stage(config, "formulate", {}, outputs, body)
+
+
+def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
+    out_dir = config.out_dir
+
+    def body():
+        seeds = curate.load_jsonl(out_dir / "seeds.jsonl")
+        backend = make_backend(config, backend_kind)
+        pipeline_cfg = config["pipeline"]
+        plan = expand.ExpansionPlan(
+            instruction_rewrites=pipeline_cfg["instruction_rewrites"],
+            response_generations=pipeline_cfg["response_generations"],
+            response_rewrites=pipeline_cfg["response_rewrites"],
+            rng_seed=config.rng_seed,
+        )
+        decoding = expand.Decoding(
+            temperature=config["backend"]["expand_temperature"],
+            max_tokens=config["backend"]["max_tokens"],
+        )
+        result = expand.expand_corpus(
+            backend, seeds, plan, concurrency=config["backend"]["concurrency"], decoding=decoding
+        )
+        manifest = curate.emit_jsonl(result.pairs, out_dir / "expanded.jsonl")
+        ingest.write_atomic(
+            out_dir / "diagnostics.jsonl",
+            "".join(
+                json.dumps(dataclasses.asdict(f), ensure_ascii=False) + "\n"
+                for f in result.failures
+            ).encode("utf-8"),
+        )
+        print(
+            f"expand: {manifest.count} pairs ({len(result.failures)} failed calls) "
+            f"-> {out_dir / 'expanded.jsonl'}"
+        )
+        return EXIT_PARTIAL if result.failures else EXIT_OK
+
+    outputs = ("expanded.jsonl", "diagnostics.jsonl")
+    return _run_stage(config, "expand", {"seeds.jsonl": "formulate"}, outputs, body)
+
+
+def cmd_curate(config: PipelineConfig) -> int:
+    out_dir = config.out_dir
+
+    def body():
+        pairs = curate.load_jsonl(out_dir / "expanded.jsonl")
+        pipeline_cfg = config["pipeline"]
+        cur_config = curate.CurationConfig(
+            near_dup_threshold=pipeline_cfg["near_dup_threshold"],
+            target_total=pipeline_cfg["target_total"],
+            rng_seed=config.rng_seed,
+        )
         deduped = curate.dedup(pairs, cur_config.near_dup_threshold)
         balanced = curate.balance(deduped, cur_config)
         dataset_path = out_dir / "dataset.jsonl"
         manifest = curate.emit_jsonl(balanced, dataset_path)
-
-        dsplit, _ = _load_split(config)
-        scenario_prompts = curate.build_heldout_packs(
-            curate.SCENARIO_ADS,
-            scenarios=pipeline_cfg["heldout_scenarios"],
-            product_sets=_heldout_product_sets(config, dsplit),
-        )
-        recommendation_prompts = curate.build_heldout_packs(
-            curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]
-        )
         training_ids = {p.id for p in balanced}
-        pack_ids = {p.id for p in scenario_prompts + recommendation_prompts}
-        if training_ids & pack_ids:
-            raise CliError("held-out pack ids overlap the training set")
-        scenario_path = out_dir / "heldout_scenario_ads.jsonl"
-        recommendation_path = out_dir / "heldout_recommendation.jsonl"
-        curate.emit_pack(scenario_prompts, scenario_path)
-        curate.emit_pack(recommendation_prompts, recommendation_path)
+        for name in HELDOUT_PACKS:
+            rows = ingest.read_objects(out_dir / name, ("id",), CliError)
+            if training_ids & {row["id"] for row in rows}:
+                raise CliError(f"{name} ids overlap the training set")
+        _write_json(out_dir / "manifest.json", manifest.to_json())
+        print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
+        for task, count in manifest.per_task.items():
+            print(f"  {task}: {count}")
+        return EXIT_OK
 
-        manifest_path = out_dir / "manifest.json"
-        _write_json(manifest_path, manifest.to_json())
-        _update_run_manifest(
-            config,
-            "curate",
-            {
-                "dataset.jsonl": dataset_path,
-                "manifest.json": manifest_path,
-                "heldout_scenario_ads.jsonl": scenario_path,
-                "heldout_recommendation.jsonl": recommendation_path,
-            },
-            time.perf_counter() - started,
-        )
-    print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
-    for task, count in manifest.per_task.items():
-        print(f"  {task}: {count}")
-    print(
-        f"  held-out packs: {len(scenario_prompts)} scenario ads, "
-        f"{len(recommendation_prompts)} recommendation"
-    )
-    return EXIT_OK
+    inputs = {"expanded.jsonl": "expand", **{name: "formulate" for name in HELDOUT_PACKS}}
+    return _run_stage(config, "curate", inputs, ("dataset.jsonl", "manifest.json"), body)
 
 
 def _read_generations(path: Path) -> dict[str, str]:
@@ -361,13 +366,15 @@ def cmd_evaluate(
     generations_dir: Path | None,
     replay_path: Path | None,
 ) -> int:
-    started = time.perf_counter()
-    out_dir = config.out_dir
-    if replay_path is None and generations_dir is None:
+    if replay_path is not None:
+        return _cmd_replay(config, replay_path)
+    if generations_dir is None:
         raise CliError("evaluate needs --generations DIR or --replay FILE")
-    with OutDirLock(out_dir):
-        if replay_path is not None:
-            return _cmd_replay(config, replay_path)
+    if not generations_dir.is_dir():
+        raise CliError(f"generations directory {generations_dir} not found")
+    out_dir = config.out_dir
+
+    def body():
         data = _build_eval_data(config, generations_dir)
         backend = make_backend(config, backend_kind)
         report = evalsuite.evaluate_run(
@@ -376,46 +383,41 @@ def cmd_evaluate(
             bleu_epsilon=config["metrics"]["bleu_epsilon"],
             rouge_beta=config["metrics"]["rouge_beta"],
         )
-        report_path = out_dir / "report.json"
-        _write_json(report_path, report.to_json())
+        _write_json(out_dir / "report.json", report.to_json())
         table = evalsuite.render_table([("run", report)])
-        table_path = out_dir / "report.txt"
-        ingest.write_atomic(table_path, (table + "\n").encode("utf-8"))
-        _update_run_manifest(
-            config,
-            "evaluate",
-            {"report.json": report_path, "report.txt": table_path},
-            time.perf_counter() - started,
-        )
-    print(table)
-    if report.partial:
-        print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
-        return EXIT_PARTIAL
-    return EXIT_OK
+        ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
+        print(table)
+        if report.partial:
+            print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
+            return EXIT_PARTIAL
+        return EXIT_OK
+
+    return _run_stage(config, "evaluate", {}, ("report.json", "report.txt"), body)
 
 
 def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
-    started = time.perf_counter()
     if str(replay_path) == "builtin":
         replay_path = demo_data_path("reference_runs.json")
-    rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
-    reports: list[tuple[str, evalsuite.MetricReport]] = []
-    for i, row in enumerate(rows):
-        try:
-            name = row["name"]
-            metrics = {m: float(row["metrics"][m]) for m in evalsuite.METRIC_NAMES}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CliError(f"replay row {i}: missing or bad field ({exc})") from exc
-        gm = evalsuite.gm_from_metrics(metrics)
-        reports.append((name, evalsuite.MetricReport(values=dict(metrics), gm=gm)))
-    table = evalsuite.render_table(reports)
-    out_path = config.out_dir / "replay_report.json"
-    _write_json(out_path, {name: report.to_json() for name, report in reports})
-    _update_run_manifest(
-        config, "replay", {"replay_report.json": out_path}, time.perf_counter() - started
-    )
-    print(table)
-    return EXIT_OK
+
+    def body():
+        rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
+        reports: list[tuple[str, evalsuite.MetricReport]] = []
+        for i, row in enumerate(rows):
+            try:
+                name = row["name"]
+                metrics = {m: float(row["metrics"][m]) for m in evalsuite.METRIC_NAMES}
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CliError(f"replay row {i}: missing or bad field ({exc})") from exc
+            gm = evalsuite.gm_from_metrics(metrics)
+            reports.append((name, evalsuite.MetricReport(values=dict(metrics), gm=gm)))
+        _write_json(
+            config.out_dir / "replay_report.json",
+            {name: report.to_json() for name, report in reports},
+        )
+        print(evalsuite.render_table(reports))
+        return EXIT_OK
+
+    return _run_stage(config, "replay", {}, ("replay_report.json",), body)
 
 
 def cmd_lora_verify(config: PipelineConfig) -> int:

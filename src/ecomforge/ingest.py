@@ -1,8 +1,8 @@
 """Loading, screening, and splitting of raw interaction data.
 
 Input is JSONL, one object per line, keys: id, title, description, taxonomy,
-query, action. Bad lines are collected as diagnostics instead of aborting the
-load; a sidecar ``<input>.errors.jsonl`` is written when any line fails.
+query, action. Bad lines are returned as diagnostics instead of aborting the
+load; ``write_error_sidecar`` writes them out as JSONL.
 """
 from __future__ import annotations
 
@@ -75,9 +75,7 @@ def _parse_line(obj: dict) -> ProductRecord:
     )
 
 
-def load_interactions(
-    path: str | Path, *, write_sidecar: bool = True
-) -> tuple[list[ProductRecord], list[MalformedLine]]:
+def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[MalformedLine]]:
     """Load interaction rows, cleaning text fields and rejecting bad lines.
 
     Returns (records, diagnostics) with input ordering preserved. Raises
@@ -102,8 +100,6 @@ def load_interactions(
 
     if diagnostics and not records:
         raise IngestError(f"all {len(diagnostics)} lines of {path} failed to parse")
-    if diagnostics and write_sidecar:
-        write_error_sidecar(diagnostics, Path(str(path) + ".errors.jsonl"))
     return records, diagnostics
 
 

@@ -148,6 +148,23 @@ class TestFormulate:
         errors = (tmp_path / "out" / "ingest.errors.jsonl").read_text()
         assert "bad" in errors or "browse" in errors or "title" in errors
 
+    def test_clean_rerun_empties_error_sidecar(self, tmp_path, capsys):
+        demo = demo_data_path("demo_records.jsonl").read_text(encoding="utf-8")
+        dirty = tmp_path / "dirty.jsonl"
+        dirty.write_text(demo + "not json\n", encoding="utf-8")
+        code = _run(tmp_path, "formulate", config={"paths": {"data_in": str(dirty)}})
+        assert code == EXIT_PARTIAL and (tmp_path / "out" / "ingest.errors.jsonl").read_text()
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert (tmp_path / "out" / "ingest.errors.jsonl").read_text() == ""
+        capsys.readouterr()
+        assert _run(tmp_path, "check-manifest") == EXIT_OK
+        assert "formulate/ingest.errors.jsonl: OK" in capsys.readouterr().out
+
+    def test_heldout_set_larger_than_test_split_writes_nothing(self, tmp_path, capsys):
+        assert _run(tmp_path, "formulate", "--set", "pipeline.heldout_set_size=1000") == EXIT_ERROR
+        assert "test split too small" in capsys.readouterr().err
+        assert not list((tmp_path / "out").iterdir())
+
 
 class TestExpandCommand:
     def test_requires_seeds(self, tmp_path):
@@ -311,6 +328,14 @@ class TestEvaluateCommand:
     def test_needs_generations_or_replay(self, tmp_path):
         assert _run(tmp_path, "evaluate") == EXIT_ERROR
 
+    def test_missing_generations_dir_is_clean_error(self, tmp_path, capsys):
+        missing = tmp_path / "no-such-dir"
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(missing))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 class TestLoraVerifyCommand:
     def test_passes_and_prints_counts(self, tmp_path, capsys):
@@ -467,3 +492,63 @@ class TestManifestAndLock:
     def test_lock_released_after_run(self, tmp_path):
         _run(tmp_path, "formulate")
         assert not (tmp_path / "out" / ".forge.lock").exists()
+
+
+def _formulate_and_expand(tmp_path):
+    for argv in (["formulate"], ["expand", "--backend", "mock"]):
+        assert _run(tmp_path, *argv) == EXIT_OK
+    return tmp_path / "out"
+
+
+def _stage_records(out):
+    return json.loads((out / "run_manifest.json").read_text())["stages"]
+
+
+class TestStageRunner:
+    @pytest.mark.parametrize(
+        "edit, refused",
+        [
+            ("expanded", "expanded.jsonl differs from the one `forge expand` wrote"),
+            ("pack", "heldout_recommendation.jsonl differs from the one `forge formulate` wrote"),
+            ("reformulate", "expanded.jsonl was built from an older seeds.jsonl"),
+        ],
+        ids=["edited-expanded", "edited-pack", "reformulated-seeds"],
+    )
+    def test_curate_refuses_stale_or_edited_input(self, tmp_path, capsys, edit, refused):
+        out = _formulate_and_expand(tmp_path)
+        if edit == "reformulate":
+            assert _run(tmp_path, "formulate", "--set", "pipeline.seed_per_task=30") == EXIT_OK
+        else:
+            path = out / ("expanded.jsonl" if edit == "expanded" else "heldout_recommendation.jsonl")
+            path.write_text("".join(path.read_text().splitlines(True)[:-1]), encoding="utf-8")
+        capsys.readouterr()
+        assert _run(tmp_path, "curate") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and refused in err
+        assert not (out / "dataset.jsonl").exists() and "curate" not in _stage_records(out)
+
+    def test_same_config_rerun_of_formulate_is_accepted(self, tmp_path):
+        _formulate_and_expand(tmp_path)
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert _run(tmp_path, "curate") == EXIT_OK
+
+    def test_config_hash_recorded_per_stage(self, tmp_path):
+        out = _formulate_and_expand(tmp_path)
+        assert _run(tmp_path, "curate", "--set", "pipeline.target_total=100") == EXIT_OK
+        records = _stage_records(out)
+        assert records["formulate"]["config_hash"] == records["expand"]["config_hash"]
+        assert records["curate"]["config_hash"] != records["expand"]["config_hash"]
+        for record in records.values():
+            assert {"inputs", "outputs", "seconds", "cpu_s", "peak_rss_mb"} <= set(record)
+        assert set(records["curate"]["inputs"]) == {
+            "expanded.jsonl", "heldout_scenario_ads.jsonl", "heldout_recommendation.jsonl"
+        }
+
+    def test_formulate_records_packs_and_error_sidecar(self, tmp_path):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert set(_stage_records(tmp_path / "out")["formulate"]["outputs"]) == {
+            "seeds.jsonl",
+            "ingest.errors.jsonl",
+            "heldout_scenario_ads.jsonl",
+            "heldout_recommendation.jsonl",
+        }

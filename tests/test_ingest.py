@@ -68,11 +68,9 @@ class TestLoadInteractions:
     def test_sidecar_written(self, tmp_path):
         p = tmp_path / "data.jsonl"
         p.write_text(_line(0) + "\n" + "not json\n", encoding="utf-8")
-        load_interactions(p)
-        sidecar = tmp_path / "data.jsonl.errors.jsonl"
-        assert sidecar.exists()
-        entry = json.loads(sidecar.read_text().splitlines()[0])
-        assert entry["line"] == 2 and entry["reason"]
+        _, diags = load_interactions(p)
+        assert [d.line for d in diags] == [2] and diags[0].reason
+        assert [f.name for f in tmp_path.iterdir()] == ["data.jsonl"]
 
     def test_text_fields_cleaned(self, tmp_path):
         p = tmp_path / "data.jsonl"
