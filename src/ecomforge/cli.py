@@ -251,20 +251,17 @@ def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
     def body():
         seeds = curate.load_jsonl(out_dir / "seeds.jsonl")
         backend = make_backend(config, backend_kind)
-        pipeline_cfg = config["pipeline"]
+        pipeline_cfg, backend_cfg = config["pipeline"], config["backend"]
         plan = expand.ExpansionPlan(
             instruction_rewrites=pipeline_cfg["instruction_rewrites"],
             response_generations=pipeline_cfg["response_generations"],
             response_rewrites=pipeline_cfg["response_rewrites"],
             rng_seed=config.rng_seed,
+            concurrency=backend_cfg["concurrency"],
+            temperature=backend_cfg["expand_temperature"],
+            max_tokens=backend_cfg["max_tokens"],
         )
-        decoding = expand.Decoding(
-            temperature=config["backend"]["expand_temperature"],
-            max_tokens=config["backend"]["max_tokens"],
-        )
-        result = expand.expand_corpus(
-            backend, seeds, plan, concurrency=config["backend"]["concurrency"], decoding=decoding
-        )
+        result = expand.expand_corpus(backend, seeds, plan)
         manifest = curate.emit_jsonl(result.pairs, out_dir / "expanded.jsonl")
         ingest.write_atomic(
             out_dir / "diagnostics.jsonl",
@@ -289,13 +286,9 @@ def cmd_curate(config: PipelineConfig) -> int:
     def body():
         pairs = curate.load_jsonl(out_dir / "expanded.jsonl")
         pipeline_cfg = config["pipeline"]
-        cur_config = curate.CurationConfig(
-            near_dup_threshold=pipeline_cfg["near_dup_threshold"],
-            target_total=pipeline_cfg["target_total"],
-            rng_seed=config.rng_seed,
-        )
-        deduped = curate.dedup(pairs, cur_config.near_dup_threshold)
-        balanced = curate.balance(deduped, cur_config)
+        deduped = curate.dedup(pairs, pipeline_cfg["near_dup_threshold"])
+        per_task = pipeline_cfg["target_total"] // len(TaskKind)
+        balanced = curate.balance(deduped, per_task, config.rng_seed)
         dataset_path = out_dir / "dataset.jsonl"
         manifest = curate.emit_jsonl(balanced, dataset_path)
         training_ids = {p.id for p in balanced}
@@ -377,12 +370,7 @@ def cmd_evaluate(
     def body():
         data = _build_eval_data(config, generations_dir)
         backend = make_backend(config, backend_kind)
-        report = evalsuite.evaluate_run(
-            data,
-            backend,
-            bleu_epsilon=config["metrics"]["bleu_epsilon"],
-            rouge_beta=config["metrics"]["rouge_beta"],
-        )
+        report = evalsuite.evaluate_run(data, backend)
         _write_json(out_dir / "report.json", report.to_json())
         table = evalsuite.render_table([("run", report)])
         ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))

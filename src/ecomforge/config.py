@@ -1,8 +1,11 @@
 """Pipeline configuration: a single JSON file with dotted-path overrides.
 
 Every knob has a default aimed at the bundled desk-scale demo; a config file
-only needs the keys it changes. The API key is named by ``api_key_env`` and
-read from the environment, never stored in the file.
+only needs the keys it changes. ``DEFAULTS`` is the one place a setting gets
+its default, and ``_validate`` the one place it gets its check: a value of
+another type than its default's, or out of range, is refused at load, before
+any stage runs. The API key is named by ``api_key_env`` and read from the
+environment, never stored in the file.
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+
+from .core import TaskKind
 
 DEFAULTS: dict = {
     "backend": {
@@ -41,10 +46,6 @@ DEFAULTS: dict = {
             "Recommend something for a friend who loves hiking and camping.",
         ],
     },
-    "metrics": {
-        "rouge_beta": 1.2,
-        "bleu_epsilon": 1e-9,
-    },
     "rng_seed": 0,
     "paths": {
         # null data_in/qa_in selects the bundled synthetic demo fixture
@@ -72,18 +73,6 @@ def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     return out
 
 
-def _set_path(cfg: dict, dotted: str, value) -> None:
-    parts = dotted.split(".")
-    node = cfg
-    for part in parts[:-1]:
-        if not isinstance(node.get(part), dict):
-            raise ConfigError(f"unknown config key {dotted!r}")
-        node = node[part]
-    if parts[-1] not in node:
-        raise ConfigError(f"unknown config key {dotted!r}")
-    node[parts[-1]] = value
-
-
 def parse_override(expr: str) -> tuple[str, object]:
     """Parse one --set KEY=VALUE; the value is JSON when it parses, else a
     bare string."""
@@ -106,7 +95,7 @@ class PipelineConfig:
 
     @property
     def rng_seed(self) -> int:
-        return int(self.data["rng_seed"])
+        return self.data["rng_seed"]
 
     @property
     def out_dir(self) -> Path:
@@ -117,9 +106,38 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _check_types(default, value, where: str = "") -> None:
+    """Refuse a value whose type is not its default's. A float setting also
+    takes an int, a setting whose default is null takes a string, and a list
+    setting is a non-empty list of strings."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{where} must be a JSON object")
+        for key, sub in default.items():
+            _check_types(sub, value[key], f"{where}.{key}" if where else key)
+        return
+    if isinstance(default, list):
+        ok = isinstance(value, list) and len(value) > 0 and all(isinstance(v, str) for v in value)
+        kind = "a non-empty list of strings"
+    elif default is None:
+        ok, kind = value is None or isinstance(value, str), "a string or null"
+    elif isinstance(default, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        kind = "a number"
+    elif isinstance(default, int):
+        ok = isinstance(value, int) and not isinstance(value, bool)
+        kind = "an integer"
+    else:
+        ok, kind = isinstance(value, str), "a string"
+    if not ok:
+        raise ConfigError(f"{where} must be {kind}, got {json.dumps(value)}")
+
+
 def _validate(cfg: dict) -> None:
+    _check_types(DEFAULTS, cfg)
     backend = cfg["backend"]
     pipeline = cfg["pipeline"]
+    n_tasks = len(TaskKind)
     checks = [
         (backend["concurrency"] >= 1, "backend.concurrency must be >= 1"),
         (backend["max_retries"] >= 0, "backend.max_retries must be >= 0"),
@@ -130,7 +148,11 @@ def _validate(cfg: dict) -> None:
         (pipeline["instruction_rewrites"] >= 0, "pipeline.instruction_rewrites must be >= 0"),
         (pipeline["response_generations"] >= 0, "pipeline.response_generations must be >= 0"),
         (pipeline["response_rewrites"] >= 0, "pipeline.response_rewrites must be >= 0"),
-        (pipeline["target_total"] >= 5, "pipeline.target_total must be >= 5"),
+        (pipeline["target_total"] >= n_tasks, f"pipeline.target_total must be >= {n_tasks}"),
+        (
+            pipeline["target_total"] % n_tasks == 0,
+            f"pipeline.target_total must be divisible by {n_tasks}, one share per task",
+        ),
         (
             0.0 <= pipeline["near_dup_threshold"] <= 1.0,
             "pipeline.near_dup_threshold must be in [0, 1]",
@@ -138,8 +160,6 @@ def _validate(cfg: dict) -> None:
         (0.0 < pipeline["split_ratio"] < 1.0, "pipeline.split_ratio must be in (0, 1)"),
         (pipeline["heldout_product_sets"] >= 1, "pipeline.heldout_product_sets must be >= 1"),
         (pipeline["heldout_set_size"] >= 1, "pipeline.heldout_set_size must be >= 1"),
-        (cfg["metrics"]["rouge_beta"] > 0, "metrics.rouge_beta must be > 0"),
-        (cfg["metrics"]["bleu_epsilon"] > 0, "metrics.bleu_epsilon must be > 0"),
     ]
     for ok, message in checks:
         if not ok:
@@ -163,6 +183,8 @@ def load_config(
         cfg = _deep_merge(cfg, loaded)
     for expr in overrides:
         key, value = parse_override(expr)
-        _set_path(cfg, key, value)
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        cfg = _deep_merge(cfg, value)
     _validate(cfg)
     return PipelineConfig(data=cfg)

@@ -89,14 +89,6 @@ class ProductRecord:
     description: str | None = None
     query: str | None = None
 
-    def __post_init__(self) -> None:
-        if not self.id:
-            raise ValueError("record id must be nonempty")
-        if not self.title:
-            raise ValueError(f"record {self.id!r}: title must be nonempty")
-        if self.taxonomy not in _TAXONOMY_SET:
-            raise ValueError(f"record {self.id!r}: invalid taxonomy {self.taxonomy!r}")
-
 
 def is_taxonomy_label(value: str) -> bool:
     return value in _TAXONOMY_SET

@@ -41,29 +41,6 @@ class EmptyInputs(CurateError):
 
 
 @dataclass(frozen=True)
-class CurationConfig:
-    near_dup_threshold: float = 0.9
-    target_total: int = 1200
-    rng_seed: int = 0
-    per_task: dict[TaskKind, int] | None = None
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.near_dup_threshold <= 1.0:
-            raise ValueError("near_dup_threshold must be in [0, 1]")
-        if self.per_task is None and self.target_total % len(TaskKind) != 0:
-            raise ValueError(
-                f"target_total must be divisible by {len(TaskKind)} unless per-task "
-                "targets are given"
-            )
-
-    def targets(self) -> dict[TaskKind, int]:
-        if self.per_task is not None:
-            return dict(self.per_task)
-        share = self.target_total // len(TaskKind)
-        return {task: share for task in TaskKind}
-
-
-@dataclass(frozen=True)
 class Manifest:
     count: int
     per_task: dict[str, int]
@@ -94,7 +71,7 @@ def jaccard(a: frozenset, b: frozenset) -> float:
     return len(a & b) / union
 
 
-def dedup(pairs: list[InstructionPair], threshold: float = 0.9) -> list[InstructionPair]:
+def dedup(pairs: list[InstructionPair], threshold: float) -> list[InstructionPair]:
     """Remove exact duplicates, then near-duplicates at or above the Jaccard
     threshold, keeping earliest occurrences. Stable order; idempotent.
 
@@ -157,28 +134,23 @@ def dedup(pairs: list[InstructionPair], threshold: float = 0.9) -> list[Instruct
     return survivors
 
 
-def balance(pairs: list[InstructionPair], config: CurationConfig) -> list[InstructionPair]:
-    """Deterministic per-task sample hitting the configured targets exactly.
+def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[InstructionPair]:
+    """Deterministic sample of exactly ``per_task`` pairs from each task.
 
     Output is grouped in task order; within a task, pairs keep their input
     order. Raises InsufficientPairs naming the first short task.
     """
-    targets = config.targets()
     by_task: dict[TaskKind, list[InstructionPair]] = {task: [] for task in TaskKind}
     for pair in pairs:
         by_task[pair.task].append(pair)
     for task in TaskKind:
-        need = targets.get(task, 0)
-        if len(by_task[task]) < need:
-            raise InsufficientPairs(task, len(by_task[task]), need)
+        if len(by_task[task]) < per_task:
+            raise InsufficientPairs(task, len(by_task[task]), per_task)
     out: list[InstructionPair] = []
     for task in TaskKind:
-        need = targets.get(task, 0)
         pool = by_task[task]
-        ranked = sorted(
-            pool, key=lambda p: shuffle_key(config.rng_seed, f"{task.value}|{p.id}")
-        )
-        chosen = {p.id for p in ranked[:need]}
+        ranked = sorted(pool, key=lambda p: shuffle_key(rng_seed, f"{task.value}|{p.id}"))
+        chosen = {p.id for p in ranked[:per_task]}
         out.extend(p for p in pool if p.id in chosen)
     return out
 

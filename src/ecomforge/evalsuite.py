@@ -294,13 +294,7 @@ def _mean(xs: list[float]) -> float:
     return sum(xs) / len(xs)
 
 
-def evaluate_run(
-    data: dict[TaskKind, list[Sample]],
-    backend: Backend,
-    *,
-    bleu_epsilon: float = BLEU_EPSILON,
-    rouge_beta: float = ROUGE_BETA,
-) -> MetricReport:
+def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> MetricReport:
     """Compute the full report over aligned per-task samples.
 
     The backend supplies token logprobs (perplexity of rewritten titles) and
@@ -322,12 +316,8 @@ def evaluate_run(
         gens = [tokenize(s.generation) for s in samples]
         for i, (_, (bleu_key, rouge_key)) in enumerate(fields):
             refs = [tokenize(s.references[i]) for s in samples]
-            values[bleu_key] = _mean(
-                [bleu(g, r, epsilon=bleu_epsilon) for g, r in zip(gens, refs)]
-            )
-            values[rouge_key] = _mean(
-                [rouge_l(g, r, beta=rouge_beta) for g, r in zip(gens, refs)]
-            )
+            values[bleu_key] = _mean([bleu(g, r) for g, r in zip(gens, refs)])
+            values[rouge_key] = _mean([rouge_l(g, r) for g, r in zip(gens, refs)])
         if task is TaskKind.TITLE_REWRITING:
             values["PPL"] = _mean(
                 [perplexity(backend.score_logprobs(s.generation)) for s in samples]

@@ -53,18 +53,18 @@ class AllCallsFailed(ExpandError):
 
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """Variant counts per strategy. Classification-style tasks
-    (``LABEL_TASKS``) get instruction rewrites only."""
+    """Variant counts per strategy, the seed the calls' sampling seeds derive
+    from, the pool size and the decoding settings, as ``config`` checked
+    them. Classification-style tasks (``LABEL_TASKS``) get instruction
+    rewrites only."""
 
-    instruction_rewrites: int = 4
-    response_generations: int = 1
-    response_rewrites: int = 1
-    rng_seed: int = 0
-
-    def __post_init__(self) -> None:
-        for n in (self.instruction_rewrites, self.response_generations, self.response_rewrites):
-            if n < 0:
-                raise ValueError("variant counts must be >= 0")
+    instruction_rewrites: int
+    response_generations: int
+    response_rewrites: int
+    rng_seed: int
+    concurrency: int
+    temperature: float
+    max_tokens: int
 
 
 @dataclass(frozen=True)
@@ -81,33 +81,20 @@ class ExpansionResult:
     failures: list[ExpansionFailure] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Decoding:
-    temperature: float = 0.7
-    max_tokens: int = 256
-
-
 def expand_corpus(
-    backend: Backend,
-    seeds: list[InstructionPair],
-    plan: ExpansionPlan,
-    *,
-    concurrency: int = 4,
-    decoding: Decoding = Decoding(),
+    backend: Backend, seeds: list[InstructionPair], plan: ExpansionPlan
 ) -> ExpansionResult:
     """Grow the seed set per the plan, returning seeds plus variants.
 
     Instruction rewrites run first; response generation j then asks for a
     response to the j-th successful rewrite, or to the seed instruction when
-    fewer rewrites succeeded. Both passes share one pool of ``concurrency``
-    threads. Failed calls are collected, rewrites first, then per seed the
-    generations before the response rewrites. Raises AllCallsFailed only
-    when every teacher call failed.
+    fewer rewrites succeeded. Both passes share one pool of
+    ``plan.concurrency`` threads. Failed calls are collected, rewrites
+    first, then per seed the generations before the response rewrites.
+    Raises AllCallsFailed only when every teacher call failed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    if concurrency < 1:
-        raise ValueError("concurrency must be >= 1")
     teacher = backend.default_model()
 
     def call(job: tuple) -> str | ExpansionFailure:
@@ -116,8 +103,8 @@ def expand_corpus(
             kind=COMPLETE,
             text=prompt,
             model=teacher,
-            temperature=decoding.temperature,
-            max_tokens=decoding.max_tokens,
+            temperature=plan.temperature,
+            max_tokens=plan.max_tokens,
             seed=stable_hash(plan.rng_seed, pair.id, strategy, j) % (2**31),
         )
         try:
@@ -163,7 +150,7 @@ def expand_corpus(
         for pair in seeds
         for j in range(plan.instruction_rewrites)
     ]
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+    with ThreadPoolExecutor(max_workers=plan.concurrency) as pool:
         collect(rewrite_jobs, pool.map(call, rewrite_jobs))
         response_jobs = []
         for pair in seeds:

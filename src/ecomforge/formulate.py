@@ -30,9 +30,6 @@ TEMPLATES: dict[TaskKind, str] = {
     TaskKind.INTENT_SPECULATION: "Given the query of {query}, which of the following product category is the customer interested in?",
 }
 
-GENERATIVE_TASKS = frozenset(
-    {TaskKind.ADS_GENERATION, TaskKind.TITLE_REWRITING, TaskKind.GENERAL_QA}
-)
 LABEL_TASKS = frozenset(
     {TaskKind.PRODUCT_CLASSIFICATION, TaskKind.INTENT_SPECULATION}
 )
@@ -181,16 +178,14 @@ def _eligible(task: TaskKind, record: ProductRecord) -> bool:
 def build_seed_set(
     records: list[ProductRecord],
     qa_pairs: list[QAPair],
-    per_task: int = 60,
-    seed: int = 0,
+    per_task: int,
+    seed: int,
 ) -> list[InstructionPair]:
     """Sample per_task records for each task and instantiate the templates.
 
     Output is grouped by task (enum order); within a task, selected items
     keep their original order. Deterministic for a given seed.
     """
-    if per_task < 1:
-        raise ValueError("per_task must be >= 1")
     pairs: list[InstructionPair] = []
     for task in TaskKind:
         if task is TaskKind.GENERAL_QA:

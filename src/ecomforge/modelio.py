@@ -145,23 +145,19 @@ class Backend:
             raise MalformedResponseError("backend returned no text payload")
         return clean_text(response.text)
 
-    def score_logprobs(self, text: str, *, model: str | None = None) -> list[float]:
+    def score_logprobs(self, text: str) -> list[float]:
         if not text:
             raise ValueError("text must be nonempty")
-        request = BackendRequest(
-            kind=LOGPROBS, text=text, model=model or self.default_model(), max_tokens=1
-        )
+        request = BackendRequest(kind=LOGPROBS, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_logprobs is None:
             raise MalformedResponseError("backend returned no logprobs payload")
         return list(response.token_logprobs)
 
-    def embed_tokens(self, text: str, *, model: str | None = None) -> list[list[float]]:
+    def embed_tokens(self, text: str) -> list[list[float]]:
         if not text:
             raise ValueError("text must be nonempty")
-        request = BackendRequest(
-            kind=EMBED, text=text, model=model or self.default_model(), max_tokens=1
-        )
+        request = BackendRequest(kind=EMBED, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_vectors is None:
             raise MalformedResponseError("backend returned no embedding payload")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +14,7 @@ from ecomforge.cli import (
     main,
     make_backend,
 )
-from ecomforge.config import ConfigError, load_config, parse_override
+from ecomforge.config import DEFAULTS, ConfigError, load_config, parse_override
 from ecomforge.core import TaskKind
 from ecomforge.curate import load_jsonl
 
@@ -117,6 +118,53 @@ class TestConfig:
         c = load_config(None, ["rng_seed=9"])
         assert a.hash() == b.hash()
         assert a.hash() != c.hash()
+
+    @pytest.mark.parametrize(
+        "override, accepted",
+        [
+            ("backend.concurrency=2", True),
+            ("backend.concurrency=true", False),
+            ("backend.concurrency=2.0", False),
+            ("backend.timeout_s=30", True),
+            ("backend.timeout_s=false", False),
+            ("backend.model=7", False),
+            ('pipeline.heldout_intents=["a gift"]', True),
+            ("pipeline.heldout_intents=[]", False),
+            ('pipeline.heldout_intents=["a gift", 3]', False),
+            ("paths.data_in=null", True),
+            ("paths.data_in=[]", False),
+            ('backend={"model": "m"}', True),
+        ],
+    )
+    def test_type_rules(self, override, accepted):
+        if accepted:
+            load_config(None, [override])
+        else:
+            with pytest.raises(ConfigError, match=override.split("=")[0]):
+                load_config(None, [override])
+
+    def test_negative_counts_rejected(self):
+        for key in ("instruction_rewrites", "response_generations", "response_rewrites"):
+            with pytest.raises(ConfigError, match=f"pipeline.{key} must be >= 0"):
+                load_config(None, [f"pipeline.{key}=-1"])
+
+    def test_divisibility_enforced(self):
+        with pytest.raises(ConfigError, match="pipeline.target_total must be divisible by 5"):
+            load_config(None, ["pipeline.target_total=101"])
+        assert load_config(None, ["pipeline.target_total=100"])["pipeline"]["target_total"] == 100
+
+    def test_metrics_section_is_unknown(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text('{"metrics": {"rouge_beta": 1.2}}', encoding="utf-8")
+        with pytest.raises(ConfigError, match="unknown config key 'metrics'"):
+            load_config(path)
+
+    def test_readme_config_block_equals_defaults(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration\n", 1)[1]
+        block = section.split("```json\n", 1)[1].split("```", 1)[0]
+        # Dumped again so an int in place of a float default shows too.
+        assert json.dumps(json.loads(block), sort_keys=True) == json.dumps(DEFAULTS, sort_keys=True)
 
 
 class TestFormulate:
@@ -379,6 +427,28 @@ class TestCliErrorSurface:
                      "--set", "pipeline.target_total=101"])
         assert code == EXIT_ERROR
         assert "divisible" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, key",
+        [
+            (["--set", 'pipeline.seed_per_task="x"'], "pipeline.seed_per_task"),
+            (["--set", "pipeline.heldout_scenarios=5"], "pipeline.heldout_scenarios"),
+            (["--set", "paths.out_dir=5"], "paths.out_dir"),
+            (["--set", "pipeline.split_ratio=null"], "pipeline.split_ratio"),
+            (["--set", "pipeline.heldout_set_size=1.5"], "pipeline.heldout_set_size"),
+            (["--config", "backend-5.json"], "backend"),
+            (["--set", "pipeline.target_total=7"], "pipeline.target_total"),
+        ],
+        ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
+             "indivisible-target"],
+    )
+    def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "backend-5.json").write_text('{"backend": 5}', encoding="utf-8")
+        assert main(["formulate", "--set", "paths.out_dir=out", *args]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["backend-5.json"]
 
     def test_missing_ratings_file_is_clean_error(self, tmp_path, capsys):
         code = _run(tmp_path, "human-eval", "--ratings", str(tmp_path / "nope.jsonl"))

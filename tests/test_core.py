@@ -57,14 +57,6 @@ class TestProductRecord:
         r = ProductRecord(id="r1", title="salt lamp", taxonomy="home and living", action=Action.CLICK)
         assert r.query is None
 
-    def test_rejects_bad_taxonomy(self):
-        with pytest.raises(ValueError, match="taxonomy"):
-            ProductRecord(id="r1", title="x", taxonomy="gadgets", action=Action.CLICK)
-
-    def test_rejects_empty_title(self):
-        with pytest.raises(ValueError, match="title"):
-            ProductRecord(id="r1", title="", taxonomy="shoes", action=Action.CLICK)
-
 
 class TestCleanText:
     def test_removes_emoji(self):

@@ -10,7 +10,6 @@ from ecomforge.curate import (
     RECOMMENDATION,
     SCENARIO_ADS,
     CurateError,
-    CurationConfig,
     EmptyInputs,
     InsufficientPairs,
     and_join,
@@ -189,8 +188,7 @@ class TestBalance:
         ]
 
     def test_exact_share(self):
-        config = CurationConfig(target_total=100, rng_seed=0)
-        out = balance(self._mixed(25), config)
+        out = balance(self._mixed(25), 20, 0)
         counts = Counter(p.task for p in out)
         assert all(counts[t] == 20 for t in TaskKind)
 
@@ -198,14 +196,14 @@ class TestBalance:
         pairs = [p for p in self._mixed(25) if p.task is not TaskKind.GENERAL_QA]
         pairs += [_pair(999, task=TaskKind.GENERAL_QA)]
         with pytest.raises(InsufficientPairs) as exc:
-            balance(pairs, CurationConfig(target_total=100))
+            balance(pairs, 20, 0)
         assert exc.value.task is TaskKind.GENERAL_QA
         assert exc.value.have == 1 and exc.value.need == 20
 
     def test_group_count_oracle_two_seeds(self):
         pairs = self._mixed(30)
-        a = balance(pairs, CurationConfig(target_total=50, rng_seed=1))
-        b = balance(pairs, CurationConfig(target_total=50, rng_seed=2))
+        a = balance(pairs, 10, 1)
+        b = balance(pairs, 10, 2)
         assert [p.id for p in a] != [p.id for p in b]
         for sample in (a, b):
             counts = Counter(p.task for p in sample)
@@ -214,27 +212,13 @@ class TestBalance:
 
     def test_task_order_then_original_order(self):
         pairs = self._mixed(10)
-        out = balance(pairs, CurationConfig(target_total=25, rng_seed=5))
+        out = balance(pairs, 5, 5)
         task_sequence = [p.task for p in out]
         assert task_sequence == sorted(task_sequence, key=list(TaskKind).index)
         for task in TaskKind:
             subset = [p.id for p in out if p.task is task]
             original = [p.id for p in pairs if p.task is task]
             assert subset == [i for i in original if i in set(subset)]
-
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError):
-            CurationConfig(target_total=101)
-        CurationConfig(target_total=101, per_task={t: 1 for t in TaskKind})
-
-    def test_per_task_override(self):
-        pairs = self._mixed(10)
-        config = CurationConfig(
-            target_total=5, per_task={TaskKind.ADS_GENERATION: 3, TaskKind.GENERAL_QA: 2}
-        )
-        out = balance(pairs, config)
-        counts = Counter(p.task for p in out)
-        assert counts == {TaskKind.ADS_GENERATION: 3, TaskKind.GENERAL_QA: 2}
 
 
 class TestEmitJsonl:

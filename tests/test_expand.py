@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 import time
 from collections import Counter
@@ -9,13 +10,12 @@ from ecomforge.expand import (
     INSTRUCTION_REWRITE_PROMPT,
     RESPONSE_REWRITE_PROMPT,
     AllCallsFailed,
-    Decoding,
     ExpansionPlan,
     expand_corpus,
 )
 from ecomforge.formulate import (
     EXPANDED_ORIGIN,
-    GENERATIVE_TASKS,
+    LABEL_TASKS,
     INSTRUCTION_REWRITE,
     RESPONSE_GENERATION,
     RESPONSE_REWRITE,
@@ -31,7 +31,7 @@ def _seed(task, i=0, output="a perfectly fine output text"):
         task=task,
         instruction=f"Do the {task.value} thing for item {i} now",
         input=f"item {i} input text",
-        output=output if task in GENERATIVE_TASKS else "home and living",
+        output=output if task not in LABEL_TASKS else "home and living",
     )
 
 
@@ -60,9 +60,23 @@ class Probe(MockBackend):
         return super().send(request)
 
 
+def _plan(**changes):
+    """The plan ``forge expand`` builds from the default config, with ``changes``."""
+    default = ExpansionPlan(
+        instruction_rewrites=4,
+        response_generations=1,
+        response_rewrites=1,
+        rng_seed=0,
+        concurrency=4,
+        temperature=0.7,
+        max_tokens=256,
+    )
+    return dataclasses.replace(default, **changes)
+
+
 def _only(strategy, n=1):
     """Plan with ``n`` variants of one strategy and none of the others."""
-    return ExpansionPlan(
+    return _plan(
         instruction_rewrites=n if strategy == INSTRUCTION_REWRITE else 0,
         response_generations=n if strategy == RESPONSE_GENERATION else 0,
         response_rewrites=n if strategy == RESPONSE_REWRITE else 0,
@@ -108,7 +122,7 @@ class TestRewriteInstruction:
         pair = _seed(TaskKind.ADS_GENERATION)
         # A zero-width space is nonempty on the wire and empty after cleaning.
         empty = MockBackend(table={f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}": "\u200b"})
-        plan = ExpansionPlan(instruction_rewrites=2, response_generations=0, response_rewrites=1)
+        plan = _plan(instruction_rewrites=2, response_generations=0, response_rewrites=1)
         result = expand_corpus(empty, [pair], plan)
         assert [p.id for p in result.pairs] == [pair.id, f"{pair.id}-rr0"]
         assert [(f.strategy, f.index) for f in result.failures] == [
@@ -158,7 +172,7 @@ class TestResponseOps:
     )
     def test_empty_output_is_a_failure(self, prompt, failed, kept):
         mock = MockBackend(table={prompt: " \u200b "})
-        plan = ExpansionPlan(instruction_rewrites=0, response_generations=1, response_rewrites=1)
+        plan = _plan(instruction_rewrites=0, response_generations=1, response_rewrites=1)
         result = expand_corpus(mock, [_ad_seed()], plan)
         assert [p.id for p in result.pairs] == ["ad-0", kept]
         assert [(f.strategy, f.index) for f in result.failures] == [(failed, 0)]
@@ -176,21 +190,15 @@ class TestResponseOps:
 
     def test_generate_prompt_uses_the_rewritten_instruction(self):
         probe = Probe()
-        plan = ExpansionPlan(instruction_rewrites=1, response_generations=1, response_rewrites=0)
+        plan = _plan(instruction_rewrites=1, response_generations=1, response_rewrites=0)
         result = expand_corpus(probe, [_ad_seed()], plan)
         assert probe.requests[-1].text == f"{result.pairs[1].instruction}\nsalt lamp"
-
-
-class TestExpansionPlan:
-    def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ExpansionPlan(instruction_rewrites=-1)
 
 
 class TestExpandCorpus:
     def test_counting_one_variant_per_strategy(self):
         seeds = _one_seed_per_task()
-        plan = ExpansionPlan(
+        plan = _plan(
             instruction_rewrites=1, response_generations=1, response_rewrites=1
         )
         result = expand_corpus(MockBackend(), seeds, plan)
@@ -200,7 +208,7 @@ class TestExpandCorpus:
 
     def test_zero_variants_identity(self):
         seeds = _one_seed_per_task()
-        plan = ExpansionPlan(
+        plan = _plan(
             instruction_rewrites=0, response_generations=0, response_rewrites=0
         )
         result = expand_corpus(MockBackend(), seeds, plan)
@@ -209,7 +217,7 @@ class TestExpandCorpus:
     def test_closed_form_count_oracle(self):
         per_task = 6
         seeds = [_seed(task, i) for task in TaskKind for i in range(per_task)]
-        plan = ExpansionPlan(
+        plan = _plan(
             instruction_rewrites=2, response_generations=3, response_rewrites=1
         )
         result = expand_corpus(MockBackend(), seeds, plan)
@@ -226,7 +234,7 @@ class TestExpandCorpus:
 
     def test_label_outputs_never_change(self):
         seeds = [_seed(task, i) for task in TaskKind for i in range(4)]
-        result = expand_corpus(MockBackend(), seeds, ExpansionPlan())
+        result = expand_corpus(MockBackend(), seeds, _plan())
         for pair in result.pairs:
             if pair.task in (TaskKind.PRODUCT_CLASSIFICATION, TaskKind.INTENT_SPECULATION):
                 assert pair.output == "home and living"
@@ -235,7 +243,7 @@ class TestExpandCorpus:
 
     def test_provenance_forest_rooted_at_seeds(self):
         seeds = [_seed(task, i) for task in TaskKind for i in range(3)]
-        result = expand_corpus(MockBackend(), seeds, ExpansionPlan())
+        result = expand_corpus(MockBackend(), seeds, _plan())
         seed_ids = {p.id for p in seeds}
         for pair in result.pairs:
             if pair.provenance.origin == EXPANDED_ORIGIN:
@@ -250,14 +258,13 @@ class TestExpandCorpus:
 
     def test_bit_deterministic_across_runs(self):
         seeds = [_seed(task, i) for task in TaskKind for i in range(5)]
-        plan = ExpansionPlan(rng_seed=42)
-        a = expand_corpus(MockBackend(), seeds, plan, concurrency=4)
-        b = expand_corpus(MockBackend(), seeds, plan, concurrency=2)
+        a = expand_corpus(MockBackend(), seeds, _plan(rng_seed=42, concurrency=4))
+        b = expand_corpus(MockBackend(), seeds, _plan(rng_seed=42, concurrency=2))
         assert a.pairs == b.pairs
 
     def test_deterministic_order_seed_strategy_variant(self):
         seeds = [_seed(TaskKind.ADS_GENERATION, 0), _seed(TaskKind.GENERAL_QA, 1)]
-        plan = ExpansionPlan(
+        plan = _plan(
             instruction_rewrites=2, response_generations=2, response_rewrites=1
         )
         result = expand_corpus(MockBackend(), seeds, plan)
@@ -277,7 +284,7 @@ class TestExpandCorpus:
             input=seeds[0].input,
             output=seeds[0].output,
         )
-        plan = ExpansionPlan(
+        plan = _plan(
             instruction_rewrites=2, response_generations=0, response_rewrites=1
         )
         result = expand_corpus(FailingBackend(), seeds, plan)
@@ -302,10 +309,10 @@ class TestExpandCorpus:
                     raise TransportError("injected", status=500)
                 return super().send(request)
 
-        plan = ExpansionPlan(
-            instruction_rewrites=2, response_generations=2, response_rewrites=1
+        plan = _plan(
+            instruction_rewrites=2, response_generations=2, response_rewrites=1, concurrency=3
         )
-        result = expand_corpus(Flaky(), [a, b], plan, concurrency=3)
+        result = expand_corpus(Flaky(), [a, b], plan)
         by_id = {p.id: p for p in result.pairs}
         # rg j uses the j-th successful rewrite: a's ir0 failed, so rg0 takes
         # ir1's text and rg1 falls back to the seed instruction.
@@ -331,7 +338,7 @@ class TestExpandCorpus:
                 raise TransportError("down", status=500)
 
         seeds = [_seed(TaskKind.ADS_GENERATION, 0)]
-        plan = ExpansionPlan(instruction_rewrites=1, response_generations=1, response_rewrites=1)
+        plan = _plan(instruction_rewrites=1, response_generations=1, response_rewrites=1)
         with pytest.raises(AllCallsFailed):
             expand_corpus(Dead(), seeds, plan)
 
@@ -352,17 +359,19 @@ class TestExpandCorpus:
                         state["active"] -= 1
 
         seeds = [_seed(task, i) for task in TaskKind for i in range(6)]
-        plan = ExpansionPlan(instruction_rewrites=2, response_generations=1, response_rewrites=1)
-        expand_corpus(Probe(), seeds, plan, concurrency=3)
+        plan = _plan(
+            instruction_rewrites=2, response_generations=1, response_rewrites=1, concurrency=3
+        )
+        expand_corpus(Probe(), seeds, plan)
         assert 1 <= state["peak"] <= 3
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):
-            expand_corpus(MockBackend(), [], ExpansionPlan())
+            expand_corpus(MockBackend(), [], _plan())
 
     def test_decoding_passed_through(self):
         probe = Probe()
         seeds = [_seed(TaskKind.ADS_GENERATION)]
-        plan = _only(INSTRUCTION_REWRITE)
-        expand_corpus(probe, seeds, plan, decoding=Decoding(temperature=0.3, max_tokens=64))
+        plan = dataclasses.replace(_only(INSTRUCTION_REWRITE), temperature=0.3, max_tokens=64)
+        expand_corpus(probe, seeds, plan)
         assert probe.requests[0].temperature == 0.3 and probe.requests[0].max_tokens == 64

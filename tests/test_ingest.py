@@ -54,6 +54,21 @@ class TestLoadInteractions:
         assert len(diags) == 1 and diags[0].line == 2
         assert "browse" in diags[0].reason
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"id": ""}, "missing or empty id"),
+            ({"title": "\U0001f6cd \u2728\U0001f381"}, "empty title after cleaning"),
+        ],
+        ids=["empty-id", "emoji-only-title"],
+    )
+    def test_bad_line_gets_its_diagnostic(self, tmp_path, fields, reason):
+        p = tmp_path / "data.jsonl"
+        p.write_text(_line(0) + "\n" + _line(1, **fields) + "\n", encoding="utf-8")
+        records, diags = load_interactions(p)
+        assert [r.id for r in records] == ["rec-000"]
+        assert [(d.line, d.reason) for d in diags] == [(2, reason)]
+
     def test_three_line_fixture_hand_parsed(self, tmp_path):
         # Hand parse: line 2 has an invalid taxonomy, lines 1 and 3 are good.
         p = tmp_path / "data.jsonl"
