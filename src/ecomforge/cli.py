@@ -10,7 +10,6 @@ Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -229,7 +228,7 @@ def cmd_formulate(config: PipelineConfig) -> int:
                 curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]
             ),
         ]
-        ingest.write_error_sidecar(diagnostics, out_dir / "ingest.errors.jsonl")
+        ingest.write_rows(out_dir / "ingest.errors.jsonl", diagnostics)
         manifest = curate.emit_jsonl(seeds, out_dir / "seeds.jsonl")
         for prompts, name in zip(packs, HELDOUT_PACKS):
             curate.emit_pack(prompts, out_dir / name)
@@ -263,13 +262,7 @@ def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
         )
         result = expand.expand_corpus(backend, seeds, plan)
         manifest = curate.emit_jsonl(result.pairs, out_dir / "expanded.jsonl")
-        ingest.write_atomic(
-            out_dir / "diagnostics.jsonl",
-            "".join(
-                json.dumps(dataclasses.asdict(f), ensure_ascii=False) + "\n"
-                for f in result.failures
-            ).encode("utf-8"),
-        )
+        ingest.write_rows(out_dir / "diagnostics.jsonl", result.failures)
         print(
             f"expand: {manifest.count} pairs ({len(result.failures)} failed calls) "
             f"-> {out_dir / 'expanded.jsonl'}"
@@ -293,10 +286,10 @@ def cmd_curate(config: PipelineConfig) -> int:
         manifest = curate.emit_jsonl(balanced, dataset_path)
         training_ids = {p.id for p in balanced}
         for name in HELDOUT_PACKS:
-            rows = ingest.read_objects(out_dir / name, ("id",), CliError)
-            if training_ids & {row["id"] for row in rows}:
+            pack_ids = ingest.read_rows(out_dir / name, lambda row: row["id"], CliError)
+            if training_ids.intersection(pack_ids):
                 raise CliError(f"{name} ids overlap the training set")
-        _write_json(out_dir / "manifest.json", manifest.to_json())
+        _write_json(out_dir / "manifest.json", vars(manifest))
         print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
         for task, count in manifest.per_task.items():
             print(f"  {task}: {count}")
@@ -308,17 +301,14 @@ def cmd_curate(config: PipelineConfig) -> int:
 
 def _read_generations(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            sample_id, generation = str(obj["id"]), str(obj[GENERATION_KEY])
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise CliError(f"{path}:{line_no}: bad generation row ({exc})") from exc
+
+    def parse(row: dict) -> None:
+        sample_id, generation = str(row["id"]), str(row[GENERATION_KEY])
         if sample_id in out:
-            raise CliError(f"{path}:{line_no}: duplicate id {sample_id!r}")
+            raise ValueError(f"duplicate id {sample_id!r}")
         out[sample_id] = generation
+
+    ingest.read_rows(path, parse, CliError)
     return out
 
 
@@ -488,7 +478,7 @@ def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "human_eval.json"
-    _write_json(out_path, report.to_json())
+    _write_json(out_path, vars(report))
     for task, dist in sorted(report.per_task.items()):
         parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
         print(f"{task}: {parts}")

@@ -160,6 +160,7 @@ def _validate(cfg: dict) -> None:
         (0.0 < pipeline["split_ratio"] < 1.0, "pipeline.split_ratio must be in (0, 1)"),
         (pipeline["heldout_product_sets"] >= 1, "pipeline.heldout_product_sets must be >= 1"),
         (pipeline["heldout_set_size"] >= 1, "pipeline.heldout_set_size must be >= 1"),
+        (cfg["rng_seed"] >= 0, "rng_seed must be >= 0"),
     ]
     for ok, message in checks:
         if not ok:

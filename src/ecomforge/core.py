@@ -5,6 +5,7 @@ these primitives.
 """
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -97,16 +98,21 @@ def is_taxonomy_label(value: str) -> bool:
 # Unicode general categories stripped by clean_text: symbols (So, Sk) cover
 # emoji and modifier marks, C* covers control/format/private-use/surrogates.
 _STRIP_CATEGORIES = frozenset({"So", "Sk", "Cc", "Cf", "Co", "Cs"})
+# Variation selectors (Mn) only pick an emoji's glyph: kept, "\U0001f6cd\ufe0f"
+# would clean to an invisible "\ufe0f". None is ASCII, so ASCII skips the search.
+_VARIATION_SELECTORS = re.compile("[\ufe00-\ufe0f\U000e0100-\U000e01ef]")
 
 
 def clean_text(raw: str) -> str:
     """Strip emoji/control/format characters and normalize whitespace.
 
-    Characters in the stripped categories act as separators (they are
-    replaced by a space, not deleted), so "a\\u200bb" becomes "a b" rather
-    than "ab". Whitespace runs collapse to single spaces; the result is
-    stripped. Idempotent.
+    Characters in the stripped categories and variation selectors act as
+    separators (they are replaced by a space, not deleted), so "a\\u200bb"
+    becomes "a b" rather than "ab". Whitespace runs collapse to single
+    spaces; the result is stripped. Idempotent.
     """
+    if not raw.isascii():
+        raw = _VARIATION_SELECTORS.sub(" ", raw)
     out = []
     for ch in raw:
         if unicodedata.category(ch) in _STRIP_CATEGORIES:

@@ -1,25 +1,22 @@
-"""Deduplication, task balancing, canonical JSONL emission, and held-out
-prompt packs.
+"""Deduplication, task balancing, JSONL emission, and held-out prompt packs.
 
 Near-duplicate detection uses token 3-gram Jaccard similarity over the
 normalized instruction+input+output text. Candidates come from an exact
 prefix-filter index over 3-grams ordered by ascending document frequency,
 so it keeps the earliest pair of each group and the same survivors as an
-all-pairs comparison without making most of the comparisons. The emitted
-JSONL is canonical (sorted keys, compact separators, LF line ends) so
-content hashes are reproducible, and every artifact is replaced atomically.
+all-pairs comparison without making most of the comparisons. Rows are
+written and read by ``ingest.write_rows`` and ``ingest.read_rows``.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import shuffle_key, write_atomic
+from .ingest import read_rows, shuffle_key, write_rows
 
 NGRAM_ORDER = 3
 
@@ -45,9 +42,6 @@ class Manifest:
     count: int
     per_task: dict[str, int]
     sha256: str
-
-    def to_json(self) -> dict:
-        return {"count": self.count, "per_task": self.per_task, "sha256": self.sha256}
 
 
 def pair_tokens(pair: InstructionPair) -> tuple[str, ...]:
@@ -155,22 +149,6 @@ def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[
     return out
 
 
-def _pair_to_obj(pair: InstructionPair) -> dict:
-    return {
-        "id": pair.id,
-        "task": pair.task.value,
-        "instruction": pair.instruction,
-        "input": pair.input,
-        "output": pair.output,
-        "provenance": {
-            "origin": pair.provenance.origin,
-            "strategy": pair.provenance.strategy,
-            "seed_id": pair.provenance.seed_id,
-            "teacher": pair.provenance.teacher,
-        },
-    }
-
-
 def _pair_from_obj(obj: dict) -> InstructionPair:
     prov = obj["provenance"]
     return InstructionPair(
@@ -188,17 +166,11 @@ def _pair_from_obj(obj: dict) -> InstructionPair:
     )
 
 
-def canonical_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-
-
 def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
     """Write canonical JSONL and return a manifest with per-task counts and
     the file's content hash. emit -> load -> emit is byte-identical."""
-    path = Path(path)
-    data = "".join(canonical_json(_pair_to_obj(p)) + "\n" for p in pairs).encode("utf-8")
     try:
-        write_atomic(path, data)
+        data = write_rows(path, pairs)
     except OSError as exc:
         raise CurateError(f"cannot write {path}: {exc}") from exc
     per_task = {task.value: 0 for task in TaskKind}
@@ -210,16 +182,7 @@ def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
 
 
 def load_jsonl(path: str | Path) -> list[InstructionPair]:
-    path = Path(path)
-    pairs = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
-            pairs.append(_pair_from_obj(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise CurateError(f"{path}:{line_no}: bad instruction row ({exc})") from exc
-    return pairs
+    return read_rows(path, _pair_from_obj, CurateError)
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +244,5 @@ def build_heldout_packs(
 
 
 def emit_pack(prompts: list[HeldoutPrompt], path: str | Path) -> int:
-    path = Path(path)
-    data = "".join(
-        canonical_json({"id": p.id, "kind": p.kind, "prompt": p.prompt}) + "\n"
-        for p in prompts
-    ).encode("utf-8")
-    write_atomic(path, data)
+    write_rows(path, prompts)
     return len(prompts)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TaskKind, normalize_label, tokenize
 from .formulate import LABEL_TASKS
-from .ingest import read_objects
+from .ingest import read_rows
 from .modelio import Backend
 
 
@@ -362,9 +362,6 @@ class HumanEvalReport:
     per_task: dict[str, dict[str, float]]  # task -> rate -> fraction
     annotator_counts: dict[str, int]
 
-    def to_json(self) -> dict:
-        return {"per_task": self.per_task, "annotator_counts": self.annotator_counts}
-
 
 def human_eval_report(ratings: list[HumanRating]) -> HumanEvalReport:
     """Per-task A-D rate distribution (fractions sum to 1) plus per-annotator
@@ -387,15 +384,16 @@ def human_eval_report(ratings: list[HumanRating]) -> HumanEvalReport:
 
 
 def load_ratings(path) -> list[HumanRating]:
-    return [
-        HumanRating(
+    return read_rows(
+        path,
+        lambda obj: HumanRating(
             annotator=str(obj["annotator"]),
             sample_id=str(obj["sample_id"]),
             task=TaskKind(obj["task"]),
             rate=str(obj["rate"]),
-        )
-        for obj in read_objects(path, ("annotator", "sample_id", "task", "rate"), EvalError)
-    ]
+        ),
+        EvalError,
+    )
 
 
 # ---------------------------------------------------------------------------

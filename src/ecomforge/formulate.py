@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import ProductRecord, TaskKind, clean_text
-from .ingest import read_objects, shuffle_key
+from .ingest import read_rows, shuffle_key
 
 SEED_ORIGIN = "seed"
 EXPANDED_ORIGIN = "expanded"
@@ -65,14 +65,15 @@ class QAPair:
 
 def load_qa_pairs(path: str | Path) -> list[QAPair]:
     """Load JSONL {id, question, answer} rows, cleaning text fields."""
-    return [
-        QAPair(
+    return read_rows(
+        path,
+        lambda obj: QAPair(
             id=str(obj["id"]),
             question=clean_text(str(obj["question"])),
             answer=clean_text(str(obj["answer"])),
-        )
-        for obj in read_objects(path, ("id", "question", "answer"), FormulateError)
-    ]
+        ),
+        FormulateError,
+    )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,11 @@
-"""Loading, screening, and splitting of raw interaction data.
+"""Loading, screening, and splitting of raw interaction data, and the JSONL
+row format of every artifact.
 
-Input is JSONL, one object per line, keys: id, title, description, taxonomy,
-query, action. Bad lines are returned as diagnostics instead of aborting the
-load; ``write_error_sidecar`` writes them out as JSONL.
+Interaction rows (keys: id, title, description, taxonomy, query, action) are
+loaded line by line: a bad line becomes a diagnostic and the load goes on.
+Every other JSONL file is written by ``write_rows``, one canonical line per
+row (sorted keys, compact separators, UTF-8, LF), and read by ``read_rows``,
+which refuses the whole file at its first bad row with one path:line error.
 """
 from __future__ import annotations
 
@@ -103,31 +106,35 @@ def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[Malfo
     return records, diagnostics
 
 
-def write_error_sidecar(diagnostics: list[MalformedLine], path: str | Path) -> None:
-    lines = [
-        json.dumps({"line": d.line, "reason": d.reason}, ensure_ascii=False)
-        for d in diagnostics
-    ]
-    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
+def canonical_json(obj) -> str:
+    """One row as canonical JSON; a dataclass row is written as its fields."""
+    return json.dumps(obj, default=vars, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
-def read_objects(path: str | Path, keys: tuple[str, ...], error: type[Exception]) -> list[dict]:
-    """The non-blank rows of a JSONL file, each a JSON object holding every
-    one of ``keys``. Any other row is refused with ``error`` naming path:line."""
+def write_rows(path: str | Path, rows) -> bytes:
+    """Replace ``path`` with one canonical line per row; returns the bytes."""
+    data = "".join(canonical_json(row) + "\n" for row in rows).encode("utf-8")
+    write_atomic(path, data)
+    return data
+
+
+def read_rows(path: str | Path, parse, error: type[Exception]) -> list:
+    """``parse(obj)`` of each non-blank row of a JSONL file. A row that is not
+    JSON, not an object, or that ``parse`` rejects with KeyError, TypeError or
+    ValueError is refused with ``error`` naming path:line."""
     rows = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            if not isinstance(obj, dict):
+                raise ValueError("row is not a JSON object")
+            rows.append(parse(obj))
+        except KeyError as exc:
+            raise error(f"{path}:{line_no}: row has no {exc.args[0]!r} key") from None
+        except (TypeError, ValueError) as exc:
             raise error(f"{path}:{line_no}: {exc}") from None
-        if not isinstance(obj, dict):
-            raise error(f"{path}:{line_no}: row is not a JSON object")
-        for key in keys:
-            if key not in obj:
-                raise error(f"{path}:{line_no}: row has no {key!r} key")
-        rows.append(obj)
     return rows
 
 

@@ -17,6 +17,9 @@ from ecomforge.cli import (
 from ecomforge.config import DEFAULTS, ConfigError, load_config, parse_override
 from ecomforge.core import TaskKind
 from ecomforge.curate import load_jsonl
+from ecomforge.expand import ExpansionFailure
+from ecomforge.ingest import canonical_json, write_rows
+from ecomforge.modelio import MockBackend, TransportError
 
 
 def _run(tmp_path, *argv, config=None):
@@ -438,9 +441,10 @@ class TestCliErrorSurface:
             (["--set", "pipeline.heldout_set_size=1.5"], "pipeline.heldout_set_size"),
             (["--config", "backend-5.json"], "backend"),
             (["--set", "pipeline.target_total=7"], "pipeline.target_total"),
+            (["--set", "rng_seed=-1"], "rng_seed"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
-             "indivisible-target"],
+             "indivisible-target", "negative-seed"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)
@@ -463,6 +467,20 @@ class TestCliErrorSurface:
         assert code == EXIT_ERROR
         assert "seeds.jsonl:1" in capsys.readouterr().err
 
+    def test_hand_made_expanded_with_bad_row_is_clean_error(self, tmp_path, capsys):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        out = tmp_path / "out"
+        rows = [json.loads(line) for line in (out / "seeds.jsonl").read_text().splitlines()]
+        del rows[1]["provenance"]
+        (out / "expanded.jsonl").write_text(
+            "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
+        )
+        capsys.readouterr()
+        assert _run(tmp_path, "curate") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "expanded.jsonl:2: row has no 'provenance' key" in err
+
     def test_replay_row_missing_metric_is_clean_error(self, tmp_path, capsys):
         replay = tmp_path / "rows.json"
         replay.write_text(json.dumps([{"name": "x", "metrics": {"BL_At": 1.0}}]))
@@ -478,7 +496,7 @@ class TestCliErrorSurface:
         code = main(["evaluate", "--backend", "mock", "--generations", str(gen_dir),
                      "--set", f"paths.out_dir={out}"])
         assert code == EXIT_ERROR
-        assert "bad generation row" in capsys.readouterr().err
+        assert "row has no 'generation' key" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "command, row, message",
@@ -490,9 +508,11 @@ class TestCliErrorSurface:
              "row has no 'sample_id' key"),
             ("human-eval", "[1]", "row is not a JSON object"),
             ("human-eval", "not json", "Expecting value"),
+            ("human-eval", '{"annotator": "a", "sample_id": "s1", "task": "ads_generation", '
+             '"rate": "E"}', "rate must be one of"),
         ],
         ids=["qa-no-key", "qa-not-object", "qa-not-json",
-             "rating-no-key", "rating-not-object", "rating-not-json"],
+             "rating-no-key", "rating-not-object", "rating-not-json", "rating-bad-rate"],
     )
     def test_malformed_qa_or_rating_row_is_clean_error(
         self, tmp_path, capsys, command, row, message
@@ -622,3 +642,44 @@ class TestStageRunner:
             "heldout_scenario_ads.jsonl",
             "heldout_recommendation.jsonl",
         }
+
+
+class TestArtifactRows:
+    def test_every_jsonl_artifact_is_canonical(self, tmp_path, monkeypatch):
+        demo = demo_data_path("demo_records.jsonl").read_text(encoding="utf-8")
+        dirty = tmp_path / "dirty.jsonl"
+        bad = {"id": "bad", "title": "Tasse", "taxonomy": "shoes", "action": "achète"}
+        dirty.write_text(demo + "not json\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        config = {"paths": {"data_in": str(dirty)}, "backend": {"concurrency": 1}}
+
+        class FirstCallFails(MockBackend):
+            calls = 0
+
+            def send(self, request):
+                FirstCallFails.calls += 1
+                if FirstCallFails.calls == 1:
+                    raise TransportError("refusé", status=500)
+                return super().send(request)
+
+        monkeypatch.setattr("ecomforge.cli.make_backend", lambda config, kind: FirstCallFails())
+        assert _run(tmp_path, "formulate", config=config) == EXIT_PARTIAL
+        assert _run(tmp_path, "expand", config=config) == EXIT_PARTIAL
+        assert _run(tmp_path, "curate", config=config) == EXIT_OK
+        out = tmp_path / "out"
+        rows = {}
+        for path in out.glob("*.jsonl"):
+            *lines, last = path.read_bytes().decode("utf-8").split("\n")
+            assert last == "" and all(line == canonical_json(json.loads(line)) for line in lines)
+            rows[path.name] = [json.loads(line) for line in lines]
+        assert set(rows) == {
+            "seeds.jsonl", "ingest.errors.jsonl", "heldout_scenario_ads.jsonl",
+            "heldout_recommendation.jsonl", "expanded.jsonl", "diagnostics.jsonl", "dataset.jsonl",
+        }
+        n_demo = len(demo.splitlines())
+        errors = rows["ingest.errors.jsonl"]
+        assert [row["line"] for row in errors] == [n_demo + 1, n_demo + 2]
+        assert "achète" in errors[1]["reason"]
+        failures = [ExpansionFailure(**row) for row in rows["diagnostics.jsonl"]]
+        assert len(failures) == 1 and failures[0].reason.endswith("refusé")
+        written = write_rows(tmp_path / "failures.jsonl", failures)
+        assert written == (out / "diagnostics.jsonl").read_bytes()

@@ -68,6 +68,20 @@ class TestCleanText:
     def test_control_and_format_chars_act_as_separators(self):
         assert clean_text("a\x00​b   c") == "a b c"
 
+    @pytest.mark.parametrize(
+        "raw, expected",
+        [
+            ("Love \u2764\ufe0f it", "Love it"),
+            ("\U0001f6cd\ufe0f", ""),
+            ("text\ufe0estyle", "text style"),
+            ("ideograph\U000e0100variant", "ideograph variant"),
+            ("cafe\u0301", "cafe\u0301"),
+        ],
+        ids=["vs16-after-emoji", "vs16-only", "vs15", "vs17", "acute-mark-stays"],
+    )
+    def test_variation_selectors_act_as_separators(self, raw, expected):
+        assert clean_text(raw) == expected
+
     def test_category_filter_oracle(self):
         # Brute-force oracle: replace every char whose Unicode category is
         # in the strip set with a space, then collapse.

@@ -24,7 +24,7 @@ from ecomforge.curate import (
     pair_tokens,
 )
 from ecomforge.formulate import InstructionPair, Provenance
-from ecomforge.ingest import MalformedLine, write_error_sidecar
+from ecomforge.ingest import MalformedLine, write_rows
 
 from oracles import oracle_jaccard
 
@@ -273,7 +273,7 @@ class TestEmitJsonl:
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch):
         path, sidecar = tmp_path / "out.jsonl", tmp_path / "in.jsonl.errors.jsonl"
         emit_jsonl([_pair(0)], path)
-        write_error_sidecar([MalformedLine(1, "bad")], sidecar)
+        write_rows(sidecar, [MalformedLine(1, "bad")])
         before = {p: p.read_bytes() for p in (path, sidecar)}
 
         def fail(fd):
@@ -283,7 +283,7 @@ class TestEmitJsonl:
         with pytest.raises(CurateError, match="disk full"):
             emit_jsonl([_pair(i) for i in range(5)], path)
         with pytest.raises(OSError, match="disk full"):
-            write_error_sidecar([MalformedLine(i, "bad") for i in range(5)], sidecar)
+            write_rows(sidecar, [MalformedLine(i, "bad") for i in range(5)])
         assert {p: p.read_bytes() for p in before} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in before)
 
@@ -301,6 +301,43 @@ class TestEmitJsonl:
         assert loaded == [pair]
         emit_jsonl(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda row: [row], "row is not a JSON object"),
+            (lambda row: {**row, "task": "haiku"}, "'haiku' is not a valid TaskKind"),
+            (lambda row: {k: v for k, v in row.items() if k != "provenance"},
+             "row has no 'provenance' key"),
+            (lambda row: {**row, "instruction": ""}, "pair 'p001': empty instruction"),
+        ],
+        ids=["not-object", "unknown-task", "no-provenance", "empty-instruction"],
+    )
+    def test_bad_row_is_refused_with_path_line(self, tmp_path, edit, message):
+        path = tmp_path / "pairs.jsonl"
+        emit_jsonl([_pair(0), _pair(1)], path)
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        path.write_text(f"{first}\n{json.dumps(edit(json.loads(second)))}\n", encoding="utf-8")
+        with pytest.raises(CurateError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value) == f"{path}:2: {message}"
+
+    def test_extra_key_and_provenance_without_teacher_load(self, tmp_path):
+        rows = [
+            {"id": "s", "task": "general_qa", "instruction": "Q?", "input": "", "output": "A.",
+             "provenance": {"origin": "seed"}, "note": "extra key"},
+            {"id": "e", "task": "general_qa", "instruction": "Q2?", "input": "", "output": "A2.",
+             "provenance": {"origin": "expanded", "strategy": "response_rewrite", "seed_id": "s"}},
+        ]
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        assert load_jsonl(path) == [
+            InstructionPair("s", TaskKind.GENERAL_QA, "Q?", "", "A."),
+            InstructionPair(
+                "e", TaskKind.GENERAL_QA, "Q2?", "", "A2.",
+                Provenance("expanded", "response_rewrite", "s"),
+            ),
+        ]
 
 
 class TestHeldoutPacks:

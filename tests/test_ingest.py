@@ -59,8 +59,9 @@ class TestLoadInteractions:
         [
             ({"id": ""}, "missing or empty id"),
             ({"title": "\U0001f6cd \u2728\U0001f381"}, "empty title after cleaning"),
+            ({"title": "\U0001f6cd\ufe0f"}, "empty title after cleaning"),
         ],
-        ids=["empty-id", "emoji-only-title"],
+        ids=["empty-id", "emoji-only-title", "emoji-variation-selector-title"],
     )
     def test_bad_line_gets_its_diagnostic(self, tmp_path, fields, reason):
         p = tmp_path / "data.jsonl"
