@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .core import (
     TAXONOMY,
     Action,
+    ForgeError,
     ObjectFeature,
     ProductRecord,
     TaskKind,
@@ -17,6 +18,7 @@ from .formulate import InstructionPair, Provenance, QAPair
 __all__ = [
     "TAXONOMY",
     "Action",
+    "ForgeError",
     "InstructionPair",
     "ObjectFeature",
     "ProductRecord",

@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from . import curate, evalsuite, expand, formulate, ingest, lora
-from .config import ConfigError, PipelineConfig, load_config
-from .core import TaskKind
+from .config import PipelineConfig, load_config
+from .core import ForgeError, TaskKind
 from .modelio import Backend, HttpBackend, MockBackend, RetryPolicy
 
 EXIT_OK = 0
@@ -31,10 +31,6 @@ EXIT_ERROR = 1
 EXIT_PARTIAL = 2
 
 GENERATION_KEY = "generation"
-
-
-class CliError(Exception):
-    pass
 
 
 def demo_data_path(name: str) -> Path:
@@ -64,7 +60,7 @@ def make_backend(config: PipelineConfig, kind: str) -> Backend:
             timeout_s=backend_cfg["timeout_s"],
             policy=RetryPolicy(max_retries=backend_cfg["max_retries"]),
         )
-    raise CliError(f"unknown backend kind {kind!r}")
+    raise ForgeError(f"unknown backend kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +85,7 @@ class OutDirLock:
                 break
             except FileExistsError:
                 if attempt or not self._owner_exited():
-                    raise CliError(
+                    raise ForgeError(
                         f"lock {self.path} exists; another run is active (or remove it)"
                     ) from None
                 self.path.unlink(missing_ok=True)
@@ -147,17 +143,17 @@ def _run_stage(
         for name, producer in inputs.items():
             path = out_dir / name
             if not path.exists():
-                raise CliError(f"{path} not found; run `forge {producer}` first")
+                raise ForgeError(f"{path} not found; run `forge {producer}` first")
             input_hashes[name] = _sha256_file(path)
             record = stages.get(producer, {})
             if name not in record.get("outputs", {}):
                 continue
             if record["outputs"][name] != input_hashes[name]:
-                raise CliError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
+                raise ForgeError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
             for upstream, digest in record.get("inputs", {}).items():
                 upstream_path = out_dir / upstream
                 if not upstream_path.exists() or _sha256_file(upstream_path) != digest:
-                    raise CliError(
+                    raise ForgeError(
                         f"{path} was built from an older {upstream}; rerun `forge {producer}`"
                     )
         code = body()
@@ -201,7 +197,7 @@ def _heldout_product_sets(config: PipelineConfig, dsplit: ingest.DatasetSplit) -
     needed = n_sets * set_size
     titles = [r.title for r in ranked[:needed]]
     if len(titles) < needed:
-        raise CliError(f"test split too small for {n_sets} held-out sets of {set_size}")
+        raise ForgeError(f"test split too small for {n_sets} held-out sets of {set_size}")
     return [titles[i * set_size : (i + 1) * set_size] for i in range(n_sets)]
 
 
@@ -286,9 +282,9 @@ def cmd_curate(config: PipelineConfig) -> int:
         manifest = curate.emit_jsonl(balanced, dataset_path)
         training_ids = {p.id for p in balanced}
         for name in HELDOUT_PACKS:
-            pack_ids = ingest.read_rows(out_dir / name, lambda row: row["id"], CliError)
+            pack_ids = ingest.read_rows(out_dir / name, lambda row: row["id"])
             if training_ids.intersection(pack_ids):
-                raise CliError(f"{name} ids overlap the training set")
+                raise ForgeError(f"{name} ids overlap the training set")
         _write_json(out_dir / "manifest.json", vars(manifest))
         print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
         for task, count in manifest.per_task.items():
@@ -308,7 +304,7 @@ def _read_generations(path: Path) -> dict[str, str]:
             raise ValueError(f"duplicate id {sample_id!r}")
         out[sample_id] = generation
 
-    ingest.read_rows(path, parse, CliError)
+    ingest.read_rows(path, parse)
     return out
 
 
@@ -334,11 +330,11 @@ def _build_eval_data(
         samples = data[task] = []
         for sample_id, generation in _read_generations(path).items():
             if sample_id not in source:
-                raise CliError(f"{task.value}: id {sample_id!r} not in the {source_name}")
+                raise ForgeError(f"{task.value}: id {sample_id!r} not in the {source_name}")
             references = tuple(getattr(source[sample_id], name) for name, _ in fields)
             for (name, _), text in zip(fields, references):
                 if not text:
-                    raise CliError(f"{task.value}: record {sample_id!r} has no {name}")
+                    raise ForgeError(f"{task.value}: record {sample_id!r} has no {name}")
             samples.append(evalsuite.Sample(sample_id, generation, references))
     return data
 
@@ -352,23 +348,25 @@ def cmd_evaluate(
     if replay_path is not None:
         return _cmd_replay(config, replay_path)
     if generations_dir is None:
-        raise CliError("evaluate needs --generations DIR or --replay FILE")
+        raise ForgeError("evaluate needs --generations DIR or --replay FILE")
     if not generations_dir.is_dir():
-        raise CliError(f"generations directory {generations_dir} not found")
+        raise ForgeError(f"generations directory {generations_dir} not found")
     out_dir = config.out_dir
 
     def body():
         data = _build_eval_data(config, generations_dir)
         backend = make_backend(config, backend_kind)
         report = evalsuite.evaluate_run(data, backend)
-        _write_json(out_dir / "report.json", report.to_json())
+        payload = report.to_json()
+        _write_json(out_dir / "report.json", payload)
         table = evalsuite.render_table([("run", report)])
         ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
         print(table)
         if report.partial:
             print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
-            return EXIT_PARTIAL
-        return EXIT_OK
+        elif report.gm is None:
+            print(f"no GM; undefined by {', '.join(payload['gm_undefined_by'])}")
+        return EXIT_OK if report.gm is not None else EXIT_PARTIAL
 
     return _run_stage(config, "evaluate", {}, ("report.json", "report.txt"), body)
 
@@ -385,7 +383,7 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
                 name = row["name"]
                 metrics = {m: float(row["metrics"][m]) for m in evalsuite.METRIC_NAMES}
             except (KeyError, TypeError, ValueError) as exc:
-                raise CliError(f"replay row {i}: missing or bad field ({exc})") from exc
+                raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
             gm = evalsuite.gm_from_metrics(metrics)
             reports.append((name, evalsuite.MetricReport(values=dict(metrics), gm=gm)))
         _write_json(
@@ -473,23 +471,27 @@ def cmd_lora_verify(config: PipelineConfig) -> int:
 
 
 def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
-    ratings = evalsuite.load_ratings(ratings_path)
-    report = evalsuite.human_eval_report(ratings)
-    out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "human_eval.json"
-    _write_json(out_path, vars(report))
-    for task, dist in sorted(report.per_task.items()):
-        parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
-        print(f"{task}: {parts}")
-    print(f"annotators: {len(report.annotator_counts)} -> {out_path}")
-    return EXIT_OK
+    out_path = config.out_dir / "human_eval.json"
+
+    def body():
+        ratings = evalsuite.load_ratings(ratings_path)
+        if not ratings:
+            raise ForgeError(f"{ratings_path} holds no ratings")
+        report = evalsuite.human_eval_report(ratings)
+        _write_json(out_path, vars(report))
+        for task, dist in sorted(report.per_task.items()):
+            parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
+            print(f"{task}: {parts}")
+        print(f"annotators: {len(report.annotator_counts)} -> {out_path}")
+        return EXIT_OK
+
+    return _run_stage(config, "human-eval", {}, ("human_eval.json",), body)
 
 
 def cmd_check_manifest(config: PipelineConfig) -> int:
     manifest_path = config.out_dir / "run_manifest.json"
     if not manifest_path.exists():
-        raise CliError(f"{manifest_path} not found")
+        raise ForgeError(f"{manifest_path} not found")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     bad = 0
     for stage, info in sorted(manifest.get("stages", {}).items()):
@@ -569,20 +571,8 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_human_eval(config, args.ratings)
         if args.command == "check-manifest":
             return cmd_check_manifest(config)
-        raise CliError(f"unknown command {args.command!r}")
-    except (
-        CliError,
-        ConfigError,
-        ingest.IngestError,
-        formulate.FormulateError,
-        expand.ExpandError,
-        curate.CurateError,
-        evalsuite.EvalError,
-        lora.LoraError,
-        ValueError,  # precondition violations from module surfaces
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+        raise ForgeError(f"unknown command {args.command!r}")
+    except (ForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import TaskKind
+from .core import ForgeError, TaskKind
 
 DEFAULTS: dict = {
     "backend": {
@@ -56,16 +56,12 @@ DEFAULTS: dict = {
 }
 
 
-class ConfigError(Exception):
-    pass
-
-
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
-            raise ConfigError(f"unknown config key {where!r}")
+            raise ForgeError(f"unknown config key {where!r}")
         if isinstance(base[key], dict) and isinstance(value, dict):
             out[key] = _deep_merge(base[key], value, where)
         else:
@@ -77,7 +73,7 @@ def parse_override(expr: str) -> tuple[str, object]:
     """Parse one --set KEY=VALUE; the value is JSON when it parses, else a
     bare string."""
     if "=" not in expr:
-        raise ConfigError(f"--set expects key=value, got {expr!r}")
+        raise ForgeError(f"--set expects key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
     try:
         value = json.loads(raw)
@@ -112,7 +108,7 @@ def _check_types(default, value, where: str = "") -> None:
     setting is a non-empty list of strings."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
-            raise ConfigError(f"{where} must be a JSON object")
+            raise ForgeError(f"{where} must be a JSON object")
         for key, sub in default.items():
             _check_types(sub, value[key], f"{where}.{key}" if where else key)
         return
@@ -130,7 +126,7 @@ def _check_types(default, value, where: str = "") -> None:
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
-        raise ConfigError(f"{where} must be {kind}, got {json.dumps(value)}")
+        raise ForgeError(f"{where} must be {kind}, got {json.dumps(value)}")
 
 
 def _validate(cfg: dict) -> None:
@@ -164,7 +160,7 @@ def _validate(cfg: dict) -> None:
     ]
     for ok, message in checks:
         if not ok:
-            raise ConfigError(message)
+            raise ForgeError(message)
 
 
 def load_config(
@@ -176,11 +172,11 @@ def load_config(
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            raise ForgeError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+            raise ForgeError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ConfigError("config root must be a JSON object")
+            raise ForgeError("config root must be a JSON object")
         cfg = _deep_merge(cfg, loaded)
     for expr in overrides:
         key, value = parse_override(expr)

@@ -1,7 +1,7 @@
 """Shared domain types, the product taxonomy, and text normalization.
 
 Everything here is pure and stateless; the rest of the toolkit builds on
-these primitives.
+these primitives, and raises ``ForgeError`` for everything it refuses.
 """
 from __future__ import annotations
 
@@ -9,6 +9,12 @@ import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
+
+
+class ForgeError(Exception):
+    """The toolkit's one error type: an input, setting or model call it
+    refuses. ``forge`` prints its message as one ``error:`` line."""
+
 
 # The fixed 15-category product taxonomy. Values are canonical: lowercase,
 # single internal spaces, no punctuation.

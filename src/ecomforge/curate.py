@@ -14,27 +14,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import TaskKind, tokenize
+from .core import ForgeError, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
 from .ingest import read_rows, shuffle_key, write_rows
 
 NGRAM_ORDER = 3
-
-
-class CurateError(Exception):
-    pass
-
-
-class InsufficientPairs(CurateError):
-    def __init__(self, task: TaskKind, have: int, need: int):
-        super().__init__(f"{task.value}: {have} pairs after dedup, need {need}")
-        self.task = task
-        self.have = have
-        self.need = need
-
-
-class EmptyInputs(CurateError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -132,14 +116,14 @@ def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[
     """Deterministic sample of exactly ``per_task`` pairs from each task.
 
     Output is grouped in task order; within a task, pairs keep their input
-    order. Raises InsufficientPairs naming the first short task.
+    order. Raises ForgeError naming the first short task.
     """
     by_task: dict[TaskKind, list[InstructionPair]] = {task: [] for task in TaskKind}
     for pair in pairs:
         by_task[pair.task].append(pair)
-    for task in TaskKind:
-        if len(by_task[task]) < per_task:
-            raise InsufficientPairs(task, len(by_task[task]), per_task)
+    for task, pool in by_task.items():
+        if len(pool) < per_task:
+            raise ForgeError(f"{task.value}: {len(pool)} pairs after dedup, need {per_task}")
     out: list[InstructionPair] = []
     for task in TaskKind:
         pool = by_task[task]
@@ -172,7 +156,7 @@ def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
     try:
         data = write_rows(path, pairs)
     except OSError as exc:
-        raise CurateError(f"cannot write {path}: {exc}") from exc
+        raise ForgeError(f"cannot write {path}: {exc}") from exc
     per_task = {task.value: 0 for task in TaskKind}
     for pair in pairs:
         per_task[pair.task.value] += 1
@@ -182,7 +166,7 @@ def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
 
 
 def load_jsonl(path: str | Path) -> list[InstructionPair]:
-    return read_rows(path, _pair_from_obj, CurateError)
+    return read_rows(path, _pair_from_obj)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +208,7 @@ def build_heldout_packs(
     prompts: list[HeldoutPrompt] = []
     if kind == SCENARIO_ADS:
         if not scenarios or not product_sets or any(not ps for ps in product_sets):
-            raise EmptyInputs("scenario_ads needs scenarios and nonempty product sets")
+            raise ForgeError("scenario_ads needs scenarios and nonempty product sets")
         i = 0
         for scenario in scenarios:
             for products in product_sets:
@@ -235,7 +219,7 @@ def build_heldout_packs(
                 i += 1
     elif kind == RECOMMENDATION:
         if not intents:
-            raise EmptyInputs("recommendation needs at least one intent")
+            raise ForgeError("recommendation needs at least one intent")
         for i, intent in enumerate(intents):
             prompts.append(HeldoutPrompt(f"heldout-{kind}-{i:04d}", kind, intent))
     else:

@@ -15,64 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TaskKind, normalize_label, tokenize
+from .core import ForgeError, TaskKind, normalize_label, tokenize
 from .formulate import LABEL_TASKS
 from .ingest import read_rows
 from .modelio import Backend
-
-
-class EvalError(Exception):
-    pass
-
-
-class EmptyCandidate(EvalError):
-    pass
-
-
-class EmptyReference(EvalError):
-    pass
-
-
-class EmptySequence(EvalError):
-    pass
-
-
-class PositiveLogprob(EvalError):
-    pass
-
-
-class PplAtOrBelowOne(EvalError):
-    pass
-
-
-class LengthMismatch(EvalError):
-    pass
-
-
-class EmptyInput(EvalError):
-    pass
-
-
-class EmptySide(EvalError):
-    pass
-
-
-class DimensionMismatch(EvalError):
-    pass
-
-
-class NonPositiveValue(EvalError):
-    def __init__(self, index: int, value: float):
-        super().__init__(f"value at index {index} is not positive: {value}")
-        self.index = index
-
-
-class WrongArity(EvalError):
-    pass
-
-
-class DuplicateRating(EvalError):
-    pass
 
 
 BLEU_EPSILON = 1e-9
@@ -97,9 +43,9 @@ def bleu(candidate: list[str], reference: list[str], epsilon: float = BLEU_EPSIL
     """Sentence BLEU-4: uniform quarter weights, brevity penalty, and
     epsilon-smoothed zero counts. Scaled to 0-100."""
     if not candidate:
-        raise EmptyCandidate("candidate token sequence is empty")
+        raise ForgeError("candidate token sequence is empty")
     if not reference:
-        raise EmptyReference("reference token sequence is empty")
+        raise ForgeError("reference token sequence is empty")
     log_sum = 0.0
     for n in range(1, 5):
         cand_counts = _ngram_counts(candidate, n)
@@ -133,9 +79,9 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
 def rouge_l(candidate: list[str], reference: list[str], beta: float = ROUGE_BETA) -> float:
     """LCS F-score with recall-weighted beta, scaled to 0-100."""
     if not candidate:
-        raise EmptyCandidate("candidate token sequence is empty")
+        raise ForgeError("candidate token sequence is empty")
     if not reference:
-        raise EmptyReference("reference token sequence is empty")
+        raise ForgeError("reference token sequence is empty")
     lcs = _lcs_length(candidate, reference)
     precision = lcs / len(candidate)
     recall = lcs / len(reference)
@@ -148,16 +94,16 @@ def rouge_l(candidate: list[str], reference: list[str], beta: float = ROUGE_BETA
 def perplexity(token_logprobs: list[float]) -> float:
     """exp of the negative mean natural-log token probability."""
     if not token_logprobs:
-        raise EmptySequence("no token logprobs")
+        raise ForgeError("no token logprobs")
     if any(lp > 0 for lp in token_logprobs):
-        raise PositiveLogprob("logprobs must be <= 0")
+        raise ForgeError("logprobs must be <= 0")
     return math.exp(-sum(token_logprobs) / len(token_logprobs))
 
 
 def ppl_transform(ppl: float) -> float:
     """Monotone inversion 1/ln(PPL): lower perplexity, higher score."""
     if ppl <= 1.0:
-        raise PplAtOrBelowOne(f"transform undefined for PPL {ppl} <= 1")
+        raise ForgeError(f"transform undefined for PPL {ppl} <= 1")
     return 1.0 / math.log(ppl)
 
 
@@ -170,9 +116,9 @@ def macro_prf(
     positives score precision 0. Scaled to 0-100.
     """
     if not gold:
-        raise EmptyInput("gold labels are empty")
+        raise ForgeError("gold labels are empty")
     if len(predictions) != len(gold):
-        raise LengthMismatch(f"{len(predictions)} predictions vs {len(gold)} gold labels")
+        raise ForgeError(f"{len(predictions)} predictions vs {len(gold)} gold labels")
     labels = sorted(set(gold))
     precisions, recalls, f1s = [], [], []
     for label in labels:
@@ -203,11 +149,11 @@ def bert_style_score(
     are positive). No baseline rescaling. Scaled to 0-100.
     """
     if not candidate_vectors or not reference_vectors:
-        raise EmptySide("both sides need at least one token vector")
+        raise ForgeError("both sides need at least one token vector")
     cand = np.asarray(candidate_vectors, dtype=float)
     ref = np.asarray(reference_vectors, dtype=float)
     if cand.shape[1] != ref.shape[1]:
-        raise DimensionMismatch(f"{cand.shape[1]} vs {ref.shape[1]} dimensions")
+        raise ForgeError(f"{cand.shape[1]} vs {ref.shape[1]} dimensions")
     cand_norm = np.linalg.norm(cand, axis=1, keepdims=True)
     ref_norm = np.linalg.norm(ref, axis=1, keepdims=True)
     # Zero vectors contribute zero similarity instead of NaN.
@@ -224,10 +170,10 @@ def geometric_mean(values: list[float]) -> float:
     """exp of the mean log of exactly 18 positive metric values (the PPL slot
     must already hold its 1/ln transform)."""
     if len(values) != len(METRIC_NAMES):
-        raise WrongArity(f"expected {len(METRIC_NAMES)} values, got {len(values)}")
+        raise ForgeError(f"expected {len(METRIC_NAMES)} values, got {len(values)}")
     for i, v in enumerate(values):
         if v <= 0:
-            raise NonPositiveValue(i, v)
+            raise ForgeError(f"value at index {i} is not positive: {v}")
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
@@ -262,7 +208,8 @@ TASK_REFERENCES: dict[TaskKind, tuple[tuple[str, tuple[str, ...]], ...]] = {
 @dataclass
 class MetricReport:
     """The 18 named metric values plus the aggregate; missing tasks leave
-    their metrics (and the aggregate) unset."""
+    their metrics (and the aggregate) unset, and so does a metric that
+    leaves the aggregate undefined (see ``gm_undefined_by``)."""
 
     values: dict[str, float | None]
     gm: float | None
@@ -277,7 +224,15 @@ class MetricReport:
         out["GM"] = self.gm
         if self.missing_tasks:
             out["missing_tasks"] = self.missing_tasks
+        elif self.gm is None:
+            out["gm_undefined_by"] = gm_undefined_by(self.values)
         return out
+
+
+def gm_undefined_by(values: dict[str, float]) -> list[str]:
+    """The metrics whose term in the aggregate is undefined: a value of 0,
+    or a PPL of 1, whose 1/ln(PPL) has no value."""
+    return [name for name in METRIC_NAMES if values[name] <= (1.0 if name == "PPL" else 0.0)]
 
 
 def gm_from_metrics(values: dict[str, float]) -> float:
@@ -299,7 +254,8 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
 
     The backend supplies token logprobs (perplexity of rewritten titles) and
     token embeddings (Q&A similarity). Tasks with no samples are reported as
-    missing and the aggregate is omitted.
+    missing and the aggregate is omitted; so is an aggregate that a metric
+    leaves undefined.
     """
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     missing: list[str] = []
@@ -330,9 +286,7 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
                 f1s.append(bert_style_score(cand_vectors, ref_vectors)[2])
             values["BE_qa"] = _mean(f1s)
 
-    gm = None
-    if not missing:
-        gm = gm_from_metrics({name: values[name] for name in METRIC_NAMES})
+    gm = None if missing or gm_undefined_by(values) else gm_from_metrics(values)
     return MetricReport(values=values, gm=gm, missing_tasks=missing)
 
 
@@ -372,7 +326,7 @@ def human_eval_report(ratings: list[HumanRating]) -> HumanEvalReport:
     for rating in ratings:
         key = (rating.annotator, rating.sample_id)
         if key in seen:
-            raise DuplicateRating(f"duplicate rating for {key}")
+            raise ForgeError(f"duplicate rating for {key}")
         seen.add(key)
         task_counts.setdefault(rating.task.value, Counter())[rating.rate] += 1
         annotator_counts[rating.annotator] += 1
@@ -392,7 +346,6 @@ def load_ratings(path) -> list[HumanRating]:
             task=TaskKind(obj["task"]),
             rate=str(obj["rate"]),
         ),
-        EvalError,
     )
 
 

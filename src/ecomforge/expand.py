@@ -14,6 +14,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
+from .core import ForgeError
 from .formulate import (
     EXPANDED_ORIGIN,
     INSTRUCTION_REWRITE,
@@ -37,18 +38,6 @@ _STRATEGY_TAGS = {
     RESPONSE_GENERATION: "rg",
     RESPONSE_REWRITE: "rr",
 }
-
-
-class ExpandError(Exception):
-    pass
-
-
-class EmptyGeneration(ExpandError):
-    pass
-
-
-class AllCallsFailed(ExpandError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,7 @@ def expand_corpus(
     fewer rewrites succeeded. Both passes share one pool of
     ``plan.concurrency`` threads. Failed calls are collected, rewrites
     first, then per seed the generations before the response rewrites.
-    Raises AllCallsFailed only when every teacher call failed.
+    Raises ForgeError only when every teacher call failed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -109,11 +98,13 @@ def expand_corpus(
         )
         try:
             text = backend.complete(request)
-            if not text:
-                raise EmptyGeneration("teacher returned empty text after cleaning")
-            return text
-        except (BackendError, EmptyGeneration) as exc:
+        except BackendError as exc:
             return ExpansionFailure(pair.id, strategy, j, str(exc))
+        if not text:
+            return ExpansionFailure(
+                pair.id, strategy, j, "teacher returned empty text after cleaning"
+            )
+        return text
 
     def variant(pair, strategy, j, instruction, output) -> InstructionPair:
         return InstructionPair(
@@ -170,6 +161,6 @@ def expand_corpus(
 
     total_calls = len(rewrite_jobs) + len(response_jobs)
     if total_calls > 0 and len(failures) == total_calls:
-        raise AllCallsFailed(f"all {total_calls} teacher calls failed")
+        raise ForgeError(f"all {total_calls} teacher calls failed")
     pairs = [p for pair in seeds for p in (pair, *variants[pair.id])]
     return ExpansionResult(pairs=pairs, failures=failures)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .core import ProductRecord, TaskKind, clean_text
+from .core import ForgeError, ProductRecord, TaskKind, clean_text
 from .ingest import read_rows, shuffle_key
 
 SEED_ORIGIN = "seed"
@@ -35,25 +35,6 @@ LABEL_TASKS = frozenset(
 )
 
 
-class FormulateError(Exception):
-    pass
-
-
-class MissingField(FormulateError):
-    def __init__(self, task: TaskKind, field_name: str):
-        super().__init__(f"{task.value} requires field {field_name!r}")
-        self.task = task
-        self.field_name = field_name
-
-
-class InsufficientRecords(FormulateError):
-    def __init__(self, task: TaskKind, have: int, need: int):
-        super().__init__(f"{task.value}: {have} eligible records, need {need}")
-        self.task = task
-        self.have = have
-        self.need = need
-
-
 @dataclass(frozen=True)
 class QAPair:
     """A platform question/answer pair feeding the general Q&A task."""
@@ -72,7 +53,6 @@ def load_qa_pairs(path: str | Path) -> list[QAPair]:
             question=clean_text(str(obj["question"])),
             answer=clean_text(str(obj["answer"])),
         ),
-        FormulateError,
     )
 
 
@@ -112,9 +92,9 @@ class InstructionPair:
             raise ValueError(f"pair {self.id!r}: empty output")
 
 
-def _require(task: TaskKind, name: str, value: str | None) -> str:
+def _require(task: TaskKind, name: str, value):
     if not value:
-        raise MissingField(task, name)
+        raise ForgeError(f"{task.value} requires field {name!r}")
     return value
 
 
@@ -130,8 +110,7 @@ def instantiate(
     """
     provenance = Provenance(SEED_ORIGIN)
     if task is TaskKind.GENERAL_QA:
-        if qa is None:
-            raise MissingField(task, "qa")
+        qa = _require(task, "qa", qa)
         return InstructionPair(
             id=f"seed-{task.value}-{qa.id}",
             task=task,
@@ -141,8 +120,7 @@ def instantiate(
             provenance=provenance,
         )
 
-    if record is None:
-        raise MissingField(task, "record")
+    record = _require(task, "record", record)
     pair_id = f"seed-{task.value}-{record.id}"
     title = _require(task, "title", record.title)
 
@@ -167,7 +145,7 @@ def instantiate(
         instruction = TEMPLATES[task].format(query=query)
         return InstructionPair(pair_id, task, instruction, query, record.taxonomy, provenance)
 
-    raise FormulateError(f"unknown task {task!r}")
+    raise ForgeError(f"unknown task {task!r}")
 
 
 def _eligible(task: TaskKind, record: ProductRecord) -> bool:
@@ -194,7 +172,7 @@ def build_seed_set(
         else:
             pool_ids = [r.id for r in records if _eligible(task, r)]
         if len(pool_ids) < per_task:
-            raise InsufficientRecords(task, len(pool_ids), per_task)
+            raise ForgeError(f"{task.value}: {len(pool_ids)} eligible records, need {per_task}")
         ranked = sorted(pool_ids, key=lambda i: shuffle_key(seed, f"{task.value}|{i}"))
         chosen = set(ranked[:per_task])
         if task is TaskKind.GENERAL_QA:

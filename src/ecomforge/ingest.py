@@ -16,21 +16,9 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Action, ProductRecord, clean_text, is_taxonomy_label
+from .core import Action, ForgeError, ProductRecord, clean_text, is_taxonomy_label
 
 _ACTIONS = {a.value: a for a in Action}
-
-
-class IngestError(Exception):
-    pass
-
-
-class FileUnreadable(IngestError):
-    pass
-
-
-class EmptyInput(IngestError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -82,14 +70,13 @@ def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[Malfo
     """Load interaction rows, cleaning text fields and rejecting bad lines.
 
     Returns (records, diagnostics) with input ordering preserved. Raises
-    FileUnreadable if the file cannot be read, IngestError if every line
-    fails.
+    ForgeError if the file cannot be read or if every line fails.
     """
     path = Path(path)
     try:
         raw_lines = path.read_text(encoding="utf-8").splitlines()
     except OSError as exc:
-        raise FileUnreadable(f"cannot read {path}: {exc}") from exc
+        raise ForgeError(f"cannot read {path}: {exc}") from exc
 
     records: list[ProductRecord] = []
     diagnostics: list[MalformedLine] = []
@@ -98,11 +85,11 @@ def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[Malfo
             continue
         try:
             records.append(_parse_line(json.loads(line)))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except ValueError as exc:
             diagnostics.append(MalformedLine(line=line_no, reason=str(exc)))
 
     if diagnostics and not records:
-        raise IngestError(f"all {len(diagnostics)} lines of {path} failed to parse")
+        raise ForgeError(f"all {len(diagnostics)} lines of {path} failed to parse")
     return records, diagnostics
 
 
@@ -118,10 +105,10 @@ def write_rows(path: str | Path, rows) -> bytes:
     return data
 
 
-def read_rows(path: str | Path, parse, error: type[Exception]) -> list:
+def read_rows(path: str | Path, parse) -> list:
     """``parse(obj)`` of each non-blank row of a JSONL file. A row that is not
     JSON, not an object, or that ``parse`` rejects with KeyError, TypeError or
-    ValueError is refused with ``error`` naming path:line."""
+    ValueError is refused with a ForgeError naming path:line."""
     rows = []
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         if not line.strip():
@@ -132,9 +119,9 @@ def read_rows(path: str | Path, parse, error: type[Exception]) -> list:
                 raise ValueError("row is not a JSON object")
             rows.append(parse(obj))
         except KeyError as exc:
-            raise error(f"{path}:{line_no}: row has no {exc.args[0]!r} key") from None
+            raise ForgeError(f"{path}:{line_no}: row has no {exc.args[0]!r} key") from None
         except (TypeError, ValueError) as exc:
-            raise error(f"{path}:{line_no}: {exc}") from None
+            raise ForgeError(f"{path}:{line_no}: {exc}") from None
     return rows
 
 
@@ -173,12 +160,12 @@ def split_generic(items: list, ratio: float, seed: int, id_of) -> tuple[list, li
     """Deterministic two-way split of any id-carrying items: shuffle by
     seeded hash, first ceil(ratio*n) to the first side."""
     if not items:
-        raise EmptyInput("cannot split an empty list")
+        raise ForgeError("cannot split an empty list")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     ids = [id_of(item) for item in items]
     if len(set(ids)) != len(ids):
-        raise IngestError("duplicate ids; train/test disjointness would break")
+        raise ForgeError("duplicate ids; train/test disjointness would break")
     shuffled = sorted(items, key=lambda item: shuffle_key(seed, id_of(item)))
     n_first = math.ceil(ratio * len(items))
     return shuffled[:n_first], shuffled[n_first:]

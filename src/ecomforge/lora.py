@@ -12,23 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ForgeError
+
 ATTENTION_TARGETS = ("W_q", "W_k", "W_v", "W_o")
-
-
-class LoraError(Exception):
-    pass
-
-
-class RankTooLarge(LoraError):
-    pass
-
-
-class ShapeMismatch(LoraError):
-    pass
-
-
-class Divergence(LoraError):
-    pass
 
 
 @dataclass
@@ -43,18 +29,18 @@ class LoraAdapter:
 
     def __post_init__(self) -> None:
         if self.A.shape != (self.r, self.k) or self.B.shape != (self.d, self.r):
-            raise ShapeMismatch(
+            raise ForgeError(
                 f"A{self.A.shape}/B{self.B.shape} inconsistent with d={self.d}, "
                 f"k={self.k}, r={self.r}"
             )
         if not 1 <= self.r <= min(self.d, self.k):
-            raise RankTooLarge(f"rank {self.r} outside [1, min({self.d}, {self.k})]")
+            raise ForgeError(f"rank {self.r} outside [1, min({self.d}, {self.k})]")
 
 
 def lora_init(d: int, k: int, r: int, seed: int = 0, sigma: float = 0.02) -> LoraAdapter:
     """Zero B, Gaussian(0, sigma^2) A, from a seeded generator."""
     if r < 1 or r > min(d, k):
-        raise RankTooLarge(f"rank {r} outside [1, min({d}, {k})]")
+        raise ForgeError(f"rank {r} outside [1, min({d}, {k})]")
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     rng = np.random.default_rng(seed)
@@ -67,9 +53,9 @@ def lora_forward(W0: np.ndarray, adapter: LoraAdapter, x: np.ndarray) -> np.ndar
     """h = W0 x + B (A x), keeping the intermediate r-dimensional."""
     x = np.asarray(x)
     if W0.shape != (adapter.d, adapter.k):
-        raise ShapeMismatch(f"W0 shape {W0.shape}, expected ({adapter.d}, {adapter.k})")
+        raise ForgeError(f"W0 shape {W0.shape}, expected ({adapter.d}, {adapter.k})")
     if x.shape != (adapter.k,):
-        raise ShapeMismatch(f"x shape {x.shape}, expected ({adapter.k},)")
+        raise ForgeError(f"x shape {x.shape}, expected ({adapter.k},)")
     return W0 @ x + adapter.B @ (adapter.A @ x)
 
 
@@ -104,7 +90,7 @@ def analytic_gradients(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if y.shape != (adapter.d,):
-        raise ShapeMismatch(f"y shape {y.shape}, expected ({adapter.d},)")
+        raise ForgeError(f"y shape {y.shape}, expected ({adapter.d},)")
     residual = lora_forward(W0, adapter, x) - y
     grad_A = np.outer(adapter.B.T @ residual, x)  # (r, k)
     grad_B = np.outer(residual, adapter.A @ x)  # (d, r)
@@ -159,12 +145,12 @@ def adapter_fit_toy(
     sigma: float = 0.02,
 ) -> tuple[LoraAdapter, list[float]]:
     """Gradient descent on 0.5*||W0 + BA - target||_F^2, updating only the
-    adapter. W0 is bit-identical before and after. Raises Divergence when
+    adapter. W0 is bit-identical before and after. Raises ForgeError when
     the loss grows for 10 consecutive steps."""
     if lr <= 0:
         raise ValueError("lr must be > 0")
     if W0.shape != target_W.shape:
-        raise ShapeMismatch(f"W0 {W0.shape} vs target {target_W.shape}")
+        raise ForgeError(f"W0 {W0.shape} vs target {target_W.shape}")
     d, k = W0.shape
     adapter = lora_init(d, k, r, seed=seed, sigma=sigma)
     A, B = adapter.A, adapter.B
@@ -178,7 +164,7 @@ def adapter_fit_toy(
             if len(losses) > 1 and (not np.isfinite(loss) or loss > losses[-2]):
                 growth_streak += 1
                 if growth_streak >= 10:
-                    raise Divergence(f"loss grew for {growth_streak} consecutive steps")
+                    raise ForgeError(f"loss grew for {growth_streak} consecutive steps")
             else:
                 growth_streak = 0
             grad_A = B.T @ residual

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 import requests
 
-from .core import clean_text, tokenize
+from .core import ForgeError, clean_text, tokenize
 
 COMPLETE = "complete"
 LOGPROBS = "logprobs"
@@ -25,22 +25,17 @@ EMBED = "embed"
 _KINDS = (COMPLETE, LOGPROBS, EMBED)
 
 
-class BackendError(Exception):
-    pass
+class BackendError(ForgeError):
+    """A model call that failed or answered out of contract."""
 
 
 class TransportError(BackendError):
+    """A call that got no usable answer: an HTTP error ``status``, or None
+    when the request failed or timed out before one."""
+
     def __init__(self, message: str, status: int | None = None):
         super().__init__(message)
         self.status = status
-
-
-class BackendTimeout(BackendError):
-    pass
-
-
-class MalformedResponseError(BackendError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -119,10 +114,8 @@ def with_retry(
     while True:
         try:
             return send(request)
-        except (TransportError, BackendTimeout) as exc:
-            retryable = isinstance(exc, BackendTimeout) or (
-                exc.status is None or exc.status in policy.retryable_statuses
-            )
+        except TransportError as exc:
+            retryable = exc.status is None or exc.status in policy.retryable_statuses
             if not retryable or attempt >= policy.max_retries:
                 raise
             delay = min(policy.base_delay * policy.backoff_factor**attempt, policy.max_delay)
@@ -142,7 +135,7 @@ class Backend:
             raise ValueError(f"complete() requires a {COMPLETE!r} request")
         response = self.send(request)
         if response.text is None:
-            raise MalformedResponseError("backend returned no text payload")
+            raise BackendError("backend returned no text payload")
         return clean_text(response.text)
 
     def score_logprobs(self, text: str) -> list[float]:
@@ -151,7 +144,7 @@ class Backend:
         request = BackendRequest(kind=LOGPROBS, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_logprobs is None:
-            raise MalformedResponseError("backend returned no logprobs payload")
+            raise BackendError("backend returned no logprobs payload")
         return list(response.token_logprobs)
 
     def embed_tokens(self, text: str) -> list[list[float]]:
@@ -160,10 +153,10 @@ class Backend:
         request = BackendRequest(kind=EMBED, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_vectors is None:
-            raise MalformedResponseError("backend returned no embedding payload")
+            raise BackendError("backend returned no embedding payload")
         vectors = [list(v) for v in response.token_vectors]
         if vectors and any(len(v) != len(vectors[0]) for v in vectors):
-            raise MalformedResponseError("embedding vectors have inconsistent width")
+            raise BackendError("embedding vectors have inconsistent width")
         return vectors
 
     def default_model(self) -> str:
@@ -179,9 +172,9 @@ def parse_chat_text(payload: dict) -> str:
     try:
         content = payload["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError) as exc:
-        raise MalformedResponseError(f"missing message content: {exc}") from exc
+        raise BackendError(f"missing message content: {exc}") from exc
     if not isinstance(content, str):
-        raise MalformedResponseError("message content is not text")
+        raise BackendError("message content is not text")
     return content
 
 
@@ -191,9 +184,9 @@ def parse_chat_logprobs(payload: dict) -> tuple[float, ...]:
         entries = payload["choices"][0]["logprobs"]["content"]
         values = tuple(float(e["logprob"]) for e in entries)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise MalformedResponseError(f"missing logprobs: {exc}") from exc
+        raise BackendError(f"missing logprobs: {exc}") from exc
     if any(v > 0 for v in values):
-        raise MalformedResponseError("logprob > 0 in response")
+        raise BackendError("logprob > 0 in response")
     return values
 
 
@@ -202,7 +195,7 @@ def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
     try:
         return tuple(tuple(float(x) for x in item["embedding"]) for item in payload["data"])
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedResponseError(f"missing embeddings: {exc}") from exc
+        raise BackendError(f"missing embeddings: {exc}") from exc
 
 
 @dataclass
@@ -250,7 +243,7 @@ class HttpBackend(Backend):
         try:
             resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
         except requests.Timeout as exc:
-            raise BackendTimeout(f"request to {url} timed out") from exc
+            raise TransportError(f"request to {url} timed out") from exc
         except requests.RequestException as exc:
             raise TransportError(f"request to {url} failed: {exc}") from exc
         if resp.status_code != 200:
@@ -260,7 +253,7 @@ class HttpBackend(Backend):
         try:
             payload = resp.json()
         except json.JSONDecodeError as exc:
-            raise MalformedResponseError("response body is not JSON") from exc
+            raise BackendError("response body is not JSON") from exc
         if request.kind == COMPLETE:
             return BackendResponse(text=parse_chat_text(payload))
         if request.kind == LOGPROBS:

@@ -251,8 +251,8 @@ def test_criterion_8_human_eval_reporting():
         total = sum(counts.values())
         assert report.per_task[task] == {r: counts[r] / total for r in rates}
 
-    from ecomforge.evalsuite import DuplicateRating
+    from ecomforge import ForgeError
 
-    with pytest.raises(DuplicateRating):
+    with pytest.raises(ForgeError, match="duplicate rating for"):
         human_eval_report(ratings + [ratings[0]])
     _report("8 (human-eval distributions exact; duplicates rejected)")

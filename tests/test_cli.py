@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from ecomforge import evalsuite
 from ecomforge.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -14,12 +15,12 @@ from ecomforge.cli import (
     main,
     make_backend,
 )
-from ecomforge.config import DEFAULTS, ConfigError, load_config, parse_override
-from ecomforge.core import TaskKind
+from ecomforge.config import DEFAULTS, load_config, parse_override
+from ecomforge.core import TAXONOMY, ForgeError, TaskKind
 from ecomforge.curate import load_jsonl
 from ecomforge.expand import ExpansionFailure
 from ecomforge.ingest import canonical_json, write_rows
-from ecomforge.modelio import MockBackend, TransportError
+from ecomforge.modelio import LOGPROBS, BackendResponse, MockBackend, TransportError
 
 
 def _run(tmp_path, *argv, config=None):
@@ -44,6 +45,34 @@ def _write_ads_generation(gen_dir):
         json.dumps({"id": record.id, "generation": record.title}) + "\n", encoding="utf-8"
     )
     return record.id
+
+
+def _write_generations(gen_dir, wrong_labels=False):
+    """Write one generations file per task for five demo test records and
+    five test Q&A pairs, each generation equal to its reference; with
+    ``wrong_labels`` every product_classification answer is a wrong label."""
+    from ecomforge.cli import _load_qa_split, _load_split
+
+    dsplit, _ = _load_split(load_config())
+    _, qa_test = _load_qa_split(load_config())
+    records = [r for r in dsplit.test if r.description and r.query][:5]
+    classified = [
+        (r.id, next(t for t in TAXONOMY if t != r.taxonomy) if wrong_labels else r.taxonomy)
+        for r in records
+    ]
+    rows = {
+        TaskKind.ADS_GENERATION: [(r.id, r.title) for r in records],
+        TaskKind.TITLE_REWRITING: [(r.id, r.title) for r in records],
+        TaskKind.PRODUCT_CLASSIFICATION: classified,
+        TaskKind.INTENT_SPECULATION: [(r.id, r.taxonomy) for r in records],
+        TaskKind.GENERAL_QA: [(q.id, q.answer) for q in qa_test[:5]],
+    }
+    gen_dir.mkdir(exist_ok=True)
+    for task, entries in rows.items():
+        (gen_dir / f"{task.value}.jsonl").write_text(
+            "".join(json.dumps({"id": i, "generation": g}) + "\n" for i, g in entries),
+            encoding="utf-8",
+        )
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +121,7 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"pipelines": {}}', encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config key"):
+        with pytest.raises(ForgeError, match="unknown config key"):
             load_config(path)
 
     def test_override_parsing(self):
@@ -102,17 +131,17 @@ class TestConfig:
             "pipeline.heldout_scenarios",
             ["X"],
         )
-        with pytest.raises(ConfigError):
+        with pytest.raises(ForgeError, match="--set expects key=value"):
             parse_override("no-equals-sign")
 
     def test_override_unknown_path(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ForgeError, match="unknown config key 'backend.nope'"):
             load_config(None, ["backend.nope=1"])
 
     def test_validation(self):
-        with pytest.raises(ConfigError, match="concurrency"):
+        with pytest.raises(ForgeError, match="concurrency"):
             load_config(None, ["backend.concurrency=0"])
-        with pytest.raises(ConfigError, match="split_ratio"):
+        with pytest.raises(ForgeError, match="split_ratio"):
             load_config(None, ["pipeline.split_ratio=1.5"])
 
     def test_hash_stable_and_sensitive(self):
@@ -143,23 +172,23 @@ class TestConfig:
         if accepted:
             load_config(None, [override])
         else:
-            with pytest.raises(ConfigError, match=override.split("=")[0]):
+            with pytest.raises(ForgeError, match=override.split("=")[0]):
                 load_config(None, [override])
 
     def test_negative_counts_rejected(self):
         for key in ("instruction_rewrites", "response_generations", "response_rewrites"):
-            with pytest.raises(ConfigError, match=f"pipeline.{key} must be >= 0"):
+            with pytest.raises(ForgeError, match=f"pipeline.{key} must be >= 0"):
                 load_config(None, [f"pipeline.{key}=-1"])
 
     def test_divisibility_enforced(self):
-        with pytest.raises(ConfigError, match="pipeline.target_total must be divisible by 5"):
+        with pytest.raises(ForgeError, match="pipeline.target_total must be divisible by 5"):
             load_config(None, ["pipeline.target_total=101"])
         assert load_config(None, ["pipeline.target_total=100"])["pipeline"]["target_total"] == 100
 
     def test_metrics_section_is_unknown(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text('{"metrics": {"rouge_beta": 1.2}}', encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown config key 'metrics'"):
+        with pytest.raises(ForgeError, match="unknown config key 'metrics'"):
             load_config(path)
 
     def test_readme_config_block_equals_defaults(self):
@@ -376,6 +405,57 @@ class TestEvaluateCommand:
         assert _run(tmp_path, "evaluate", "--replay", "builtin") == EXIT_ERROR
         assert not (out / "replay_report.json").exists()
 
+    def test_zero_metric_reports_all_values_without_gm(self, tmp_path, capsys):
+        gen_dir = tmp_path / "gens"
+        _write_generations(gen_dir, wrong_labels=True)
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+        assert code == EXIT_PARTIAL
+        assert "no GM; undefined by P_pt, R_pt, F1_pt" in capsys.readouterr().out
+        out = tmp_path / "out"
+        report = json.loads((out / "report.json").read_text())
+        assert report["GM"] is None and report["gm_undefined_by"] == ["P_pt", "R_pt", "F1_pt"]
+        assert [report[name] for name in ("P_pt", "R_pt", "F1_pt")] == [0.0, 0.0, 0.0]
+        assert all(isinstance(report[name], float) for name in evalsuite.METRIC_NAMES)
+        assert (out / "report.txt").read_text().splitlines()[-1].endswith(" -")
+        assert set(_stage_records(out)["evaluate"]["outputs"]) == {"report.json", "report.txt"}
+
+    def test_replay_of_zero_metric_row_is_refused(self, tmp_path, capsys):
+        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
+        row["metrics"]["P_pt"] = 0.0
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps([row]), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: value at index 9 is not positive: 0.0\n"
+        assert not (tmp_path / "out" / "replay_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            (TransportError("scorer refused", status=500), "error: scorer refused"),
+            (BackendResponse(text="not logprobs"), "error: backend returned no logprobs payload"),
+        ],
+        ids=["transport-error", "malformed-response"],
+    )
+    def test_failing_scorer_call_is_clean_error(
+        self, tmp_path, monkeypatch, capsys, answer, message
+    ):
+        class ScorerFails(MockBackend):
+            def send(self, request):
+                if request.kind != LOGPROBS:
+                    return super().send(request)
+                if isinstance(answer, Exception):
+                    raise answer
+                return answer
+
+        monkeypatch.setattr("ecomforge.cli.make_backend", lambda config, kind: ScorerFails())
+        gen_dir = tmp_path / "gens"
+        _write_generations(gen_dir)
+        code = _run(tmp_path, "evaluate", "--backend", "http", "--generations", str(gen_dir))
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == message + "\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_needs_generations_or_replay(self, tmp_path):
         assert _run(tmp_path, "evaluate") == EXIT_ERROR
 
@@ -413,6 +493,34 @@ class TestHumanEvalCommand:
         assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_OK
         report = json.loads((tmp_path / "out" / "human_eval.json").read_text())
         assert report["per_task"]["ads_generation"]["A"] == pytest.approx(0.25)
+
+    def test_runs_under_lock_and_is_recorded(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text(
+            json.dumps({"annotator": "a", "sample_id": "s", "task": "ads_generation", "rate": "A"})
+            + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".forge.lock").write_text(str(os.getpid()))
+        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
+        assert not (out / "human_eval.json").exists()
+        (out / ".forge.lock").unlink()
+        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_OK
+        assert set(_stage_records(out)["human-eval"]["outputs"]) == {"human_eval.json"}
+        assert not (out / ".forge.lock").exists()
+        capsys.readouterr()
+        assert _run(tmp_path, "check-manifest") == EXIT_OK
+        assert "human-eval/human_eval.json: OK" in capsys.readouterr().out
+
+    def test_empty_ratings_file_is_refused(self, tmp_path, capsys):
+        ratings = tmp_path / "ratings.jsonl"
+        ratings.write_text("\n", encoding="utf-8")
+        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {ratings} holds no ratings\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_duplicate_is_hard_error(self, tmp_path):
         ratings = tmp_path / "ratings.jsonl"

@@ -1,12 +1,17 @@
+import importlib
+import inspect
+import pkgutil
 import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
+import ecomforge
 from ecomforge.core import (
     TAXONOMY,
     TASK_FEATURES,
     Action,
+    ForgeError,
     ObjectFeature,
     ProductRecord,
     TaskKind,
@@ -227,3 +232,20 @@ class TestNormalizeLabel:
     def test_output_valid_or_unmapped(self, raw):
         got = normalize_label(raw)
         assert got is None or is_taxonomy_label(got)
+
+
+class TestErrorType:
+    def test_every_exception_class_is_a_forge_error(self):
+        defined = {}
+        for info in pkgutil.iter_modules(ecomforge.__path__):
+            module = importlib.import_module(f"ecomforge.{info.name}")
+            for name, obj in vars(module).items():
+                if (
+                    inspect.isclass(obj)
+                    and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__
+                ):
+                    assert issubclass(obj, ForgeError), f"{module.__name__}.{name}"
+                    defined[name] = obj
+        assert sorted(defined) == ["BackendError", "ForgeError", "TransportError"]
+        assert ecomforge.ForgeError is ForgeError

@@ -5,11 +5,10 @@ from collections import Counter
 
 import pytest
 
-from ecomforge.core import TaskKind
+from ecomforge.core import ForgeError, TaskKind
 from ecomforge.expand import (
     INSTRUCTION_REWRITE_PROMPT,
     RESPONSE_REWRITE_PROMPT,
-    AllCallsFailed,
     ExpansionPlan,
     expand_corpus,
 )
@@ -339,7 +338,7 @@ class TestExpandCorpus:
 
         seeds = [_seed(TaskKind.ADS_GENERATION, 0)]
         plan = _plan(instruction_rewrites=1, response_generations=1, response_rewrites=1)
-        with pytest.raises(AllCallsFailed):
+        with pytest.raises(ForgeError, match="all 3 teacher calls failed"):
             expand_corpus(Dead(), seeds, plan)
 
     def test_concurrency_bound_respected(self):

@@ -5,12 +5,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from ecomforge.core import Action, ProductRecord
+from ecomforge.core import Action, ForgeError, ProductRecord
 from ecomforge.ingest import (
     DatasetSplit,
-    EmptyInput,
-    FileUnreadable,
-    IngestError,
     filter_by_action,
     load_interactions,
     split,
@@ -111,11 +108,11 @@ class TestLoadInteractions:
     def test_all_lines_bad_is_fatal(self, tmp_path):
         p = tmp_path / "data.jsonl"
         p.write_text("nope\nstill nope\n", encoding="utf-8")
-        with pytest.raises(IngestError, match="all 2 lines"):
+        with pytest.raises(ForgeError, match="all 2 lines"):
             load_interactions(p)
 
     def test_unreadable_file(self, tmp_path):
-        with pytest.raises(FileUnreadable):
+        with pytest.raises(ForgeError, match="cannot read"):
             load_interactions(tmp_path / "missing.jsonl")
 
     def test_ordering_preserved(self, tmp_path):
@@ -181,7 +178,7 @@ class TestSplit:
             assert got.test == ordered[40:]
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ForgeError, match="cannot split an empty list"):
             split([], 0.5, seed=0)
 
     def test_bad_ratio(self):
@@ -189,7 +186,7 @@ class TestSplit:
             split([_record(0)], 1.0, seed=0)
 
     def test_duplicate_ids_rejected(self):
-        with pytest.raises(IngestError, match="duplicate"):
+        with pytest.raises(ForgeError, match="duplicate"):
             split([_record(0), _record(0)], 0.5, seed=0)
 
     @given(st.integers(1, 60), st.floats(0.05, 0.95), st.integers(0, 1000))

@@ -4,14 +4,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
+import requests
 
 from ecomforge.modelio import (
     COMPLETE,
     BackendRequest,
+    BackendError,
     BackendResponse,
-    BackendTimeout,
     HttpBackend,
-    MalformedResponseError,
     MockBackend,
     RetryPolicy,
     TransportError,
@@ -144,7 +144,7 @@ class TestWithRetry:
         def send(request):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise BackendTimeout("slow")
+                raise TransportError("slow")
             return BackendResponse(text="ok")
 
         policy = RetryPolicy(max_retries=1, base_delay=0.0)
@@ -188,16 +188,16 @@ class TestFixtureReplay:
         assert [list(v) for v in got] == fixture["expected_vectors"]
 
     def test_malformed_payloads_rejected(self):
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(BackendError, match="missing message content"):
             parse_chat_text({"choices": []})
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(BackendError, match="missing logprobs"):
             parse_chat_logprobs({"choices": [{"logprobs": None}]})
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(BackendError, match="missing embeddings"):
             parse_embeddings({"data": [{"embedding": "oops"}]})
 
     def test_positive_logprob_rejected(self):
         payload = {"choices": [{"logprobs": {"content": [{"logprob": 0.25}]}}]}
-        with pytest.raises(MalformedResponseError):
+        with pytest.raises(BackendError, match="logprob > 0 in response"):
             parse_chat_logprobs(payload)
 
 
@@ -282,6 +282,31 @@ class TestHttpBackend:
         assert exc.value.status == 400
         assert len(handler.seen) == 1
 
+    def test_timeout_is_retried_as_transport_error(self, canned_server):
+        server, handler = canned_server
+        fixture = json.loads((FIXTURES / "chat_completion.json").read_text())
+        handler.script.append((200, fixture["response"]))
+        request = _complete_request("hello", model="gpt-3.5-turbo")
+        timeouts = []
+
+        def post_timing_out_once(*args, **kwargs):
+            if not timeouts:
+                timeouts.append(args[0])
+                raise requests.Timeout("read timed out")
+            return requests.Session.post(backend.session, *args, **kwargs)
+
+        backend = self._backend(server, policy=RetryPolicy(max_retries=0, base_delay=0.0))
+        backend.session.post = post_timing_out_once
+        with pytest.raises(TransportError, match="timed out") as exc:
+            backend.complete(request)
+        assert exc.value.status is None and handler.seen == []
+
+        timeouts.clear()
+        backend = self._backend(server, policy=RetryPolicy(max_retries=1, base_delay=0.0))
+        backend.session.post = post_timing_out_once
+        assert backend.complete(request) == fixture["expected_text"]
+        assert len(timeouts) == 1 and len(handler.seen) == 1
+
     def test_embeddings_endpoint_and_tokenization(self, canned_server):
         server, handler = canned_server
         fixture = json.loads((FIXTURES / "embeddings.json").read_text())
@@ -300,5 +325,5 @@ class TestHttpBackend:
             timeout_s=0.05,
             policy=RetryPolicy(max_retries=0, base_delay=0.0),
         )
-        with pytest.raises((BackendTimeout, TransportError)):
+        with pytest.raises(TransportError, match="request to .* (timed out|failed)"):
             backend.complete(_complete_request("x", model="m"))
