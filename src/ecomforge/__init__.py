@@ -6,7 +6,6 @@ from .core import (
     TAXONOMY,
     Action,
     ForgeError,
-    ObjectFeature,
     ProductRecord,
     TaskKind,
     clean_text,
@@ -20,7 +19,6 @@ __all__ = [
     "Action",
     "ForgeError",
     "InstructionPair",
-    "ObjectFeature",
     "ProductRecord",
     "Provenance",
     "QAPair",

@@ -19,8 +19,6 @@ import time
 from importlib import resources
 from pathlib import Path
 
-import numpy as np
-
 from . import curate, evalsuite, expand, formulate, ingest, lora
 from .config import PipelineConfig, load_config
 from .core import ForgeError, TaskKind
@@ -118,6 +116,27 @@ def _write_json(path: Path, obj) -> None:
     ingest.write_atomic(path, text.encode("utf-8"))
 
 
+def _read_stages(out_dir: Path) -> dict:
+    """The stage records of ``run_manifest.json``, or {} when there is none.
+    A file that is not ``{"stages": {name: record}}``, each record an object
+    whose ``inputs`` and ``outputs`` are objects, is refused."""
+    path = out_dir / "run_manifest.json"
+    if not path.exists():
+        return {}
+    try:
+        stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+        ok = isinstance(stages, dict) and all(
+            isinstance(record, dict)
+            and all(isinstance(record.get(key, {}), dict) for key in ("inputs", "outputs"))
+            for record in stages.values()
+        )
+    except (KeyError, TypeError, ValueError):
+        ok = False
+    if not ok:
+        raise ForgeError(f"{path} is not a run manifest")
+    return stages
+
+
 def _run_stage(
     config: PipelineConfig, stage: str, inputs: dict[str, str], outputs: tuple[str, ...], body
 ) -> int:
@@ -135,10 +154,7 @@ def _run_stage(
     out_dir = config.out_dir
     started, cpu_started = time.perf_counter(), time.process_time()
     with OutDirLock(out_dir):
-        manifest_path = out_dir / "run_manifest.json"
-        stages = {}
-        if manifest_path.exists():
-            stages = json.loads(manifest_path.read_text(encoding="utf-8")).get("stages", {})
+        stages = _read_stages(out_dir)
         input_hashes = {}
         for name, producer in inputs.items():
             path = out_dir / name
@@ -165,7 +181,7 @@ def _run_stage(
             "cpu_s": round(time.process_time() - cpu_started, 3),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
         }
-        _write_json(manifest_path, {"stages": stages})
+        _write_json(out_dir / "run_manifest.json", {"stages": stages})
     return code
 
 
@@ -173,11 +189,14 @@ def _run_stage(
 # Stage commands
 
 
-def _load_split(config: PipelineConfig) -> tuple[ingest.DatasetSplit, list]:
+def _load_split(config: PipelineConfig) -> tuple[list, list, list]:
+    """Train records, test records and the load's diagnostics."""
     records, diagnostics = ingest.load_interactions(_records_path(config))
     filtered = ingest.filter_by_action(records)
-    dsplit = ingest.split(filtered, config["pipeline"]["split_ratio"], config.rng_seed)
-    return dsplit, diagnostics
+    train, test = ingest.split_generic(
+        filtered, config["pipeline"]["split_ratio"], config.rng_seed, lambda r: r.id
+    )
+    return train, test, diagnostics
 
 
 def _load_qa_split(config: PipelineConfig) -> tuple[list, list]:
@@ -187,13 +206,11 @@ def _load_qa_split(config: PipelineConfig) -> tuple[list, list]:
     )
 
 
-def _heldout_product_sets(config: PipelineConfig, dsplit: ingest.DatasetSplit) -> list[list[str]]:
+def _heldout_product_sets(config: PipelineConfig, test: list) -> list[list[str]]:
     pipeline_cfg = config["pipeline"]
     n_sets = pipeline_cfg["heldout_product_sets"]
     set_size = pipeline_cfg["heldout_set_size"]
-    ranked = sorted(
-        dsplit.test, key=lambda r: ingest.shuffle_key(config.rng_seed, f"heldout|{r.id}")
-    )
+    ranked = sorted(test, key=lambda r: ingest.shuffle_key(config.rng_seed, f"heldout|{r.id}"))
     needed = n_sets * set_size
     titles = [r.title for r in ranked[:needed]]
     if len(titles) < needed:
@@ -208,17 +225,17 @@ def cmd_formulate(config: PipelineConfig) -> int:
     out_dir = config.out_dir
 
     def body():
-        dsplit, diagnostics = _load_split(config)
+        train, test, diagnostics = _load_split(config)
         qa_train, _ = _load_qa_split(config)
         pipeline_cfg = config["pipeline"]
         seeds = formulate.build_seed_set(
-            dsplit.train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
+            train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
         )
         packs = [
             curate.build_heldout_packs(
                 curate.SCENARIO_ADS,
                 scenarios=pipeline_cfg["heldout_scenarios"],
-                product_sets=_heldout_product_sets(config, dsplit),
+                product_sets=_heldout_product_sets(config, test),
             ),
             curate.build_heldout_packs(
                 curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]
@@ -314,9 +331,9 @@ def _build_eval_data(
     """Pair each generation with its reference fields from
     ``evalsuite.TASK_REFERENCES``: test records, or test Q&A for general_qa.
     A task without a generations file is left out."""
-    dsplit, _ = _load_split(config)
+    _, test, _ = _load_split(config)
     _, qa_test = _load_qa_split(config)
-    records = {r.id: r for r in dsplit.test}
+    records = {r.id: r for r in test}
     qa_refs = {q.id: q for q in qa_test}
 
     data: dict[TaskKind, list[evalsuite.Sample]] = {}
@@ -377,6 +394,8 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
 
     def body():
         rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
+        if not isinstance(rows, list) or not rows:
+            raise ForgeError(f"{replay_path} must hold a non-empty JSON list of runs")
         reports: list[tuple[str, evalsuite.MetricReport]] = []
         for i, row in enumerate(rows):
             try:
@@ -397,77 +416,17 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
 
 
 def cmd_lora_verify(config: PipelineConfig) -> int:
-    rng = np.random.default_rng(config.rng_seed)
-    failures = 0
+    def body():
+        rows = lora.verify(config.rng_seed)
+        for name, ok, detail in rows:
+            print(f"{name:<24s} {'PASS' if ok else 'FAIL'}  {detail}")
+        failed = [name for name, ok, _ in rows if not ok]
+        if failed:
+            raise ForgeError(f"lora-verify failed: {', '.join(failed)}")
+        _write_json(config.out_dir / "lora_verify.json", {name: detail for name, _, detail in rows})
+        return EXIT_OK
 
-    def check(name: str, ok: bool, detail: str) -> None:
-        nonlocal failures
-        status = "PASS" if ok else "FAIL"
-        print(f"{name:<24s} {status}  {detail}")
-        if not ok:
-            failures += 1
-
-    worst = 0.0
-    for _ in range(100):
-        d, k = int(rng.integers(2, 33)), int(rng.integers(2, 33))
-        r = int(rng.integers(1, min(d, k) + 1))
-        W0 = rng.standard_normal((d, k))
-        x = rng.standard_normal(k)
-        adapter = lora.lora_init(d, k, r, seed=int(rng.integers(0, 2**31)))
-        base = W0 @ x
-        err = float(np.max(np.abs(lora.lora_forward(W0, adapter, x) - base)))
-        scale = max(float(np.max(np.abs(base))), 1e-12)
-        worst = max(worst, err / scale)
-    check("zero-init identity", worst <= 1e-12, f"max rel err {worst:.2e}")
-
-    worst = 0.0
-    for _ in range(100):
-        d, k = int(rng.integers(2, 65)), int(rng.integers(2, 65))
-        r = int(rng.integers(1, min(d, k) + 1))
-        W0 = rng.standard_normal((d, k))
-        x = rng.standard_normal(k)
-        adapter = lora.lora_init(d, k, r, seed=int(rng.integers(0, 2**31)))
-        adapter.B[:] = rng.standard_normal((d, r))
-        dense = (W0 + adapter.B @ adapter.A) @ x
-        err = float(np.max(np.abs(lora.lora_forward(W0, adapter, x) - dense)))
-        scale = max(float(np.max(np.abs(dense))), 1e-12)
-        worst = max(worst, err / scale)
-    check("dense equivalence", worst <= 1e-12, f"max rel err {worst:.2e}")
-
-    adapter = lora.lora_init(8, 8, 2, seed=config.rng_seed, sigma=0.5)
-    adapter.B[:] = rng.standard_normal((8, 2))
-    W0 = rng.standard_normal((8, 8))
-    x = rng.standard_normal(8)
-    y = rng.standard_normal(8)
-    err = lora.grad_check(W0, adapter, x, y, eps=1e-5)
-    check("gradient check", err <= 1e-4, f"max rel err {err:.2e}")
-
-    expected = {(4096, 32): 8_388_608, (5120, 40): 13_107_200, (6656, 60): 25_559_040}
-    counts = {
-        (d_model, layers): lora.lora_param_count(d_model, 8, layers)
-        for (d_model, layers) in expected
-    }
-    check(
-        "parameter accounting",
-        counts == expected,
-        ", ".join(f"{d}x{n}: {c:,}" for (d, n), c in counts.items()),
-    )
-
-    W0 = rng.standard_normal((16, 16))
-    U = rng.standard_normal((16, 2))
-    V = rng.standard_normal((2, 16))
-    target = W0 + 0.5 * (U @ V)
-    digest_before = lora.matrix_digest(W0)
-    fitted, losses = lora.adapter_fit_toy(W0, target, r=2, steps=500, lr=0.01, seed=config.rng_seed)
-    ratio = losses[-1] / losses[0]
-    digest_ok = lora.matrix_digest(W0) == digest_before
-    check(
-        "frozen-base toy fit",
-        ratio <= 0.01 and digest_ok,
-        f"loss ratio {ratio:.2e}, base digest {'unchanged' if digest_ok else 'CHANGED'}",
-    )
-
-    return EXIT_ERROR if failures else EXIT_OK
+    return _run_stage(config, "lora-verify", {}, ("lora_verify.json",), body)
 
 
 def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
@@ -492,9 +451,8 @@ def cmd_check_manifest(config: PipelineConfig) -> int:
     manifest_path = config.out_dir / "run_manifest.json"
     if not manifest_path.exists():
         raise ForgeError(f"{manifest_path} not found")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
     bad = 0
-    for stage, info in sorted(manifest.get("stages", {}).items()):
+    for stage, info in sorted(_read_stages(config.out_dir).items()):
         for name, expected in sorted(info.get("outputs", {}).items()):
             path = config.out_dir / name
             if not path.exists():

@@ -136,7 +136,7 @@ def _validate(cfg: dict) -> None:
     n_tasks = len(TaskKind)
     checks = [
         (backend["concurrency"] >= 1, "backend.concurrency must be >= 1"),
-        (backend["max_retries"] >= 0, "backend.max_retries must be >= 0"),
+        (0 <= backend["max_retries"] <= 10, "backend.max_retries must be in [0, 10]"),
         (backend["timeout_s"] > 0, "backend.timeout_s must be > 0"),
         (backend["expand_temperature"] >= 0, "backend.expand_temperature must be >= 0"),
         (backend["max_tokens"] >= 1, "backend.max_tokens must be >= 1"),

@@ -55,27 +55,6 @@ class TaskKind(str, Enum):
     GENERAL_QA = "general_qa"
 
 
-class ObjectFeature(str, Enum):
-    """Feature slots contributed by sellers (S), customers (C0/C1), and the
-    platform (P0/P1)."""
-
-    S = "S"
-    C0 = "C0"
-    C1 = "C1"
-    P0 = "P0"
-    P1 = "P1"
-
-
-# Which object features each task interleaves. Fixed by design.
-TASK_FEATURES: dict[TaskKind, frozenset[ObjectFeature]] = {
-    TaskKind.ADS_GENERATION: frozenset({ObjectFeature.S}),
-    TaskKind.TITLE_REWRITING: frozenset({ObjectFeature.S, ObjectFeature.C0}),
-    TaskKind.PRODUCT_CLASSIFICATION: frozenset({ObjectFeature.S, ObjectFeature.P0}),
-    TaskKind.INTENT_SPECULATION: frozenset({ObjectFeature.C1, ObjectFeature.P0}),
-    TaskKind.GENERAL_QA: frozenset({ObjectFeature.P1}),
-}
-
-
 class Action(str, Enum):
     """Customer interaction outcome attached to a product row."""
 

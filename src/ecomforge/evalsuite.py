@@ -39,7 +39,7 @@ def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
-def bleu(candidate: list[str], reference: list[str], epsilon: float = BLEU_EPSILON) -> float:
+def bleu(candidate: list[str], reference: list[str]) -> float:
     """Sentence BLEU-4: uniform quarter weights, brevity penalty, and
     epsilon-smoothed zero counts. Scaled to 0-100."""
     if not candidate:
@@ -51,11 +51,11 @@ def bleu(candidate: list[str], reference: list[str], epsilon: float = BLEU_EPSIL
         cand_counts = _ngram_counts(candidate, n)
         total = sum(cand_counts.values())
         if total == 0:
-            log_sum += 0.25 * math.log(epsilon)
+            log_sum += 0.25 * math.log(BLEU_EPSILON)
             continue
         ref_counts = _ngram_counts(reference, n)
         clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
-        p = clipped / total if clipped > 0 else epsilon / total
+        p = clipped / total if clipped > 0 else BLEU_EPSILON / total
         log_sum += 0.25 * math.log(p)
     c, r = len(candidate), len(reference)
     bp = 1.0 if c > r else math.exp(1 - r / c)
@@ -76,7 +76,7 @@ def _lcs_length(a: list[str], b: list[str]) -> int:
     return prev[-1]
 
 
-def rouge_l(candidate: list[str], reference: list[str], beta: float = ROUGE_BETA) -> float:
+def rouge_l(candidate: list[str], reference: list[str]) -> float:
     """LCS F-score with recall-weighted beta, scaled to 0-100."""
     if not candidate:
         raise ForgeError("candidate token sequence is empty")
@@ -87,7 +87,7 @@ def rouge_l(candidate: list[str], reference: list[str], beta: float = ROUGE_BETA
     recall = lcs / len(reference)
     if precision + recall == 0:
         return 0.0
-    b2 = beta * beta
+    b2 = ROUGE_BETA * ROUGE_BETA
     return 100.0 * (1 + b2) * precision * recall / (recall + b2 * precision)
 
 

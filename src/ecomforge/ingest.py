@@ -29,12 +29,6 @@ class MalformedLine:
     reason: str
 
 
-@dataclass(frozen=True)
-class DatasetSplit:
-    train: list[ProductRecord]
-    test: list[ProductRecord]
-
-
 def _optional_text(value) -> str | None:
     if value is None:
         return None
@@ -169,9 +163,3 @@ def split_generic(items: list, ratio: float, seed: int, id_of) -> tuple[list, li
     shuffled = sorted(items, key=lambda item: shuffle_key(seed, id_of(item)))
     n_first = math.ceil(ratio * len(items))
     return shuffled[:n_first], shuffled[n_first:]
-
-
-def split(records: list[ProductRecord], ratio: float, seed: int) -> DatasetSplit:
-    """Deterministic train/test split on record ids."""
-    train, test = split_generic(records, ratio, seed, lambda r: r.id)
-    return DatasetSplit(train=train, test=test)

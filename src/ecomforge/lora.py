@@ -3,7 +3,8 @@
 The adapted forward pass is ``h = W0 x + B (A x)``: the base matrix W0 stays
 read-only while the rank-r pair (A, B) trains. B starts at zero so the
 adapted model is exactly the base model at initialization; A starts Gaussian.
-No alpha/r scaling is applied.
+No alpha/r scaling is applied. ``verify`` runs the checks that
+``forge lora-verify`` prints.
 """
 from __future__ import annotations
 
@@ -59,22 +60,13 @@ def lora_forward(W0: np.ndarray, adapter: LoraAdapter, x: np.ndarray) -> np.ndar
     return W0 @ x + adapter.B @ (adapter.A @ x)
 
 
-def lora_param_count(
-    d_model: int,
-    r: int,
-    n_layers: int,
-    targets: tuple[str, ...] = ATTENTION_TARGETS,
-) -> int:
-    """Trainable parameters when adapting square d_model projections: each
-    target contributes r*(d_model + d_model) per layer."""
+def lora_param_count(d_model: int, r: int, n_layers: int) -> int:
+    """Trainable parameters when adapting the square d_model attention
+    projections: each of ATTENTION_TARGETS contributes r*(d_model + d_model)
+    per layer."""
     if d_model < 1 or n_layers < 1 or r < 0:
         raise ValueError("d_model and n_layers must be positive, r >= 0")
-    if not targets:
-        raise ValueError("targets must be nonempty")
-    unknown = set(targets) - set(ATTENTION_TARGETS)
-    if unknown:
-        raise ValueError(f"unknown targets {sorted(unknown)}")
-    return n_layers * len(targets) * r * (d_model + d_model)
+    return n_layers * len(ATTENTION_TARGETS) * r * (d_model + d_model)
 
 
 def _loss(W0: np.ndarray, A: np.ndarray, B: np.ndarray, x: np.ndarray, y: np.ndarray) -> float:
@@ -172,3 +164,58 @@ def adapter_fit_toy(
             A -= lr * grad_A
             B -= lr * grad_B
     return LoraAdapter(A=A, B=B, d=d, k=k, r=r), losses
+
+
+# Published rank-8 parameter counts of the 7b, 13b and 30b bases, by (d_model, layers).
+PUBLISHED_COUNTS = {(4096, 32): 8_388_608, (5120, 40): 13_107_200, (6656, 60): 25_559_040}
+
+
+def _dense_rel_err(rng: np.random.Generator, high: int, draw_b: bool) -> float:
+    """Worst relative error of ``lora_forward`` against the dense product
+    (W0 + BA) x over 100 random shapes with dimensions in [2, high). B keeps
+    its zero init unless ``draw_b``; at zero, (W0 + BA) x is exactly W0 x."""
+    worst = 0.0
+    for _ in range(100):
+        d, k = int(rng.integers(2, high)), int(rng.integers(2, high))
+        r = int(rng.integers(1, min(d, k) + 1))
+        W0 = rng.standard_normal((d, k))
+        x = rng.standard_normal(k)
+        adapter = lora_init(d, k, r, seed=int(rng.integers(0, 2**31)))
+        if draw_b:
+            adapter.B[:] = rng.standard_normal((d, r))
+        dense = (W0 + adapter.B @ adapter.A) @ x
+        err = float(np.max(np.abs(lora_forward(W0, adapter, x) - dense)))
+        worst = max(worst, err / max(float(np.max(np.abs(dense))), 1e-12))
+    return worst
+
+
+def verify(seed: int) -> list[tuple[str, bool, str]]:
+    """The adapter-math checks, as (name, passed, detail) rows in a fixed
+    order; every random draw comes from one generator seeded with ``seed``."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for name, high, draw_b in (("zero-init identity", 33, False), ("dense equivalence", 65, True)):
+        worst = _dense_rel_err(rng, high, draw_b)
+        rows.append((name, worst <= 1e-12, f"max rel err {worst:.2e}"))
+
+    adapter = lora_init(8, 8, 2, seed=seed, sigma=0.5)
+    adapter.B[:] = rng.standard_normal((8, 2))
+    W0, x, y = rng.standard_normal((8, 8)), rng.standard_normal(8), rng.standard_normal(8)
+    err = float(grad_check(W0, adapter, x, y, eps=1e-5))
+    rows.append(("gradient check", err <= 1e-4, f"max rel err {err:.2e}"))
+
+    counts = {shape: lora_param_count(shape[0], 8, shape[1]) for shape in PUBLISHED_COUNTS}
+    detail = ", ".join(f"{d}x{n}: {c:,}" for (d, n), c in counts.items())
+    rows.append(("parameter accounting", counts == PUBLISHED_COUNTS, detail))
+
+    W0 = rng.standard_normal((16, 16))
+    U = rng.standard_normal((16, 2))
+    V = rng.standard_normal((2, 16))
+    target = W0 + 0.5 * (U @ V)
+    digest_before = matrix_digest(W0)
+    _, losses = adapter_fit_toy(W0, target, r=2, steps=500, lr=0.01, seed=seed)
+    ratio = losses[-1] / losses[0]
+    digest_ok = matrix_digest(W0) == digest_before
+    detail = f"loss ratio {ratio:.2e}, base digest {'unchanged' if digest_ok else 'CHANGED'}"
+    rows.append(("frozen-base toy fit", ratio <= 0.01 and digest_ok, detail))
+    return rows

@@ -23,6 +23,7 @@ COMPLETE = "complete"
 LOGPROBS = "logprobs"
 EMBED = "embed"
 _KINDS = (COMPLETE, LOGPROBS, EMBED)
+RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 
 
 class BackendError(ForgeError):
@@ -88,7 +89,6 @@ class RetryPolicy:
     base_delay: float = 0.5
     backoff_factor: float = 2.0
     max_delay: float = 30.0
-    retryable_statuses: frozenset[int] = frozenset({429, 500, 502, 503, 504})
 
     def __post_init__(self) -> None:
         if not 0 <= self.max_retries <= 10:
@@ -115,7 +115,7 @@ def with_retry(
         try:
             return send(request)
         except TransportError as exc:
-            retryable = exc.status is None or exc.status in policy.retryable_statuses
+            retryable = exc.status is None or exc.status in RETRYABLE_STATUSES
             if not retryable or attempt >= policy.max_retries:
                 raise
             delay = min(policy.base_delay * policy.backoff_factor**attempt, policy.max_delay)
@@ -139,8 +139,6 @@ class Backend:
         return clean_text(response.text)
 
     def score_logprobs(self, text: str) -> list[float]:
-        if not text:
-            raise ValueError("text must be nonempty")
         request = BackendRequest(kind=LOGPROBS, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_logprobs is None:
@@ -148,8 +146,6 @@ class Backend:
         return list(response.token_logprobs)
 
     def embed_tokens(self, text: str) -> list[list[float]]:
-        if not text:
-            raise ValueError("text must be nonempty")
         request = BackendRequest(kind=EMBED, text=text, model=self.default_model(), max_tokens=1)
         response = self.send(request)
         if response.token_vectors is None:

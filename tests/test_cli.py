@@ -38,8 +38,8 @@ def _write_ads_generation(gen_dir):
     with a description; returns its id."""
     from ecomforge.cli import _load_split
 
-    dsplit, _ = _load_split(load_config())
-    record = next(r for r in dsplit.test if r.description)
+    _, test, _ = _load_split(load_config())
+    record = next(r for r in test if r.description)
     gen_dir.mkdir(exist_ok=True)
     (gen_dir / "ads_generation.jsonl").write_text(
         json.dumps({"id": record.id, "generation": record.title}) + "\n", encoding="utf-8"
@@ -53,9 +53,9 @@ def _write_generations(gen_dir, wrong_labels=False):
     ``wrong_labels`` every product_classification answer is a wrong label."""
     from ecomforge.cli import _load_qa_split, _load_split
 
-    dsplit, _ = _load_split(load_config())
+    _, test, _ = _load_split(load_config())
     _, qa_test = _load_qa_split(load_config())
-    records = [r for r in dsplit.test if r.description and r.query][:5]
+    records = [r for r in test if r.description and r.query][:5]
     classified = [
         (r.id, next(t for t in TAXONOMY if t != r.taxonomy) if wrong_labels else r.taxonomy)
         for r in records
@@ -166,6 +166,8 @@ class TestConfig:
             ("paths.data_in=null", True),
             ("paths.data_in=[]", False),
             ('backend={"model": "m"}', True),
+            ("backend.max_retries=10", True),
+            ("backend.max_retries=11", False),
         ],
     )
     def test_type_rules(self, override, accepted):
@@ -325,11 +327,11 @@ class TestEvaluateCommand:
         from ecomforge.cli import _load_split, _load_qa_split
 
         config = load_config(None, [f"paths.out_dir={out}"])
-        dsplit, _ = _load_split(config)
+        _, test, _ = _load_split(config)
         _, qa_test = _load_qa_split(config)
         gen_dir = tmp_path / "gens"
         gen_dir.mkdir()
-        eligible = [r for r in dsplit.test if r.description and r.query][:5]
+        eligible = [r for r in test if r.description and r.query][:5]
         rows = {
             TaskKind.ADS_GENERATION: [(r.id, r.title) for r in eligible],
             TaskKind.TITLE_REWRITING: [(r.id, r.title) for r in eligible],
@@ -360,8 +362,8 @@ class TestEvaluateCommand:
         from ecomforge.cli import _load_split
 
         config = load_config(None, [f"paths.out_dir={out}"])
-        dsplit, _ = _load_split(config)
-        record = next(r for r in dsplit.test if r.description)
+        _, test, _ = _load_split(config)
+        record = next(r for r in test if r.description)
         (gen_dir / "ads_generation.jsonl").write_text(
             json.dumps({"id": record.id, "generation": record.title}) + "\n",
             encoding="utf-8",
@@ -429,6 +431,16 @@ class TestEvaluateCommand:
         assert err == "error: value at index 9 is not positive: 0.0\n"
         assert not (tmp_path / "out" / "replay_report.json").exists()
 
+    @pytest.mark.parametrize("root", ["5", "[]", '{"name": "run"}'], ids=["int", "empty", "object"])
+    def test_replay_root_that_is_not_a_list_of_runs_is_refused(self, tmp_path, capsys, root):
+        replay = tmp_path / "rows.json"
+        replay.write_text(root, encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {replay} must hold a non-empty JSON list of runs\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize(
         "answer, message",
         [
@@ -474,6 +486,30 @@ class TestLoraVerifyCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5 and "FAIL" not in out
         assert "8,388,608" in out and "13,107,200" in out and "25,559,040" in out
+
+    def test_writes_details_and_record_covered_by_check_manifest(self, tmp_path, capsys):
+        assert _run(tmp_path, "lora-verify") == EXIT_OK
+        printed = capsys.readouterr().out.splitlines()
+        out = tmp_path / "out"
+        details = json.loads((out / "lora_verify.json").read_text(encoding="utf-8"))
+        assert [f"{name:<24s} PASS  {detail}" for name, detail in details.items()] == sorted(
+            printed
+        )
+        assert set(_stage_records(out)["lora-verify"]["outputs"]) == {"lora_verify.json"}
+        assert _run(tmp_path, "check-manifest") == EXIT_OK
+        assert capsys.readouterr().out == "lora-verify/lora_verify.json: OK\n"
+
+    def test_failed_check_prints_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        from ecomforge import lora
+
+        monkeypatch.setattr(
+            lora, "verify", lambda seed: [("gradient check", False, "max rel err 1.00e+00")]
+        )
+        assert _run(tmp_path, "lora-verify") == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == "gradient check           FAIL  max rel err 1.00e+00\n"
+        assert captured.err == "error: lora-verify failed: gradient check\n"
+        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestHumanEvalCommand:
@@ -550,9 +586,10 @@ class TestCliErrorSurface:
             (["--config", "backend-5.json"], "backend"),
             (["--set", "pipeline.target_total=7"], "pipeline.target_total"),
             (["--set", "rng_seed=-1"], "rng_seed"),
+            (["--set", "backend.max_retries=11"], "backend.max_retries"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
-             "indivisible-target", "negative-seed"],
+             "indivisible-target", "negative-seed", "retries-above-10"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)
@@ -671,6 +708,25 @@ class TestManifestAndLock:
         tampered.write_text(tampered.read_text() + "\n", encoding="utf-8")
         assert _run(tmp_path, "check-manifest") == EXIT_ERROR
         assert f"{stage}/{names[0]}: HASH MISMATCH" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
+    @pytest.mark.parametrize(
+        "manifest",
+        ["[]", '{"stages": []}', "not json", '{"stages": {"formulate": {"outputs": []}}}'],
+        ids=["list", "stages-list", "not-json", "outputs-list"],
+    )
+    def test_malformed_run_manifest_is_refused_before_any_write(
+        self, tmp_path, capsys, command, manifest
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
+        assert _run(tmp_path, command) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+        assert (out / "run_manifest.json").read_text(encoding="utf-8") == manifest
 
     def test_lockfile_blocks_concurrent_runs(self, tmp_path):
         out = tmp_path / "out"

@@ -9,10 +9,8 @@ from hypothesis import given, strategies as st
 import ecomforge
 from ecomforge.core import (
     TAXONOMY,
-    TASK_FEATURES,
     Action,
     ForgeError,
-    ObjectFeature,
     ProductRecord,
     TaskKind,
     clean_text,
@@ -43,18 +41,6 @@ class TestTaxonomy:
 class TestTaskMapping:
     def test_five_tasks(self):
         assert len(list(TaskKind)) == 5
-
-    def test_feature_map_fixed(self):
-        F = ObjectFeature
-        assert TASK_FEATURES[TaskKind.ADS_GENERATION] == {F.S}
-        assert TASK_FEATURES[TaskKind.TITLE_REWRITING] == {F.S, F.C0}
-        assert TASK_FEATURES[TaskKind.PRODUCT_CLASSIFICATION] == {F.S, F.P0}
-        assert TASK_FEATURES[TaskKind.INTENT_SPECULATION] == {F.C1, F.P0}
-        assert TASK_FEATURES[TaskKind.GENERAL_QA] == {F.P1}
-
-    def test_every_task_has_features(self):
-        for task in TaskKind:
-            assert TASK_FEATURES[task]
 
 
 class TestProductRecord:

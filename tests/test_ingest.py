@@ -6,13 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecomforge.core import Action, ForgeError, ProductRecord
-from ecomforge.ingest import (
-    DatasetSplit,
-    filter_by_action,
-    load_interactions,
-    split,
-    split_generic,
-)
+from ecomforge.ingest import filter_by_action, load_interactions, split_generic
 
 
 def _line(i, action="click", taxonomy="shoes", **extra):
@@ -149,58 +143,55 @@ class TestFilterByAction:
         assert len(once) <= len(records)
 
 
+def _split(records, ratio, seed):
+    return split_generic(records, ratio, seed, lambda r: r.id)
+
+
 class TestSplit:
     def test_sizes(self):
         records = [_record(i) for i in range(10)]
-        s = split(records, ratio=0.8, seed=0)
-        assert len(s.train) == 8 and len(s.test) == 2
+        train, test = _split(records, ratio=0.8, seed=0)
+        assert len(train) == 8 and len(test) == 2
 
     def test_deterministic(self):
         records = [_record(i) for i in range(25)]
-        a = split(records, 0.8, seed=7)
-        b = split(records, 0.8, seed=7)
-        assert [r.id for r in a.train] == [r.id for r in b.train]
-        assert [r.id for r in a.test] == [r.id for r in b.test]
+        a = _split(records, 0.8, seed=7)
+        b = _split(records, 0.8, seed=7)
+        assert [r.id for r in a[0]] == [r.id for r in b[0]]
+        assert [r.id for r in a[1]] == [r.id for r in b[1]]
 
     def test_reference_shuffle_oracle(self):
         # Independent re-derivation of the hash ordering.
         records = [_record(i) for i in range(50)]
-        s1 = split(records, 0.8, seed=1)
-        s2 = split(records, 0.8, seed=2)
-        assert [r.id for r in s1.train] != [r.id for r in s2.train]
-        assert len(s1.train) == len(s2.train) == 40
-        for seed, got in ((1, s1), (2, s2)):
+        s1 = _split(records, 0.8, seed=1)
+        s2 = _split(records, 0.8, seed=2)
+        assert [r.id for r in s1[0]] != [r.id for r in s2[0]]
+        assert len(s1[0]) == len(s2[0]) == 40
+        for seed, (train, test) in ((1, s1), (2, s2)):
             ordered = sorted(
                 records,
                 key=lambda r: hashlib.sha256(f"{seed}|{r.id}".encode()).hexdigest(),
             )
-            assert got.train == ordered[:40]
-            assert got.test == ordered[40:]
+            assert train == ordered[:40]
+            assert test == ordered[40:]
 
     def test_empty_input(self):
         with pytest.raises(ForgeError, match="cannot split an empty list"):
-            split([], 0.5, seed=0)
+            _split([], 0.5, seed=0)
 
     def test_bad_ratio(self):
         with pytest.raises(ValueError):
-            split([_record(0)], 1.0, seed=0)
+            _split([_record(0)], 1.0, seed=0)
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ForgeError, match="duplicate"):
-            split([_record(0), _record(0)], 0.5, seed=0)
+            _split([_record(0), _record(0)], 0.5, seed=0)
 
     @given(st.integers(1, 60), st.floats(0.05, 0.95), st.integers(0, 1000))
     def test_partition_property(self, n, ratio, seed):
         records = [_record(i) for i in range(n)]
-        s = split(records, ratio, seed)
-        assert len(s.train) + len(s.test) == n
-        assert len(s.train) == math.ceil(ratio * n)
-        ids = [r.id for r in s.train] + [r.id for r in s.test]
+        train, test = _split(records, ratio, seed)
+        assert len(train) + len(test) == n
+        assert len(train) == math.ceil(ratio * n)
+        ids = [r.id for r in train] + [r.id for r in test]
         assert len(set(ids)) == n
-        assert isinstance(s, DatasetSplit)
-
-    def test_generic_split_matches_record_split(self):
-        records = [_record(i) for i in range(17)]
-        train, test = split_generic(records, 0.7, 3, lambda r: r.id)
-        s = split(records, 0.7, 3)
-        assert train == s.train and test == s.test

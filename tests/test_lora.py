@@ -3,7 +3,6 @@ import pytest
 
 from ecomforge.core import ForgeError
 from ecomforge.lora import (
-    ATTENTION_TARGETS,
     LoraAdapter,
     adapter_fit_toy,
     analytic_gradients,
@@ -12,6 +11,7 @@ from ecomforge.lora import (
     lora_init,
     lora_param_count,
     matrix_digest,
+    verify,
 )
 
 from oracles import oracle_dense_lora, oracle_fd_gradient
@@ -120,11 +120,6 @@ class TestParamCount:
         base = lora_param_count(512, 4, 10)
         assert lora_param_count(512, 8, 10) == 2 * base
         assert lora_param_count(512, 4, 20) == 2 * base
-        assert lora_param_count(512, 4, 10, targets=ATTENTION_TARGETS[:2]) == base // 2
-
-    def test_unknown_target_rejected(self):
-        with pytest.raises(ValueError):
-            lora_param_count(512, 4, 10, targets=("W_up",))
 
 
 class TestGradients:
@@ -198,3 +193,21 @@ class TestToyFit:
             before = W0.copy()
             adapter_fit_toy(W0, target, r=2, steps=50, lr=0.01, seed=seed)
             assert np.array_equal(W0, before)
+
+
+class TestVerify:
+    def test_five_checks_pass_in_order(self):
+        rows = verify(0)
+        assert [name for name, _, _ in rows] == [
+            "zero-init identity",
+            "dense equivalence",
+            "gradient check",
+            "parameter accounting",
+            "frozen-base toy fit",
+        ]
+        assert all(ok is True for _, ok, _ in rows)
+        assert rows[0][2] == "max rel err 0.00e+00"
+        assert rows[3][2] == "4096x32: 8,388,608, 5120x40: 13,107,200, 6656x60: 25,559,040"
+
+    def test_same_seed_same_rows(self):
+        assert verify(7) == verify(7)
