@@ -393,23 +393,30 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
         replay_path = demo_data_path("reference_runs.json")
 
     def body():
-        rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
+        try:
+            rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ForgeError(f"{replay_path}: {exc}") from exc
         if not isinstance(rows, list) or not rows:
             raise ForgeError(f"{replay_path} must hold a non-empty JSON list of runs")
-        reports: list[tuple[str, evalsuite.MetricReport]] = []
+        reports: dict[str, evalsuite.MetricReport] = {}
         for i, row in enumerate(rows):
             try:
                 name = row["name"]
                 metrics = {m: float(row["metrics"][m]) for m in evalsuite.METRIC_NAMES}
             except (KeyError, TypeError, ValueError) as exc:
                 raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
+            if not isinstance(name, str) or not name:
+                raise ForgeError(f"replay row {i}: name must be a non-empty string")
+            if name in reports:
+                raise ForgeError(f"replay row {i}: duplicate name {name!r}")
             gm = evalsuite.gm_from_metrics(metrics)
-            reports.append((name, evalsuite.MetricReport(values=dict(metrics), gm=gm)))
+            reports[name] = evalsuite.MetricReport(values=dict(metrics), gm=gm)
         _write_json(
             config.out_dir / "replay_report.json",
-            {name: report.to_json() for name, report in reports},
+            {name: report.to_json() for name, report in reports.items()},
         )
-        print(evalsuite.render_table(reports))
+        print(evalsuite.render_table(list(reports.items())))
         return EXIT_OK
 
     return _run_stage(config, "replay", {}, ("replay_report.json",), body)

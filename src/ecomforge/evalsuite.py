@@ -6,6 +6,10 @@ macro P/R/F1 for the two label tasks, and BLEU/ROUGE-L plus an embedding
 similarity score for Q&A. Sentence-level metrics are averaged over samples.
 Perplexity enters the aggregate as 1/ln(PPL) so that lower perplexity raises
 the geometric mean like every other metric.
+
+ROUGE-L's LCS is computed bit-parallel, one big-int step per candidate token;
+the tests check it against the memoized LCS recurrence. BLEU builds each
+n-gram level from the one below it.
 """
 from __future__ import annotations
 
@@ -35,8 +39,12 @@ METRIC_NAMES = (
 )
 
 
-def _ngram_counts(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+def _next_level(grams: list, tokens: list[str], n: int) -> list:
+    """The n-grams of ``tokens`` from its (n-1)-grams ``grams``; 1-grams are
+    the tokens themselves."""
+    if n == 2:
+        return list(zip(tokens, tokens[1:]))
+    return [g + (t,) for g, t in zip(grams, tokens[n - 1 :])]
 
 
 def bleu(candidate: list[str], reference: list[str]) -> float:
@@ -47,14 +55,22 @@ def bleu(candidate: list[str], reference: list[str]) -> float:
     if not reference:
         raise ForgeError("reference token sequence is empty")
     log_sum = 0.0
+    cand_grams, ref_grams = candidate, reference
+    clipped = 1
     for n in range(1, 5):
-        cand_counts = _ngram_counts(candidate, n)
-        total = sum(cand_counts.values())
-        if total == 0:
+        total = len(candidate) - n + 1
+        if total <= 0:
             log_sum += 0.25 * math.log(BLEU_EPSILON)
             continue
-        ref_counts = _ngram_counts(reference, n)
-        clipped = sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+        # Once no n-gram matches, no longer gram can: clipped stays 0.
+        if clipped > 0:
+            if n > 1:
+                cand_grams = _next_level(cand_grams, candidate, n)
+                ref_grams = _next_level(ref_grams, reference, n)
+            ref_counts = Counter(ref_grams)
+            clipped = sum(
+                min(c, ref_counts[g]) for g, c in Counter(cand_grams).items() if g in ref_counts
+            )
         p = clipped / total if clipped > 0 else BLEU_EPSILON / total
         log_sum += 0.25 * math.log(p)
     c, r = len(candidate), len(reference)
@@ -63,17 +79,21 @@ def bleu(candidate: list[str], reference: list[str]) -> float:
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
-    # Iterative DP over two rows.
-    prev = [0] * (len(b) + 1)
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004), one big-int
+    step per token of ``a``. After each step the zero bits of ``v`` mark the
+    positions of ``b`` where the LCS of the prefix of ``a`` read so far with
+    the prefix of ``b`` grows, so their count is the LCS length."""
+    masks: dict[str, int] = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    full = (1 << len(b)) - 1
+    v = full
     for x in a:
-        cur = [0] * (len(b) + 1)
-        for j, y in enumerate(b, start=1):
-            if x == y:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = max(prev[j], cur[j - 1])
-        prev = cur
-    return prev[-1]
+        mask = masks.get(x)
+        if mask is not None:
+            u = v & mask
+            v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(candidate: list[str], reference: list[str]) -> float:
@@ -255,7 +275,8 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
     The backend supplies token logprobs (perplexity of rewritten titles) and
     token embeddings (Q&A similarity). Tasks with no samples are reported as
     missing and the aggregate is omitted; so is an aggregate that a metric
-    leaves undefined.
+    leaves undefined. A generation with no tokens on an overlap task is
+    refused, naming its task and sample.
     """
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     missing: list[str] = []
@@ -270,6 +291,9 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
             values.update(zip(fields[0][1], macro_prf(predictions, gold)))
             continue
         gens = [tokenize(s.generation) for s in samples]
+        for s, tokens in zip(samples, gens):
+            if not tokens:
+                raise ForgeError(f"{task.value}: sample {s.sample_id!r} has an empty generation")
         for i, (_, (bleu_key, rouge_key)) in enumerate(fields):
             refs = [tokenize(s.references[i]) for s in samples]
             values[bleu_key] = _mean([bleu(g, r) for g, r in zip(gens, refs)])

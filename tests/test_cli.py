@@ -441,6 +441,53 @@ class TestEvaluateCommand:
         assert captured.err == f"error: {replay} must hold a non-empty JSON list of runs\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("name", [5, "", None], ids=["int", "empty", "null"])
+    def test_replay_row_name_that_is_not_a_non_empty_string_is_refused(
+        self, tmp_path, capsys, name
+    ):
+        rows = json.loads(demo_data_path("reference_runs.json").read_text())[:2]
+        rows[1]["name"] = name
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps(rows), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: replay row 1: name must be a non-empty string\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_replay_rows_with_the_same_name_are_refused(self, tmp_path, capsys):
+        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps([row, row]), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: replay row 1: duplicate name {row['name']!r}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_replay_file_that_is_not_json_is_named_in_the_error(self, tmp_path, capsys):
+        replay = tmp_path / "rows.json"
+        replay.write_text("not json", encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {replay}: Expecting value: line 1 column 1 (char 0)\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("generation", ["", "   "], ids=["empty", "whitespace"])
+    def test_empty_generation_names_task_and_sample(self, tmp_path, capsys, generation):
+        gen_dir = tmp_path / "gens"
+        _write_generations(gen_dir)
+        path = gen_dir / "title_rewriting.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[2]["generation"] = generation
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+        assert code == EXIT_ERROR
+        sample_id = rows[2]["id"]
+        expected = f"error: title_rewriting: sample {sample_id!r} has an empty generation\n"
+        assert capsys.readouterr().err == expected
+        assert list((tmp_path / "out").iterdir()) == []
+
     @pytest.mark.parametrize(
         "answer, message",
         [

@@ -12,6 +12,7 @@ from ecomforge.evalsuite import (
     MetricReport,
     Sample,
     TASK_REFERENCES,
+    _lcs_length,
     bert_style_score,
     bleu,
     evaluate_run,
@@ -99,6 +100,33 @@ class TestRougeL:
         for cand, ref in cases:
             got = rouge_l(cand.split(), ref.split())
             assert got == pytest.approx(oracle_rouge_l(cand.split(), ref.split()), abs=1e-9)
+
+
+# Three tokens and up to 100 per side: many repeats, and bit masks that cross
+# the 64-bit word boundary.
+THREE_TOKEN_LISTS = st.lists(st.sampled_from(["x", "y", "z"]), min_size=1, max_size=100)
+
+
+class TestOverlapKernelsAgainstOracles:
+    @given(THREE_TOKEN_LISTS, THREE_TOKEN_LISTS)
+    def test_lcs_and_rouge_l_match_recurrence(self, cand, ref):
+        assert _lcs_length(cand, ref) == oracle_lcs(cand, ref)
+        assert rouge_l(cand, ref) == pytest.approx(oracle_rouge_l(cand, ref), rel=1e-12)
+
+    @given(THREE_TOKEN_LISTS, THREE_TOKEN_LISTS)
+    def test_bleu_matches_definition(self, cand, ref):
+        assert bleu(cand, ref) == pytest.approx(oracle_bleu(cand, ref), rel=1e-9)
+
+    def test_seventy_token_sides(self):
+        words = "red blue green red blue wool silk red".split()
+        cand = [words[(i * 3) % len(words)] for i in range(70)]
+        ref = [words[(i * 5 + 1) % len(words)] for i in range(70)]
+        lcs = oracle_lcs(cand, ref)
+        assert 0 < lcs < 70
+        assert _lcs_length(cand, ref) == lcs
+        assert _lcs_length(ref, cand) == lcs
+        assert rouge_l(cand, ref) == pytest.approx(100.0 * lcs / 70, rel=1e-12)
+        assert bleu(cand, ref) == pytest.approx(oracle_bleu(cand, ref), rel=1e-9)
 
 
 class TestPerplexity:
@@ -303,6 +331,12 @@ class TestEvaluateRun:
         payload = report.to_json()
         assert payload["GM"] is None and payload["gm_undefined_by"] == undefined_by
         assert set(payload) == set(METRIC_NAMES) | {"GM", "gm_undefined_by"}
+
+    def test_empty_generation_names_task_and_sample(self):
+        data = self._smoke_data()
+        data[TaskKind.GENERAL_QA].append(Sample("q2", " \t", ("an answer",)))
+        with pytest.raises(ForgeError, match=r"^general_qa: sample 'q2' has an empty generation$"):
+            evaluate_run(data, MockBackend(logprob_per_token=-1.0))
 
     def test_label_normalization_applied(self):
         data = {
