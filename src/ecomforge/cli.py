@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import resource
 import sys
@@ -316,7 +317,8 @@ def _read_generations(path: Path) -> dict[str, str]:
     out: dict[str, str] = {}
 
     def parse(row: dict) -> None:
-        sample_id, generation = str(row["id"]), str(row[GENERATION_KEY])
+        sample_id = ingest.string_field(row, "id")
+        generation = ingest.string_field(row, GENERATION_KEY)
         if sample_id in out:
             raise ValueError(f"duplicate id {sample_id!r}")
         out[sample_id] = generation
@@ -403,9 +405,16 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
         for i, row in enumerate(rows):
             try:
                 name = row["name"]
-                metrics = {m: float(row["metrics"][m]) for m in evalsuite.METRIC_NAMES}
-            except (KeyError, TypeError, ValueError) as exc:
+                metrics = {m: row["metrics"][m] for m in evalsuite.METRIC_NAMES}
+            except (KeyError, TypeError) as exc:
                 raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
+            for metric, value in metrics.items():
+                # bool is an int subclass, and json.loads reads NaN and Infinity.
+                if type(value) not in (int, float) or not math.isfinite(value):
+                    raise ForgeError(
+                        f"replay row {i}: {metric} must be a finite number, got {json.dumps(value)}"
+                    )
+                metrics[metric] = float(value)
             if not isinstance(name, str) or not name:
                 raise ForgeError(f"replay row {i}: name must be a non-empty string")
             if name in reports:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .core import ForgeError, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import read_rows, shuffle_key, write_rows
+from .ingest import read_rows, sample, write_rows
 
 NGRAM_ORDER = 3
 
@@ -121,15 +121,11 @@ def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[
     by_task: dict[TaskKind, list[InstructionPair]] = {task: [] for task in TaskKind}
     for pair in pairs:
         by_task[pair.task].append(pair)
+    out: list[InstructionPair] = []
     for task, pool in by_task.items():
         if len(pool) < per_task:
             raise ForgeError(f"{task.value}: {len(pool)} pairs after dedup, need {per_task}")
-    out: list[InstructionPair] = []
-    for task in TaskKind:
-        pool = by_task[task]
-        ranked = sorted(pool, key=lambda p: shuffle_key(rng_seed, f"{task.value}|{p.id}"))
-        chosen = {p.id for p in ranked[:per_task]}
-        out.extend(p for p in pool if p.id in chosen)
+        out.extend(sample(pool, per_task, rng_seed, task.value))
     return out
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ForgeError, TaskKind, normalize_label, tokenize
 from .formulate import LABEL_TASKS
-from .ingest import read_rows
+from .ingest import read_rows, string_field
 from .modelio import Backend
 
 
@@ -365,10 +365,10 @@ def load_ratings(path) -> list[HumanRating]:
     return read_rows(
         path,
         lambda obj: HumanRating(
-            annotator=str(obj["annotator"]),
-            sample_id=str(obj["sample_id"]),
+            annotator=string_field(obj, "annotator"),
+            sample_id=string_field(obj, "sample_id"),
             task=TaskKind(obj["task"]),
-            rate=str(obj["rate"]),
+            rate=string_field(obj, "rate"),
         ),
     )
 

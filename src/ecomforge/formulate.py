@@ -1,16 +1,21 @@
 """Seed-instruction formulation.
 
-Each task has a fixed template whose slots are filled from a product record
-(or, for general Q&A, from a platform question/answer pair). The seed set
-samples a fixed number of pairs per task, deterministically.
+Each record task has a fixed template whose slots are filled from a product
+record, and one table, ``RECORD_TASKS``, holds the record field each task
+takes as input, the fields its output comes from and the fields a record
+must have to be eligible. A general Q&A seed is a platform question/answer
+pair as it stands. The seed set samples a fixed number of pairs per task,
+deterministically.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import ForgeError, ProductRecord, TaskKind, clean_text
-from .ingest import read_rows, shuffle_key
+from .ingest import read_rows, sample, string_field
 
 SEED_ORIGIN = "seed"
 EXPANDED_ORIGIN = "expanded"
@@ -30,9 +35,24 @@ TEMPLATES: dict[TaskKind, str] = {
     TaskKind.INTENT_SPECULATION: "Given the query of {query}, which of the following product category is the customer interested in?",
 }
 
-LABEL_TASKS = frozenset(
-    {TaskKind.PRODUCT_CLASSIFICATION, TaskKind.INTENT_SPECULATION}
-)
+
+class RecordTask(NamedTuple):
+    input: str  # the record field that becomes the pair's input
+    output: tuple[str, ...]  # the first non-empty of these becomes the output
+    needs: tuple[str, ...]  # optional fields a record must have to be eligible
+
+
+# Ads take the richest seller text available as reference output; the
+# teacher diversifies it during expansion.
+RECORD_TASKS: dict[TaskKind, RecordTask] = {
+    TaskKind.ADS_GENERATION: RecordTask("title", ("description", "title"), ()),
+    TaskKind.TITLE_REWRITING: RecordTask("title", ("title",), ("query",)),
+    TaskKind.PRODUCT_CLASSIFICATION: RecordTask("title", ("taxonomy",), ()),
+    TaskKind.INTENT_SPECULATION: RecordTask("query", ("taxonomy",), ("query",)),
+}
+
+# Tasks whose gold output is a taxonomy label.
+LABEL_TASKS = frozenset(t for t, spec in RECORD_TASKS.items() if spec.output == ("taxonomy",))
 
 
 @dataclass(frozen=True)
@@ -43,15 +63,21 @@ class QAPair:
     question: str
     answer: str
 
+    def __post_init__(self) -> None:
+        for name in ("id", "question", "answer"):
+            if not getattr(self, name):
+                raise ValueError(f"Q&A pair {self.id!r}: empty {name}")
+
 
 def load_qa_pairs(path: str | Path) -> list[QAPair]:
-    """Load JSONL {id, question, answer} rows, cleaning text fields."""
+    """Load JSONL {id, question, answer} rows of strings, cleaning the text
+    fields; a row with a non-string field or an empty one is refused."""
     return read_rows(
         path,
         lambda obj: QAPair(
-            id=str(obj["id"]),
-            question=clean_text(str(obj["question"])),
-            answer=clean_text(str(obj["answer"])),
+            id=string_field(obj, "id"),
+            question=clean_text(string_field(obj, "question")),
+            answer=clean_text(string_field(obj, "answer")),
         ),
     )
 
@@ -92,66 +118,26 @@ class InstructionPair:
             raise ValueError(f"pair {self.id!r}: empty output")
 
 
-def _require(task: TaskKind, name: str, value):
-    if not value:
-        raise ForgeError(f"{task.value} requires field {name!r}")
-    return value
-
-
-def instantiate(
-    task: TaskKind,
-    record: ProductRecord | None = None,
-    qa: QAPair | None = None,
-) -> InstructionPair:
-    """Fill a task template from a record (or QA pair) into a seed pair.
+def instantiate(task: TaskKind, record: ProductRecord) -> InstructionPair:
+    """Fill a record task's template from ``record`` into a seed pair.
 
     The input field carries the primary feature text on its own; expansion
     prompts send instruction and input as separate segments.
     """
-    provenance = Provenance(SEED_ORIGIN)
-    if task is TaskKind.GENERAL_QA:
-        qa = _require(task, "qa", qa)
-        return InstructionPair(
-            id=f"seed-{task.value}-{qa.id}",
-            task=task,
-            instruction=_require(task, "question", qa.question),
-            input="",
-            output=_require(task, "answer", qa.answer),
-            provenance=provenance,
-        )
-
-    record = _require(task, "record", record)
+    spec = RECORD_TASKS[task]
+    for name in (spec.input, *spec.needs):
+        if not getattr(record, name):
+            raise ForgeError(f"{task.value} requires field {name!r}")
+    instruction = TEMPLATES[task].format(title=record.title, query=record.query)
+    output = next(filter(None, (getattr(record, name) for name in spec.output)), "")
     pair_id = f"seed-{task.value}-{record.id}"
-    title = _require(task, "title", record.title)
-
-    if task is TaskKind.ADS_GENERATION:
-        # Reference output is the richest seller text available; the teacher
-        # diversifies it during expansion.
-        output = record.description or title
-        instruction = TEMPLATES[task].format(title=title)
-        return InstructionPair(pair_id, task, instruction, title, output, provenance)
-
-    if task is TaskKind.TITLE_REWRITING:
-        query = _require(task, "query", record.query)
-        instruction = TEMPLATES[task].format(title=title, query=query)
-        return InstructionPair(pair_id, task, instruction, title, title, provenance)
-
-    if task is TaskKind.PRODUCT_CLASSIFICATION:
-        instruction = TEMPLATES[task].format(title=title)
-        return InstructionPair(pair_id, task, instruction, title, record.taxonomy, provenance)
-
-    if task is TaskKind.INTENT_SPECULATION:
-        query = _require(task, "query", record.query)
-        instruction = TEMPLATES[task].format(query=query)
-        return InstructionPair(pair_id, task, instruction, query, record.taxonomy, provenance)
-
-    raise ForgeError(f"unknown task {task!r}")
+    return InstructionPair(pair_id, task, instruction, getattr(record, spec.input), output)
 
 
-def _eligible(task: TaskKind, record: ProductRecord) -> bool:
-    if task in (TaskKind.TITLE_REWRITING, TaskKind.INTENT_SPECULATION):
-        return bool(record.query)
-    return True
+def qa_seed(qa: QAPair) -> InstructionPair:
+    """The general Q&A seed: the question is the instruction, the answer the output."""
+    task = TaskKind.GENERAL_QA
+    return InstructionPair(f"seed-{task.value}-{qa.id}", task, qa.question, "", qa.answer)
 
 
 def build_seed_set(
@@ -168,19 +154,12 @@ def build_seed_set(
     pairs: list[InstructionPair] = []
     for task in TaskKind:
         if task is TaskKind.GENERAL_QA:
-            pool_ids = [qa.id for qa in qa_pairs]
+            pool, make = qa_pairs, qa_seed
         else:
-            pool_ids = [r.id for r in records if _eligible(task, r)]
-        if len(pool_ids) < per_task:
-            raise ForgeError(f"{task.value}: {len(pool_ids)} eligible records, need {per_task}")
-        ranked = sorted(pool_ids, key=lambda i: shuffle_key(seed, f"{task.value}|{i}"))
-        chosen = set(ranked[:per_task])
-        if task is TaskKind.GENERAL_QA:
-            pairs.extend(instantiate(task, qa=qa) for qa in qa_pairs if qa.id in chosen)
-        else:
-            pairs.extend(
-                instantiate(task, record=r)
-                for r in records
-                if r.id in chosen and _eligible(task, r)
-            )
+            needs = RECORD_TASKS[task].needs
+            pool = [r for r in records if all(getattr(r, name) for name in needs)]
+            make = partial(instantiate, task)
+        if len(pool) < per_task:
+            raise ForgeError(f"{task.value}: {len(pool)} eligible records, need {per_task}")
+        pairs.extend(map(make, sample(pool, per_task, seed, task.value)))
     return pairs

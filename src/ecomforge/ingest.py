@@ -119,6 +119,14 @@ def read_rows(path: str | Path, parse) -> list:
     return rows
 
 
+def string_field(row: dict, key: str) -> str:
+    """``row[key]``, refused with a TypeError unless it is a JSON string."""
+    value = row[key]
+    if not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string, got {json.dumps(value)}")
+    return value
+
+
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: write a temp file in the
     same directory, then ``os.replace`` it over the target. A crash or failed
@@ -148,6 +156,13 @@ def shuffle_key(seed: int, item_id: str) -> str:
     platforms and processes without relying on RNG internals.
     """
     return hashlib.sha256(f"{seed}|{item_id}".encode("utf-8")).hexdigest()
+
+
+def sample(items: list, k: int, seed: int, salt: str) -> list:
+    """The k items that come first in ``shuffle_key(seed, f"{salt}|{item.id}")``
+    order, returned in their input order."""
+    ranked = sorted(range(len(items)), key=lambda i: shuffle_key(seed, f"{salt}|{items[i].id}"))
+    return [items[i] for i in sorted(ranked[:k])]
 
 
 def split_generic(items: list, ratio: float, seed: int, id_of) -> tuple[list, list]:

@@ -680,6 +680,33 @@ class TestCliErrorSurface:
         assert code == EXIT_ERROR
         assert "replay row 0" in capsys.readouterr().err
 
+    def test_null_generation_is_refused(self, tmp_path, capsys):
+        gen_dir = tmp_path / "gens"
+        sample_id = _write_ads_generation(gen_dir)
+        path = gen_dir / "ads_generation.jsonl"
+        path.write_text(json.dumps({"id": sample_id, "generation": None}) + "\n", encoding="utf-8")
+        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:1: 'generation' must be a string, got null\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "value, shown",
+        [('"NaN"', '"NaN"'), ("NaN", "NaN"), ("-Infinity", "-Infinity"), ("true", "true")],
+        ids=["nan-string", "nan-token", "infinity-token", "bool"],
+    )
+    def test_replay_row_with_non_finite_value_is_refused(self, tmp_path, capsys, value, shown):
+        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
+        row["metrics"]["BL_At"] = "PLACEHOLDER"
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps([row]).replace('"PLACEHOLDER"', value), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: replay row 0: BL_At must be a finite number, got {shown}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
     def test_bad_generation_row_is_clean_error(self, pipeline_dir, tmp_path, capsys):
         out = pipeline_dir / "out"
         gen_dir = tmp_path / "gens"
@@ -702,9 +729,23 @@ class TestCliErrorSurface:
             ("human-eval", "not json", "Expecting value"),
             ("human-eval", '{"annotator": "a", "sample_id": "s1", "task": "ads_generation", '
              '"rate": "E"}', "rate must be one of"),
+            ("formulate", '{"id": "q-x", "question": "Fits?", "answer": null}',
+             "'answer' must be a string, got null"),
+            ("formulate", '{"id": "q-x", "question": "🛍️", "answer": "Yes."}',
+             "Q&A pair 'q-x': empty question"),
+            ("formulate", '{"id": "", "question": "Fits?", "answer": "Yes."}',
+             "Q&A pair '': empty id"),
+            ("formulate", '{"id": 7, "question": "Fits?", "answer": "Yes."}',
+             "'id' must be a string, got 7"),
+            ("human-eval", '{"annotator": null, "sample_id": "s1", "task": "ads_generation", '
+             '"rate": "A"}', "'annotator' must be a string, got null"),
+            ("human-eval", '{"annotator": "a", "sample_id": ["s1"], "task": "ads_generation", '
+             '"rate": "A"}', "'sample_id' must be a string, got [\"s1\"]"),
         ],
         ids=["qa-no-key", "qa-not-object", "qa-not-json",
-             "rating-no-key", "rating-not-object", "rating-not-json", "rating-bad-rate"],
+             "rating-no-key", "rating-not-object", "rating-not-json", "rating-bad-rate",
+             "qa-null-answer", "qa-emoji-only-question", "qa-empty-id", "qa-int-id",
+             "rating-null-annotator", "rating-list-sample-id"],
     )
     def test_malformed_qa_or_rating_row_is_clean_error(
         self, tmp_path, capsys, command, row, message

@@ -19,6 +19,7 @@ from ecomforge.formulate import (
     build_seed_set,
     instantiate,
     load_qa_pairs,
+    qa_seed,
 )
 
 LAMP = ProductRecord(
@@ -81,14 +82,15 @@ class TestInstantiate:
         assert LAMP.taxonomy not in pair.instruction
 
     def test_general_qa(self):
-        pair = instantiate(TaskKind.GENERAL_QA, qa=QA)
+        pair = qa_seed(QA)
         assert pair.instruction == QA.question
         assert pair.input == ""
         assert pair.output == QA.answer
 
-    def test_general_qa_requires_pair(self):
-        with pytest.raises(ForgeError, match="general_qa requires field 'qa'"):
-            instantiate(TaskKind.GENERAL_QA, record=LAMP)
+    def test_ads_output_falls_back_to_title(self):
+        record = ProductRecord(id="x", title="a title", taxonomy="shoes", action=Action.CLICK)
+        pair = instantiate(TaskKind.ADS_GENERATION, record=record)
+        assert pair.input == pair.output == "a title"
 
     def test_slot_values_present_in_instruction(self):
         for task in (

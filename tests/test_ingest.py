@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecomforge.core import Action, ForgeError, ProductRecord
-from ecomforge.ingest import filter_by_action, load_interactions, split_generic
+from ecomforge.ingest import filter_by_action, load_interactions, sample, split_generic
 
 
 def _line(i, action="click", taxonomy="shoes", **extra):
@@ -195,3 +195,24 @@ class TestSplit:
         assert len(train) == math.ceil(ratio * n)
         ids = [r.id for r in train] + [r.id for r in test]
         assert len(set(ids)) == n
+
+
+class TestSample:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("k", [0, 7, 30])
+    def test_matches_sort_take_restore_oracle(self, seed, k):
+        records = [_record(i) for i in range(30)]
+        ranked = sorted(
+            range(len(records)),
+            key=lambda i: hashlib.sha256(f"{seed}|salt|{records[i].id}".encode()).hexdigest(),
+        )
+        expected = [records[i] for i in sorted(ranked[:k])]
+        assert sample(records, k, seed, "salt") == expected
+
+    def test_seed_and_salt_change_the_choice(self):
+        records = [_record(i) for i in range(30)]
+        chosen = {
+            tuple(r.id for r in sample(records, 7, seed, salt))
+            for seed, salt in ((1, "a"), (2, "a"), (1, "b"))
+        }
+        assert len(chosen) == 3
