@@ -192,18 +192,20 @@ def _run_stage(
 
 def _load_split(config: PipelineConfig) -> tuple[list, list, list]:
     """Train records, test records and the load's diagnostics."""
-    records, diagnostics = ingest.load_interactions(_records_path(config))
+    path = _records_path(config)
+    records, diagnostics = ingest.load_interactions(path)
     filtered = ingest.filter_by_action(records)
     train, test = ingest.split_generic(
-        filtered, config["pipeline"]["split_ratio"], config.rng_seed, lambda r: r.id
+        filtered, config["pipeline"]["split_ratio"], config.rng_seed, lambda r: r.id, path
     )
     return train, test, diagnostics
 
 
 def _load_qa_split(config: PipelineConfig) -> tuple[list, list]:
-    qa_pairs = formulate.load_qa_pairs(_qa_path(config))
+    path = _qa_path(config)
+    qa_pairs = formulate.load_qa_pairs(path)
     return ingest.split_generic(
-        qa_pairs, config["pipeline"]["split_ratio"], config.rng_seed, lambda q: q.id
+        qa_pairs, config["pipeline"]["split_ratio"], config.rng_seed, lambda q: q.id, path
     )
 
 
@@ -419,6 +421,9 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
                 raise ForgeError(f"replay row {i}: name must be a non-empty string")
             if name in reports:
                 raise ForgeError(f"replay row {i}: duplicate name {name!r}")
+            undefined = evalsuite.gm_undefined_by(metrics)
+            if undefined:
+                raise ForgeError(f"replay row {i}: GM undefined by {', '.join(undefined)}")
             gm = evalsuite.gm_from_metrics(metrics)
             reports[name] = evalsuite.MetricReport(values=dict(metrics), gm=gm)
         _write_json(

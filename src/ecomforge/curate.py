@@ -10,13 +10,14 @@ written and read by ``ingest.write_rows`` and ``ingest.read_rows``.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ForgeError, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import read_rows, sample, write_rows
+from .ingest import read_rows, sample, string_field, write_rows
 
 NGRAM_ORDER = 3
 
@@ -129,19 +130,26 @@ def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[
     return out
 
 
+def _optional_string(row: dict, key: str) -> str | None:
+    value = row.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string or null, got {json.dumps(value)}")
+    return value
+
+
 def _pair_from_obj(obj: dict) -> InstructionPair:
     prov = obj["provenance"]
     return InstructionPair(
-        id=obj["id"],
+        id=string_field(obj, "id"),
         task=TaskKind(obj["task"]),
-        instruction=obj["instruction"],
-        input=obj["input"],
-        output=obj["output"],
+        instruction=string_field(obj, "instruction"),
+        input=string_field(obj, "input"),
+        output=string_field(obj, "output"),
         provenance=Provenance(
             origin=prov["origin"],
-            strategy=prov.get("strategy"),
-            seed_id=prov.get("seed_id"),
-            teacher=prov.get("teacher"),
+            strategy=_optional_string(prov, "strategy"),
+            seed_id=_optional_string(prov, "seed_id"),
+            teacher=_optional_string(prov, "teacher"),
         ),
     )
 

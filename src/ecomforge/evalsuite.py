@@ -329,6 +329,8 @@ class HumanRating:
     rate: str
 
     def __post_init__(self) -> None:
+        if not self.annotator or not self.sample_id:
+            raise ValueError("annotator and sample_id must be non-empty")
         if self.rate not in RATES:
             raise ValueError(f"rate must be one of {RATES}, got {self.rate!r}")
         if self.task not in HUMAN_EVAL_TASKS:

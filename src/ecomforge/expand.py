@@ -2,12 +2,11 @@
 
 Three strategies: instruction rewriting (all tasks), response generation and
 response rewriting (generative tasks only; classification-style outputs are
-fixed labels and must not change). Each teacher call is one job: a seed
-pair, a strategy, a variant index and a prompt. The jobs run as two flat
-passes over one bounded thread pool: first every instruction rewrite, then
-the response jobs, because response generation j reuses the j-th
-successful rewrite. Output assembly is deterministic: seed order, then
-strategy order, then variant index.
+fixed labels and must not change). Each seed's calls form one chain, run as
+one task on a bounded thread pool: the seed's instruction rewrites, then its
+response generations, because generation j reuses the j-th successful
+rewrite, then its response rewrites. Output assembly is deterministic: seed
+order, then strategy order, then variant index.
 """
 from __future__ import annotations
 
@@ -75,19 +74,19 @@ def expand_corpus(
 ) -> ExpansionResult:
     """Grow the seed set per the plan, returning seeds plus variants.
 
-    Instruction rewrites run first; response generation j then asks for a
-    response to the j-th successful rewrite, or to the seed instruction when
-    fewer rewrites succeeded. Both passes share one pool of
-    ``plan.concurrency`` threads. Failed calls are collected, rewrites
-    first, then per seed the generations before the response rewrites.
-    Raises ForgeError only when every teacher call failed.
+    Each seed's chain is one task on a pool of ``plan.concurrency`` threads:
+    its instruction rewrites, then response generation j on the j-th
+    successful rewrite (or on the seed instruction when fewer rewrites
+    succeeded), then its response rewrites. Failed calls are collected,
+    every seed's rewrites first, then per seed the generations before the
+    response rewrites. Raises ForgeError only when every teacher call failed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
-    teacher = backend.default_model()
+    teacher = backend.model
 
-    def call(job: tuple) -> str | ExpansionFailure:
-        pair, strategy, j, _, prompt = job
+    def call(pair, strategy, j, prompt, failures) -> str | None:
+        """The teacher's cleaned text, or None after adding the failure."""
         request = BackendRequest(
             kind=COMPLETE,
             text=prompt,
@@ -99,11 +98,13 @@ def expand_corpus(
         try:
             text = backend.complete(request)
         except BackendError as exc:
-            return ExpansionFailure(pair.id, strategy, j, str(exc))
+            failures.append(ExpansionFailure(pair.id, strategy, j, str(exc)))
+            return None
         if not text:
-            return ExpansionFailure(
-                pair.id, strategy, j, "teacher returned empty text after cleaning"
+            failures.append(
+                ExpansionFailure(pair.id, strategy, j, "teacher returned empty text after cleaning")
             )
+            return None
         return text
 
     def variant(pair, strategy, j, instruction, output) -> InstructionPair:
@@ -116,51 +117,36 @@ def expand_corpus(
             provenance=Provenance(EXPANDED_ORIGIN, strategy, pair.id, teacher),
         )
 
-    variants: dict[str, list[InstructionPair]] = {pair.id: [] for pair in seeds}
-    failures: list[ExpansionFailure] = []
+    def expand_seed(pair: InstructionPair):
+        """The seed's variants, rewrite failures, response failures and calls."""
+        variants, rewrite_failures, response_failures = [], [], []
+        rewrite_prompt = f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}"
+        for j in range(plan.instruction_rewrites):
+            text = call(pair, INSTRUCTION_REWRITE, j, rewrite_prompt, rewrite_failures)
+            if text is not None:
+                variants.append(variant(pair, INSTRUCTION_REWRITE, j, text, pair.output))
+        if pair.task in LABEL_TASKS:
+            return variants, rewrite_failures, response_failures, plan.instruction_rewrites
+        rewrites = [v.instruction for v in variants]
+        for j in range(plan.response_generations):
+            instruction = rewrites[j] if j < len(rewrites) else pair.instruction
+            prompt = f"{instruction}\n{pair.input}" if pair.input else instruction
+            text = call(pair, RESPONSE_GENERATION, j, prompt, response_failures)
+            if text is not None:
+                variants.append(variant(pair, RESPONSE_GENERATION, j, instruction, text))
+        response_prompt = f"{RESPONSE_REWRITE_PROMPT}\n{pair.output}"
+        for j in range(plan.response_rewrites):
+            text = call(pair, RESPONSE_REWRITE, j, response_prompt, response_failures)
+            if text is not None:
+                variants.append(variant(pair, RESPONSE_REWRITE, j, pair.instruction, text))
+        calls = plan.instruction_rewrites + plan.response_generations + plan.response_rewrites
+        return variants, rewrite_failures, response_failures, calls
 
-    # A job is (seed pair, strategy, index, instruction of the variant, prompt);
-    # an instruction rewrite's variant takes the teacher's text instead.
-    def collect(jobs: list[tuple], results) -> None:
-        for (pair, strategy, j, instruction, _), out in zip(jobs, results):
-            if isinstance(out, ExpansionFailure):
-                failures.append(out)
-            elif strategy == INSTRUCTION_REWRITE:
-                variants[pair.id].append(variant(pair, strategy, j, out, pair.output))
-            else:
-                variants[pair.id].append(variant(pair, strategy, j, instruction, out))
-
-    rewrite_jobs = [
-        (
-            pair,
-            INSTRUCTION_REWRITE,
-            j,
-            None,
-            f"{INSTRUCTION_REWRITE_PROMPT}\n{pair.instruction}",
-        )
-        for pair in seeds
-        for j in range(plan.instruction_rewrites)
-    ]
     with ThreadPoolExecutor(max_workers=plan.concurrency) as pool:
-        collect(rewrite_jobs, pool.map(call, rewrite_jobs))
-        response_jobs = []
-        for pair in seeds:
-            if pair.task in LABEL_TASKS:
-                continue
-            rewrites = [v.instruction for v in variants[pair.id]]
-            for j in range(plan.response_generations):
-                instruction = rewrites[j] if j < len(rewrites) else pair.instruction
-                prompt = f"{instruction}\n{pair.input}" if pair.input else instruction
-                response_jobs.append((pair, RESPONSE_GENERATION, j, instruction, prompt))
-            rewrite_prompt = f"{RESPONSE_REWRITE_PROMPT}\n{pair.output}"
-            response_jobs.extend(
-                (pair, RESPONSE_REWRITE, j, pair.instruction, rewrite_prompt)
-                for j in range(plan.response_rewrites)
-            )
-        collect(response_jobs, pool.map(call, response_jobs))
-
-    total_calls = len(rewrite_jobs) + len(response_jobs)
+        variants, rewrite_failures, response_failures, calls = zip(*pool.map(expand_seed, seeds))
+    failures = [f for seed_failures in rewrite_failures + response_failures for f in seed_failures]
+    total_calls = sum(calls)
     if total_calls > 0 and len(failures) == total_calls:
         raise ForgeError(f"all {total_calls} teacher calls failed")
-    pairs = [p for pair in seeds for p in (pair, *variants[pair.id])]
+    pairs = [p for pair, seed_variants in zip(seeds, variants) for p in (pair, *seed_variants)]
     return ExpansionResult(pairs=pairs, failures=failures)

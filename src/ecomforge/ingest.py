@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,10 +30,15 @@ class MalformedLine:
     reason: str
 
 
-def _optional_text(value) -> str | None:
+def _text_field(obj: dict, key: str) -> str:
+    """The cleaned ``obj[key]``; empty when it is absent or null, refused
+    unless it is a JSON string."""
+    value = obj.get(key)
     if value is None:
-        return None
-    return clean_text(str(value)) or None
+        return ""
+    if not isinstance(value, str):
+        raise ValueError(f"{key!r} must be a string, got {json.dumps(value)}")
+    return clean_text(value)
 
 
 def _parse_line(obj: dict) -> ProductRecord:
@@ -41,22 +47,22 @@ def _parse_line(obj: dict) -> ProductRecord:
     rec_id = obj.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError("missing or empty id")
-    title = clean_text(str(obj.get("title") or ""))
+    title = _text_field(obj, "title")
     if not title:
         raise ValueError("empty title after cleaning")
     taxonomy = clean_text(str(obj.get("taxonomy") or "")).lower()
     if not is_taxonomy_label(taxonomy):
         raise ValueError(f"invalid taxonomy {obj.get('taxonomy')!r}")
     action_raw = obj.get("action")
-    if action_raw not in _ACTIONS:
+    if not isinstance(action_raw, str) or action_raw not in _ACTIONS:
         raise ValueError(f"invalid action {action_raw!r}")
     return ProductRecord(
         id=rec_id,
         title=title,
         taxonomy=taxonomy,
         action=_ACTIONS[action_raw],
-        description=_optional_text(obj.get("description")),
-        query=_optional_text(obj.get("query")),
+        description=_text_field(obj, "description") or None,
+        query=_text_field(obj, "query") or None,
     )
 
 
@@ -165,16 +171,22 @@ def sample(items: list, k: int, seed: int, salt: str) -> list:
     return [items[i] for i in sorted(ranked[:k])]
 
 
-def split_generic(items: list, ratio: float, seed: int, id_of) -> tuple[list, list]:
+def split_generic(
+    items: list, ratio: float, seed: int, id_of, source: str | Path = "input"
+) -> tuple[list, list]:
     """Deterministic two-way split of any id-carrying items: shuffle by
-    seeded hash, first ceil(ratio*n) to the first side."""
+    seeded hash, first ceil(ratio*n) to the first side. A repeated id is
+    refused with an error naming ``source`` and the id."""
     if not items:
         raise ForgeError("cannot split an empty list")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     ids = [id_of(item) for item in items]
     if len(set(ids)) != len(ids):
-        raise ForgeError("duplicate ids; train/test disjointness would break")
+        repeated = next(i for i, n in Counter(ids).items() if n > 1)
+        raise ForgeError(
+            f"{source}: duplicate id {repeated!r}; train/test disjointness would break"
+        )
     shuffled = sorted(items, key=lambda item: shuffle_key(seed, id_of(item)))
     n_first = math.ceil(ratio * len(items))
     return shuffled[:n_first], shuffled[n_first:]

@@ -125,7 +125,10 @@ def with_retry(
 
 class Backend:
     """Shared public surface over a raw ``send``. Safe to share across
-    threads: no per-call mutable state."""
+    threads: no per-call mutable state. ``model`` names the model every
+    request is sent to."""
+
+    model: str
 
     def send(self, request: BackendRequest) -> BackendResponse:
         raise NotImplementedError
@@ -139,14 +142,14 @@ class Backend:
         return clean_text(response.text)
 
     def score_logprobs(self, text: str) -> list[float]:
-        request = BackendRequest(kind=LOGPROBS, text=text, model=self.default_model(), max_tokens=1)
+        request = BackendRequest(kind=LOGPROBS, text=text, model=self.model, max_tokens=1)
         response = self.send(request)
         if response.token_logprobs is None:
             raise BackendError("backend returned no logprobs payload")
         return list(response.token_logprobs)
 
     def embed_tokens(self, text: str) -> list[list[float]]:
-        request = BackendRequest(kind=EMBED, text=text, model=self.default_model(), max_tokens=1)
+        request = BackendRequest(kind=EMBED, text=text, model=self.model, max_tokens=1)
         response = self.send(request)
         if response.token_vectors is None:
             raise BackendError("backend returned no embedding payload")
@@ -154,9 +157,6 @@ class Backend:
         if vectors and any(len(v) != len(vectors[0]) for v in vectors):
             raise BackendError("embedding vectors have inconsistent width")
         return vectors
-
-    def default_model(self) -> str:
-        raise NotImplementedError
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +210,6 @@ class HttpBackend(Backend):
     timeout_s: float = 60.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     session: requests.Session = field(default_factory=requests.Session)
-
-    def default_model(self) -> str:
-        return self.model
 
     def send(self, request: BackendRequest) -> BackendResponse:
         return with_retry(self._send_once, request, self.policy)
@@ -291,9 +288,6 @@ class MockBackend(Backend):
     model: str = "mock"
     logprob_per_token: float | None = None
     embed_dim: int = 16
-
-    def default_model(self) -> str:
-        return self.model
 
     def send(self, request: BackendRequest) -> BackendResponse:
         if request.kind == COMPLETE:

@@ -93,7 +93,7 @@ class TestBackendFactory:
 
         backend = make_backend(load_config(), "mock")
         assert isinstance(backend, MockBackend)
-        assert backend.default_model() == "gpt-3.5-turbo"
+        assert backend.model == "gpt-3.5-turbo"
 
     def test_http_backend_reads_key_from_named_env_var(self, monkeypatch):
         from ecomforge.modelio import HttpBackend
@@ -214,6 +214,19 @@ class TestFormulate:
     def test_missing_input_path(self, tmp_path):
         code = _run(tmp_path, "formulate", config={"paths": {"data_in": str(tmp_path / "nope.jsonl")}})
         assert code == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "key, demo", [("data_in", "demo_records.jsonl"), ("qa_in", "demo_qa.jsonl")]
+    )
+    def test_repeated_id_names_file_and_id(self, tmp_path, capsys, key, demo):
+        lines = demo_data_path(demo).read_text(encoding="utf-8").splitlines()
+        rows = tmp_path / "rows.jsonl"
+        rows.write_text("\n".join([lines[0], *lines]) + "\n", encoding="utf-8")
+        assert _run(tmp_path, "formulate", config={"paths": {key: str(rows)}}) == EXIT_ERROR
+        repeated = json.loads(lines[0])["id"]
+        assert capsys.readouterr().err == (
+            f"error: {rows}: duplicate id {repeated!r}; train/test disjointness would break\n"
+        )
 
     def test_rerun_hash_oracle(self, tmp_path):
         _run(tmp_path, "formulate")
@@ -428,7 +441,27 @@ class TestEvaluateCommand:
         replay.write_text(json.dumps([row]), encoding="utf-8")
         assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
         err = capsys.readouterr().err
-        assert err == "error: value at index 9 is not positive: 0.0\n"
+        assert err == "error: replay row 0: GM undefined by P_pt\n"
+        assert not (tmp_path / "out" / "replay_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "changes, named",
+        [
+            ({"BL_At": 0}, "BL_At"),
+            ({"PPL": 1}, "PPL"),
+            ({"PPL": 0.5, "RL_Ad": -2.0, "BE_qa": 0.0}, "RL_Ad, PPL, BE_qa"),
+        ],
+        ids=["zero-bleu", "ppl-one", "three-metrics"],
+    )
+    def test_replay_row_names_the_metrics_that_undefine_gm(
+        self, tmp_path, capsys, changes, named
+    ):
+        rows = json.loads(demo_data_path("reference_runs.json").read_text())[:2]
+        rows[1]["metrics"].update(changes)
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps(rows), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: replay row 1: GM undefined by {named}\n"
         assert not (tmp_path / "out" / "replay_report.json").exists()
 
     @pytest.mark.parametrize("root", ["5", "[]", '{"name": "run"}'], ids=["int", "empty", "object"])
@@ -741,11 +774,16 @@ class TestCliErrorSurface:
              '"rate": "A"}', "'annotator' must be a string, got null"),
             ("human-eval", '{"annotator": "a", "sample_id": ["s1"], "task": "ads_generation", '
              '"rate": "A"}', "'sample_id' must be a string, got [\"s1\"]"),
+            ("human-eval", '{"annotator": "", "sample_id": "s1", "task": "ads_generation", '
+             '"rate": "A"}', "annotator and sample_id must be non-empty"),
+            ("human-eval", '{"annotator": "a", "sample_id": "", "task": "ads_generation", '
+             '"rate": "A"}', "annotator and sample_id must be non-empty"),
         ],
         ids=["qa-no-key", "qa-not-object", "qa-not-json",
              "rating-no-key", "rating-not-object", "rating-not-json", "rating-bad-rate",
              "qa-null-answer", "qa-emoji-only-question", "qa-empty-id", "qa-int-id",
-             "rating-null-annotator", "rating-list-sample-id"],
+             "rating-null-annotator", "rating-list-sample-id",
+             "rating-empty-annotator", "rating-empty-sample-id"],
     )
     def test_malformed_qa_or_rating_row_is_clean_error(
         self, tmp_path, capsys, command, row, message

@@ -305,8 +305,21 @@ class TestEmitJsonl:
             (lambda row: {k: v for k, v in row.items() if k != "provenance"},
              "row has no 'provenance' key"),
             (lambda row: {**row, "instruction": ""}, "pair 'p001': empty instruction"),
+            (lambda row: {**row, "output": ["a", "b"]},
+             "'output' must be a string, got [\"a\", \"b\"]"),
+            (lambda row: {**row, "id": 1}, "'id' must be a string, got 1"),
+            (lambda row: {**row, "instruction": None}, "'instruction' must be a string, got null"),
+            (lambda row: {**row, "input": {"x": 1}}, "'input' must be a string, got {\"x\": 1}"),
+            (lambda row: {**row, "provenance": {**row["provenance"], "strategy": ["a"]}},
+             "'strategy' must be a string or null, got [\"a\"]"),
+            (lambda row: {**row, "provenance": {**row["provenance"], "seed_id": 3}},
+             "'seed_id' must be a string or null, got 3"),
+            (lambda row: {**row, "provenance": {**row["provenance"], "teacher": True}},
+             "'teacher' must be a string or null, got true"),
         ],
-        ids=["not-object", "unknown-task", "no-provenance", "empty-instruction"],
+        ids=["not-object", "unknown-task", "no-provenance", "empty-instruction",
+             "list-output", "int-id", "null-instruction", "object-input",
+             "list-strategy", "int-seed-id", "bool-teacher"],
     )
     def test_bad_row_is_refused_with_path_line(self, tmp_path, edit, message):
         path = tmp_path / "pairs.jsonl"

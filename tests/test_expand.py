@@ -2,9 +2,11 @@ import dataclasses
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from ecomforge import expand
 from ecomforge.core import ForgeError, TaskKind
 from ecomforge.expand import (
     INSTRUCTION_REWRITE_PROMPT,
@@ -363,6 +365,21 @@ class TestExpandCorpus:
         )
         expand_corpus(Probe(), seeds, plan)
         assert 1 <= state["peak"] <= 3
+
+    def test_one_pool_task_per_seed(self, monkeypatch):
+        submitted = []
+
+        class Counting(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                submitted.append(fn)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(expand, "ThreadPoolExecutor", Counting)
+        seeds = [_seed(task, i) for task in TaskKind for i in range(3)]
+        plan = _plan(instruction_rewrites=2, response_generations=2, response_rewrites=1)
+        result = expand_corpus(MockBackend(), seeds, plan)
+        assert len(submitted) == len(seeds)
+        assert not result.failures
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):

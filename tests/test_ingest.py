@@ -51,8 +51,15 @@ class TestLoadInteractions:
             ({"id": ""}, "missing or empty id"),
             ({"title": "\U0001f6cd \u2728\U0001f381"}, "empty title after cleaning"),
             ({"title": "\U0001f6cd\ufe0f"}, "empty title after cleaning"),
+            ({"title": ["Boho", "bag"]}, "'title' must be a string, got [\"Boho\", \"bag\"]"),
+            ({"title": 7}, "'title' must be a string, got 7"),
+            ({"description": {"text": "soft"}},
+             "'description' must be a string, got {\"text\": \"soft\"}"),
+            ({"query": False}, "'query' must be a string, got false"),
+            ({"action": ["click"]}, "invalid action ['click']"),
         ],
-        ids=["empty-id", "emoji-only-title", "emoji-variation-selector-title"],
+        ids=["empty-id", "emoji-only-title", "emoji-variation-selector-title",
+             "list-title", "int-title", "object-description", "bool-query", "list-action"],
     )
     def test_bad_line_gets_its_diagnostic(self, tmp_path, fields, reason):
         p = tmp_path / "data.jsonl"
@@ -186,6 +193,12 @@ class TestSplit:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ForgeError, match="duplicate"):
             _split([_record(0), _record(0)], 0.5, seed=0)
+        records = [_record(0), _record(1), _record(2), _record(1), _record(0)]
+        with pytest.raises(ForgeError) as excinfo:
+            split_generic(records, 0.5, 0, lambda r: r.id, "data/records.jsonl")
+        assert str(excinfo.value) == (
+            "data/records.jsonl: duplicate id 'rec-000'; train/test disjointness would break"
+        )
 
     @given(st.integers(1, 60), st.floats(0.05, 0.95), st.integers(0, 1000))
     def test_partition_property(self, n, ratio, seed):
