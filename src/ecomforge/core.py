@@ -1,11 +1,11 @@
 """Shared domain types, the product taxonomy, and text normalization.
 
-Everything here is pure and stateless; the rest of the toolkit builds on
-these primitives, and raises ``ForgeError`` for everything it refuses.
+Everything here is pure; the only state is two tables that memoize Unicode
+category lookups. The rest of the toolkit builds on these primitives, and
+raises ``ForgeError`` for everything it refuses.
 """
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass
 from enum import Enum
@@ -80,12 +80,40 @@ def is_taxonomy_label(value: str) -> bool:
     return value in _TAXONOMY_SET
 
 
+class _CharTable(dict):
+    """A table that fills itself: looking up a missing key stores and returns
+    ``classify(key)``. It is only ever filled, so it needs no lock; threads
+    racing on one key only compute the same value twice. It holds at most one
+    entry per distinct character seen."""
+
+    __slots__ = ("classify",)
+
+    def __init__(self, classify):
+        super().__init__()
+        self.classify = classify
+
+    def __missing__(self, key):
+        value = self[key] = self.classify(key)
+        return value
+
+
 # Unicode general categories stripped by clean_text: symbols (So, Sk) cover
 # emoji and modifier marks, C* covers control/format/private-use/surrogates.
+# In ASCII that is "^" and "`" (Sk) and DEL (Cc).
 _STRIP_CATEGORIES = frozenset({"So", "Sk", "Cc", "Cf", "Co", "Cs"})
-# Variation selectors (Mn) only pick an emoji's glyph: kept, "\U0001f6cd\ufe0f"
-# would clean to an invisible "\ufe0f". None is ASCII, so ASCII skips the search.
-_VARIATION_SELECTORS = re.compile("[\ufe00-\ufe0f\U000e0100-\U000e01ef]")
+
+
+def _clean_code_point(cp: int) -> int:
+    # Variation selectors (Mn) only pick an emoji's glyph: kept,
+    # "\U0001f6cd\ufe0f" would clean to an invisible "\ufe0f".
+    selector = 0xFE00 <= cp <= 0xFE0F or 0xE0100 <= cp <= 0xE01EF
+    return 0x20 if selector or unicodedata.category(chr(cp)) in _STRIP_CATEGORIES else cp
+
+
+# clean_text's str.translate table (code point -> code point), and whether a
+# character is punctuation (tokenize, normalize_label).
+_CLEAN = _CharTable(_clean_code_point)
+_PUNCT = _CharTable(lambda ch: unicodedata.category(ch).startswith("P"))
 
 
 def clean_text(raw: str) -> str:
@@ -96,19 +124,7 @@ def clean_text(raw: str) -> str:
     becomes "a b" rather than "ab". Whitespace runs collapse to single
     spaces; the result is stripped. Idempotent.
     """
-    if not raw.isascii():
-        raw = _VARIATION_SELECTORS.sub(" ", raw)
-    out = []
-    for ch in raw:
-        if unicodedata.category(ch) in _STRIP_CATEGORIES:
-            out.append(" ")
-        else:
-            out.append(ch)
-    return " ".join("".join(out).split())
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+    return " ".join(raw.translate(_CLEAN).split())
 
 
 def tokenize(text: str) -> list[str]:
@@ -120,19 +136,18 @@ def tokenize(text: str) -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.lower().split():
-        lead: list[str] = []
-        trail: list[str] = []
+        if not (_PUNCT[chunk[0]] or _PUNCT[chunk[-1]]):
+            tokens.append(chunk)
+            continue
         start, end = 0, len(chunk)
-        while start < end and _is_punct(chunk[start]):
-            lead.append(chunk[start])
+        while start < end and _PUNCT[chunk[start]]:
             start += 1
-        while end > start and _is_punct(chunk[end - 1]):
-            trail.append(chunk[end - 1])
+        while end > start and _PUNCT[chunk[end - 1]]:
             end -= 1
-        tokens.extend(lead)
+        tokens.extend(chunk[:start])
         if start < end:
             tokens.append(chunk[start:end])
-        tokens.extend(reversed(trail))
+        tokens.extend(chunk[end:])
     return tokens
 
 
@@ -147,7 +162,7 @@ def normalize_label(free_text: str) -> str | None:
     cleaned = clean_text(free_text).lower().replace("&", " and ")
     words = []
     for word in cleaned.split():
-        stripped = "".join(c for c in word if not _is_punct(c))
+        stripped = "".join([c for c in word if not _PUNCT[c]])
         if stripped:
             words.append(stripped)
     for phrase, label in _TAXONOMY_WORDS:

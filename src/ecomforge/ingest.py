@@ -66,6 +66,14 @@ def _parse_line(obj: dict) -> ProductRecord:
     )
 
 
+def _lines(path: Path):
+    """``(line number, bytes)`` of each line of ``path``. Only \\n, \\r and
+    \\r\\n end a line: ``str.splitlines`` also breaks at U+2028, U+0085 and
+    other separators that ``canonical_json`` writes raw inside strings. Each
+    reader decodes a line on its own, so a bad byte is that line's fault."""
+    return enumerate(path.read_bytes().splitlines(), 1)
+
+
 def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[MalformedLine]]:
     """Load interaction rows, cleaning text fields and rejecting bad lines.
 
@@ -74,18 +82,19 @@ def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[Malfo
     """
     path = Path(path)
     try:
-        raw_lines = path.read_text(encoding="utf-8").splitlines()
+        raw_lines = _lines(path)
     except OSError as exc:
         raise ForgeError(f"cannot read {path}: {exc}") from exc
 
     records: list[ProductRecord] = []
     diagnostics: list[MalformedLine] = []
-    for line_no, line in enumerate(raw_lines, start=1):
-        if not line.strip():
-            continue
+    for line_no, raw in raw_lines:
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             records.append(_parse_line(json.loads(line)))
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             diagnostics.append(MalformedLine(line=line_no, reason=str(exc)))
 
     if diagnostics and not records:
@@ -107,20 +116,22 @@ def write_rows(path: str | Path, rows) -> bytes:
 
 def read_rows(path: str | Path, parse) -> list:
     """``parse(obj)`` of each non-blank row of a JSONL file. A row that is not
-    JSON, not an object, or that ``parse`` rejects with KeyError, TypeError or
-    ValueError is refused with a ForgeError naming path:line."""
+    UTF-8, not JSON, nested too deeply to parse, not an object, or that
+    ``parse`` rejects with KeyError, TypeError or ValueError is refused with a
+    ForgeError naming path:line."""
     rows = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
+    for line_no, raw in _lines(Path(path)):
         try:
+            line = raw.decode("utf-8")
+            if not line.strip():
+                continue
             obj = json.loads(line)
             if not isinstance(obj, dict):
                 raise ValueError("row is not a JSON object")
             rows.append(parse(obj))
         except KeyError as exc:
             raise ForgeError(f"{path}:{line_no}: row has no {exc.args[0]!r} key") from None
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise ForgeError(f"{path}:{line_no}: {exc}") from None
     return rows
 

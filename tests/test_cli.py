@@ -271,6 +271,24 @@ class TestExpandCommand:
         assert main(["expand", "--backend", "mock", "--set", f"paths.out_dir={out}"]) == EXIT_OK
         assert (out / "expanded.jsonl").read_bytes() == first
 
+    def test_line_separator_in_an_id_survives_formulate_and_expand(self, tmp_path):
+        # seeds.jsonl holds the id's U+2028 raw; str.splitlines would break
+        # the row there and expand would refuse the file formulate wrote.
+        lines = demo_data_path("demo_records.jsonl").read_bytes().splitlines()
+        rows = [json.loads(line) for line in lines]
+        for row in rows[:200]:
+            row["id"] += "\u2028x"
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        config = {"paths": {"data_in": str(records)}}
+        assert _run(tmp_path, "formulate", config=config) == EXIT_OK
+        assert "\u2028x".encode() in (tmp_path / "out" / "seeds.jsonl").read_bytes()
+        assert _run(tmp_path, "expand", "--backend", "mock", config=config) == EXIT_OK
+        seeds = load_jsonl(tmp_path / "out" / "seeds.jsonl")
+        expanded = load_jsonl(tmp_path / "out" / "expanded.jsonl")
+        assert {p.id for p in seeds} <= {p.id for p in expanded}
+        assert any("\u2028x" in p.id for p in seeds)
+
     def test_count_matches_closed_form(self, pipeline_dir):
         out = pipeline_dir / "out"
         seeds = load_jsonl(out / "seeds.jsonl")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import ecomforge
+from ecomforge import core
 from ecomforge.core import (
     TAXONOMY,
     Action,
@@ -104,6 +105,10 @@ class TestCleanText:
         strip = {"So", "Sk", "Cc", "Cf", "Co", "Cs"}
         assert not any(unicodedata.category(c) in strip for c in cleaned)
         assert "  " not in cleaned
+
+    def test_ascii_symbols_and_del_are_stripped(self):
+        # "^" and "`" are category Sk and DEL is Cc, though all three are ASCII.
+        assert clean_text("a^b`c\x7fd") == "a b c d"
 
 
 class TestTokenize:
@@ -218,6 +223,53 @@ class TestNormalizeLabel:
     def test_output_valid_or_unmapped(self, raw):
         got = normalize_label(raw)
         assert got is None or is_taxonomy_label(got)
+
+
+def _is_variation_selector(c):
+    return "\ufe00" <= c <= "\ufe0f" or "\U000e0100" <= c <= "\U000e01ef"
+
+
+class TestEveryCodePoint:
+    def test_clean_text_matches_the_category_filter(self, monkeypatch):
+        # One string per plane, each on a fresh table: every code point takes
+        # the table's fill path, and the module's own table keeps no entry
+        # per code point once the test ends.
+        strip = {"So", "Sk", "Cc", "Cf", "Co", "Cs"}
+        for plane in range(17):
+            monkeypatch.setattr(core, "_CLEAN", type(core._CLEAN)(core._CLEAN.classify))
+            raw = "".join(map(chr, range(plane << 16, (plane + 1) << 16)))
+            expected = " ".join(
+                "".join(
+                    [
+                        " " if unicodedata.category(c) in strip or _is_variation_selector(c) else c
+                        for c in raw
+                    ]
+                ).split()
+            )
+            assert clean_text(raw) == expected, f"plane {plane}"
+
+    def test_tokenize_matches_the_reference_splitter(self):
+        # Chunks of 97 consecutive code points: the edges of each chunk fall
+        # on punctuation runs, letters with multi-character lowercase forms,
+        # and everything between.
+        def reference(text):
+            out = []
+            for chunk in text.lower().split():
+                chars = list(chunk)
+                i, j = 0, len(chars)
+                while i < j and unicodedata.category(chars[i]).startswith("P"):
+                    i += 1
+                while j > i and unicodedata.category(chars[j - 1]).startswith("P"):
+                    j -= 1
+                out.extend(chars[:i])
+                if i < j:
+                    out.append("".join(chars[i:j]))
+                out.extend(chars[j:])
+            return out
+
+        every = "".join(map(chr, range(0x110000)))
+        text = " ".join(every[i : i + 97] for i in range(0, len(every), 97))
+        assert tokenize(text) == reference(text)
 
 
 class TestErrorType:

@@ -6,7 +6,29 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ecomforge.core import Action, ForgeError, ProductRecord
-from ecomforge.ingest import filter_by_action, load_interactions, sample, split_generic
+from ecomforge.ingest import (
+    canonical_json,
+    filter_by_action,
+    load_interactions,
+    read_rows,
+    sample,
+    split_generic,
+    write_rows,
+)
+
+# Characters at which str.splitlines breaks a line but JSONL does not;
+# canonical_json writes them raw inside strings.
+SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+# Lines no reader can parse, with the start of the reason each one gets.
+UNPARSEABLE = pytest.mark.parametrize(
+    "raw, reason",
+    [
+        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ],
+    ids=["not-utf8", "nested-200000-deep"],
+)
 
 
 def _line(i, action="click", taxonomy="shoes", **extra):
@@ -68,6 +90,26 @@ class TestLoadInteractions:
         assert [r.id for r in records] == ["rec-000"]
         assert [(d.line, d.reason) for d in diags] == [(2, reason)]
 
+    @UNPARSEABLE
+    def test_unparseable_line_gets_its_diagnostic(self, tmp_path, raw, reason):
+        p = tmp_path / "data.jsonl"
+        p.write_bytes(b"\n".join([_line(0).encode(), raw, _line(2).encode()]) + b"\n")
+        records, diags = load_interactions(p)
+        assert [r.id for r in records] == ["rec-000", "rec-002"]
+        assert [d.line for d in diags] == [2] and diags[0].reason.startswith(reason)
+
+    def test_only_newlines_end_a_line(self, tmp_path):
+        lines = [
+            canonical_json(json.loads(_line(i, id=f"rec-{i:03d}{sep}x")))
+            for i, sep in enumerate(SEPARATORS)
+        ]
+        p = tmp_path / "data.jsonl"
+        text = "\n".join(lines[:3]) + "\r\n" + "\r".join(lines[3:]) + "\nnot json\n"
+        p.write_bytes(text.encode())
+        records, diags = load_interactions(p)
+        assert [r.id for r in records] == [f"rec-{i:03d}{sep}x" for i, sep in enumerate(SEPARATORS)]
+        assert [d.line for d in diags] == [len(SEPARATORS) + 1]
+
     def test_three_line_fixture_hand_parsed(self, tmp_path):
         # Hand parse: line 2 has an invalid taxonomy, lines 1 and 3 are good.
         p = tmp_path / "data.jsonl"
@@ -121,6 +163,22 @@ class TestLoadInteractions:
         p.write_text("\n".join(_line(i) for i in range(20)) + "\n", encoding="utf-8")
         records, _ = load_interactions(p)
         assert [r.id for r in records] == [f"rec-{i:03d}" for i in range(20)]
+
+
+class TestReadRows:
+    def test_separators_inside_strings_round_trip(self, tmp_path):
+        rows = [{"id": f"r{i}{sep}x", "text": f"a{sep}b"} for i, sep in enumerate(SEPARATORS)]
+        p = tmp_path / "rows.jsonl"
+        write_rows(p, rows)
+        assert read_rows(p, dict) == rows
+
+    @UNPARSEABLE
+    def test_unparseable_row_names_path_and_line(self, tmp_path, raw, reason):
+        p = tmp_path / "rows.jsonl"
+        p.write_bytes(b'{"id": "a"}\n' + raw + b"\n")
+        with pytest.raises(ForgeError) as info:
+            read_rows(p, dict)
+        assert str(info.value).startswith(f"{p}:2: {reason}")
 
 
 class TestFilterByAction:
