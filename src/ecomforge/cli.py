@@ -20,10 +20,16 @@ import time
 from importlib import resources
 from pathlib import Path
 
-from . import curate, evalsuite, expand, formulate, ingest, lora
-from .config import PipelineConfig, load_config
-from .core import ForgeError, TaskKind
-from .modelio import Backend, HttpBackend, MockBackend, RetryPolicy
+# Set before the imports below load numpy. forge's matrices (one token
+# similarity matrix per Q&A sample, the adapter checks) are small, and an
+# OpenBLAS worker thread spins for 20-50 ms of CPU after numpy loads whether
+# or not it is ever used. A count the caller set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import curate, evalsuite, expand, formulate, ingest, lora  # noqa: E402
+from .config import PipelineConfig, load_config  # noqa: E402
+from .core import ForgeError, TaskKind  # noqa: E402
+from .modelio import Backend, HttpBackend, MockBackend, RetryPolicy  # noqa: E402
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -125,13 +131,13 @@ def _read_stages(out_dir: Path) -> dict:
     if not path.exists():
         return {}
     try:
-        stages = json.loads(path.read_text(encoding="utf-8"))["stages"]
+        stages = ingest.read_json(path)["stages"]
         ok = isinstance(stages, dict) and all(
             isinstance(record, dict)
             and all(isinstance(record.get(key, {}), dict) for key in ("inputs", "outputs"))
             for record in stages.values()
         )
-    except (KeyError, TypeError, ValueError):
+    except (ForgeError, KeyError, TypeError):
         ok = False
     if not ok:
         raise ForgeError(f"{path} is not a run manifest")
@@ -397,10 +403,7 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
         replay_path = demo_data_path("reference_runs.json")
 
     def body():
-        try:
-            rows = json.loads(Path(replay_path).read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise ForgeError(f"{replay_path}: {exc}") from exc
+        rows = ingest.read_json(replay_path)
         if not isinstance(rows, list) or not rows:
             raise ForgeError(f"{replay_path} must hold a non-empty JSON list of runs")
         reports: dict[str, evalsuite.MetricReport] = {}

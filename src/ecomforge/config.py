@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ForgeError, TaskKind
+from .ingest import read_json
 
 DEFAULTS: dict = {
     "backend": {
@@ -57,7 +58,10 @@ DEFAULTS: dict = {
 
 
 def _deep_merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
+    """``base`` with ``override`` merged in, as new dicts down each merged
+    path; neither argument is changed, and no value is copied, so a deeply
+    nested value costs no recursion here."""
+    out = dict(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
@@ -75,11 +79,14 @@ def parse_override(expr: str) -> tuple[str, object]:
     if "=" not in expr:
         raise ForgeError(f"--set expects key=value, got {expr!r}")
     key, raw = expr.split("=", 1)
+    key = key.strip()
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip(), value
+    except RecursionError:
+        raise ForgeError(f"--set {key}: value is nested too deeply to parse") from None
+    return key, value
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,11 @@ def _check_types(default, value, where: str = "") -> None:
     else:
         ok, kind = isinstance(value, str), "a string"
     if not ok:
-        raise ForgeError(f"{where} must be {kind}, got {json.dumps(value)}")
+        try:
+            shown = json.dumps(value)
+        except RecursionError:
+            shown = "a value nested too deeply to show"
+        raise ForgeError(f"{where} must be {kind}, got {shown}")
 
 
 def _validate(cfg: dict) -> None:
@@ -170,11 +181,9 @@ def load_config(
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
         try:
-            loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+            loaded = read_json(path)
         except OSError as exc:
             raise ForgeError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ForgeError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ForgeError("config root must be a JSON object")
         cfg = _deep_merge(cfg, loaded)

@@ -160,15 +160,17 @@ def macro_prf(
 
 
 def bert_style_score(
-    candidate_vectors: list[list[float]], reference_vectors: list[list[float]]
+    candidate_vectors: np.ndarray | list[list[float]],
+    reference_vectors: np.ndarray | list[list[float]],
 ) -> tuple[float, float, float]:
-    """Greedy cosine matching between token embeddings.
+    """Greedy cosine matching between token embeddings, given as nested lists
+    or as 2-D float arrays (one row per token).
 
     Recall averages each reference token's best match among candidate tokens;
     precision is symmetric; F1 is their harmonic mean (zero unless both sides
     are positive). No baseline rescaling. Scaled to 0-100.
     """
-    if not candidate_vectors or not reference_vectors:
+    if len(candidate_vectors) == 0 or len(reference_vectors) == 0:
         raise ForgeError("both sides need at least one token vector")
     cand = np.asarray(candidate_vectors, dtype=float)
     ref = np.asarray(reference_vectors, dtype=float)
@@ -273,10 +275,10 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
     """Compute the full report over aligned per-task samples.
 
     The backend supplies token logprobs (perplexity of rewritten titles) and
-    token embeddings (Q&A similarity). Tasks with no samples are reported as
-    missing and the aggregate is omitted; so is an aggregate that a metric
-    leaves undefined. A generation with no tokens on an overlap task is
-    refused, naming its task and sample.
+    token embeddings (Q&A similarity), one call per distinct text per run.
+    Tasks with no samples are reported as missing and the aggregate is
+    omitted; so is an aggregate that a metric leaves undefined. A generation
+    with no tokens on an overlap task is refused, naming its task and sample.
     """
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     missing: list[str] = []
@@ -298,16 +300,19 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
             refs = [tokenize(s.references[i]) for s in samples]
             values[bleu_key] = _mean([bleu(g, r) for g, r in zip(gens, refs)])
             values[rouge_key] = _mean([rouge_l(g, r) for g, r in zip(gens, refs)])
+        # The scorer is a pure function of the text, so each distinct text
+        # is scored once, in first-seen order, and read back per sample.
         if task is TaskKind.TITLE_REWRITING:
-            values["PPL"] = _mean(
-                [perplexity(backend.score_logprobs(s.generation)) for s in samples]
-            )
+            texts = dict.fromkeys(s.generation for s in samples)
+            ppl = {t: perplexity(backend.score_logprobs(t)) for t in texts}
+            values["PPL"] = _mean([ppl[s.generation] for s in samples])
         elif task is TaskKind.GENERAL_QA:
-            f1s = []
-            for s in samples:
-                cand_vectors = backend.embed_tokens(s.generation)
-                ref_vectors = backend.embed_tokens(s.references[0])
-                f1s.append(bert_style_score(cand_vectors, ref_vectors)[2])
+            texts = dict.fromkeys(t for s in samples for t in (s.generation, s.references[0]))
+            vectors = {t: np.asarray(backend.embed_tokens(t), dtype=float) for t in texts}
+            f1s = [
+                bert_style_score(vectors[s.generation], vectors[s.references[0]])[2]
+                for s in samples
+            ]
             values["BE_qa"] = _mean(f1s)
 
     gm = None if missing or gm_undefined_by(values) else gm_from_metrics(values)

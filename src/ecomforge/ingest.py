@@ -6,6 +6,8 @@ loaded line by line: a bad line becomes a diagnostic and the load goes on.
 Every other JSONL file is written by ``write_rows``, one canonical line per
 row (sorted keys, compact separators, UTF-8, LF), and read by ``read_rows``,
 which refuses the whole file at its first bad row with one path:line error.
+A whole-file JSON input (config, replay rows, run manifest) is read by
+``read_json``, which refuses it with one error naming the file.
 """
 from __future__ import annotations
 
@@ -134,6 +136,16 @@ def read_rows(path: str | Path, parse) -> list:
         except (TypeError, ValueError, RecursionError) as exc:
             raise ForgeError(f"{path}:{line_no}: {exc}") from None
     return rows
+
+
+def read_json(path: str | Path):
+    """The JSON value of a whole file. A file that is not UTF-8, not JSON or
+    nested too deeply to parse is refused with a ForgeError naming it; a
+    file that cannot be read raises OSError."""
+    try:
+        return json.loads(Path(path).read_bytes().decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ForgeError(f"{path}: {exc}") from None
 
 
 def string_field(row: dict, key: str) -> str:

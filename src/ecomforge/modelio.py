@@ -12,12 +12,14 @@ import hashlib
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-import requests
 
 from .core import ForgeError, clean_text, tokenize
+
+if TYPE_CHECKING:
+    import requests
 
 COMPLETE = "complete"
 LOGPROBS = "logprobs"
@@ -194,6 +196,12 @@ def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
         raise BackendError(f"missing embeddings: {exc}") from exc
 
 
+def _new_session() -> requests.Session:
+    import requests
+
+    return requests.Session()
+
+
 @dataclass
 class HttpBackend(Backend):
     """Client for a chat-completions-compatible server.
@@ -201,7 +209,8 @@ class HttpBackend(Backend):
     Completions and logprob scoring POST to ``{base_url}/chat/completions``;
     token embeddings POST to ``{base_url}/embeddings`` with the token list as
     input. The API key is read from the named environment variable, never
-    from configuration files.
+    from configuration files. ``requests`` is imported on first use, so a
+    run that never makes an HttpBackend does not load it.
     """
 
     base_url: str
@@ -209,12 +218,14 @@ class HttpBackend(Backend):
     api_key: str | None = None
     timeout_s: float = 60.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    session: requests.Session = field(default_factory=requests.Session)
+    session: requests.Session = field(default_factory=_new_session)
 
     def send(self, request: BackendRequest) -> BackendResponse:
         return with_retry(self._send_once, request, self.policy)
 
     def _send_once(self, request: BackendRequest) -> BackendResponse:
+        import requests
+
         if request.kind == EMBED:
             url = self.base_url.rstrip("/") + "/embeddings"
             body: dict = {"model": request.model, "input": tokenize(request.text)}

@@ -15,12 +15,15 @@ from ecomforge.cli import (
     main,
     make_backend,
 )
-from ecomforge.config import DEFAULTS, load_config, parse_override
+from ecomforge.config import DEFAULTS, _validate, load_config, parse_override
 from ecomforge.core import TAXONOMY, ForgeError, TaskKind
 from ecomforge.curate import load_jsonl
 from ecomforge.expand import ExpansionFailure
 from ecomforge.ingest import canonical_json, write_rows
 from ecomforge.modelio import LOGPROBS, BackendResponse, MockBackend, TransportError
+
+# A whole-file JSON value nested deeper than any parser recursion limit.
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
 
 
 def _run(tmp_path, *argv, config=None):
@@ -110,6 +113,31 @@ class TestBackendFactory:
         monkeypatch.delenv("FORGE_API_KEY", raising=False)
         backend = make_backend(load_config(), "http")
         assert backend.api_key is None
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+    def test_cli_import_defaults_openblas_to_one_thread(self, preset, expected):
+        # A fresh interpreter, so numpy loads after the CLI module sets the
+        # default; on Linux no BLAS worker thread is started then.
+        script = (
+            "import os\n"
+            "import ecomforge.cli, numpy\n"
+            "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(Path(evalsuite.__file__).parent.parent)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        threads, tasks = done.stdout.split()
+        assert threads == expected
+        if preset is None:
+            assert tasks == "1"
 
 
 class TestConfig:
@@ -822,6 +850,53 @@ class TestCliErrorSurface:
         assert f"rows.jsonl:2: {message}" in err
 
 
+    @pytest.mark.parametrize(
+        "content", [DEEP_JSON.encode(), b"\xff{}"], ids=["nested-200000-deep", "not-utf8"]
+    )
+    def test_unparseable_config_file_is_named_in_the_error(self, tmp_path, capsys, content):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code = main(["formulate", "--config", str(path), "--set", f"paths.out_dir={tmp_path}/out"])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_deeply_nested_replay_file_is_named_in_the_error(self, tmp_path, capsys):
+        replay = tmp_path / "rows.json"
+        replay.write_text(DEEP_JSON, encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {replay}: ") and err.count("\n") == 1
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_deeply_nested_override_names_its_key(self, tmp_path, capsys):
+        deep = "[" * 5000 + "]" * 5000
+        assert _run(tmp_path, "formulate", "--set", f"pipeline.x={deep}") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: --set pipeline.x: value is nested too deeply to parse\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_nested_config_value_then_override_is_one_line_error(self, tmp_path, capsys):
+        # Each --set merges into the config read so far; a 500-deep list in
+        # the file must not cost a recursion per level there.
+        deep = json.loads("[" * 500 + "]" * 500)
+        code = _run(tmp_path, "formulate", config={"pipeline": {"heldout_intents": deep}})
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: pipeline.heldout_intents must be a non-empty list of strings")
+        assert err.count("\n") == 1
+
+    def test_value_too_deep_to_show_is_refused(self):
+        deep: list = []
+        for _ in range(100_000):
+            deep = [deep]
+        cfg = load_config().data
+        cfg["pipeline"]["heldout_intents"] = deep
+        with pytest.raises(ForgeError, match="got a value nested too deeply to show$"):
+            _validate(cfg)
+
+
 class TestManifestAndLock:
     def test_check_manifest_ok_then_detects_tamper(self, tmp_path, capsys):
         _run(tmp_path, "formulate")
@@ -856,8 +931,14 @@ class TestManifestAndLock:
     @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
     @pytest.mark.parametrize(
         "manifest",
-        ["[]", '{"stages": []}', "not json", '{"stages": {"formulate": {"outputs": []}}}'],
-        ids=["list", "stages-list", "not-json", "outputs-list"],
+        [
+            "[]",
+            '{"stages": []}',
+            "not json",
+            '{"stages": {"formulate": {"outputs": []}}}',
+            DEEP_JSON,
+        ],
+        ids=["list", "stages-list", "not-json", "outputs-list", "nested-200000-deep"],
     )
     def test_malformed_run_manifest_is_refused_before_any_write(
         self, tmp_path, capsys, command, manifest

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from ecomforge import evalsuite
 from ecomforge.core import ForgeError, TaskKind, tokenize
 from ecomforge.evalsuite import (
     METRIC_NAMES,
@@ -26,7 +27,7 @@ from ecomforge.evalsuite import (
     render_table,
     rouge_l,
 )
-from ecomforge.modelio import MockBackend
+from ecomforge.modelio import EMBED, LOGPROBS, MockBackend, TransportError
 
 from oracles import (
     oracle_bert_score,
@@ -377,6 +378,102 @@ class TestEvaluateRun:
         manual = [50.0] * 18
         manual[METRIC_NAMES.index("PPL")] = 1 / math.log(132.86)
         assert gm_from_metrics(values) == pytest.approx(geometric_mean(manual))
+
+
+class _CountingBackend(MockBackend):
+    """The mock backend, recording each request's (kind, text) in order and
+    refusing the texts in ``fail_on``."""
+
+    def __init__(self, fail_on=()):
+        super().__init__()
+        self.calls = []
+        self.fail_on = set(fail_on)
+
+    def send(self, request):
+        self.calls.append((request.kind, request.text))
+        if request.text in self.fail_on:
+            raise TransportError(f"scorer refused {request.text!r}", status=500)
+        return super().send(request)
+
+
+def _per_sample_scorer_metrics(data, backend):
+    """PPL and BE_qa as evaluate_run computed them before it scored each
+    distinct text once: one backend call per sample and side."""
+    rewriting = data[TaskKind.TITLE_REWRITING]
+    ppl = sum(perplexity(backend.score_logprobs(s.generation)) for s in rewriting)
+    f1s = []
+    for s in data[TaskKind.GENERAL_QA]:
+        cand_vectors = backend.embed_tokens(s.generation)
+        ref_vectors = backend.embed_tokens(s.references[0])
+        f1s.append(bert_style_score(cand_vectors, ref_vectors)[2])
+    return {"PPL": ppl / len(rewriting), "BE_qa": sum(f1s) / len(f1s)}
+
+
+class TestScorerCallsPerDistinctText:
+    # Repeated generations in both scored tasks, a repeated Q&A reference,
+    # and one Q&A text that is a generation in one sample and the reference
+    # in another.
+    REWRITES = ["oak desk lamp", "silver ring", "oak desk lamp", "wool scarf", "silver ring"]
+    QA = [
+        ("yes it fits", "it fits a queen bed"),
+        ("ships in two days", "yes it fits"),
+        ("yes it fits", "it fits a queen bed"),
+        ("no", "it fits a queen bed"),
+        ("ships in two days", "two to three days"),
+    ]
+
+    def _data(self):
+        title = "oak desk lamp with dimmer"
+        return {
+            TaskKind.ADS_GENERATION: [Sample("a1", title, (title, title))],
+            TaskKind.TITLE_REWRITING: [
+                Sample(f"t{i}", gen, (title, "desk lamp")) for i, gen in enumerate(self.REWRITES)
+            ],
+            TaskKind.PRODUCT_CLASSIFICATION: [Sample("p1", "jewelry", ("jewelry",))],
+            TaskKind.INTENT_SPECULATION: [Sample("i1", "jewelry", ("jewelry",))],
+            TaskKind.GENERAL_QA: [
+                Sample(f"q{i}", gen, (ref,)) for i, (gen, ref) in enumerate(self.QA)
+            ],
+        }
+
+    def test_each_distinct_text_is_scored_once_in_first_seen_order(self, monkeypatch):
+        bert_calls = []
+        score = evalsuite.bert_style_score
+
+        def counted(cand, ref):
+            bert_calls.append(1)
+            return score(cand, ref)
+
+        monkeypatch.setattr(evalsuite, "bert_style_score", counted)
+        backend = _CountingBackend()
+        evaluate_run(self._data(), backend)
+        assert [text for kind, text in backend.calls if kind == LOGPROBS] == [
+            "oak desk lamp", "silver ring", "wool scarf"
+        ]
+        assert [text for kind, text in backend.calls if kind == EMBED] == [
+            "yes it fits", "it fits a queen bed", "ships in two days", "no", "two to three days"
+        ]
+        assert len(bert_calls) == len(self.QA)
+
+    def test_report_equals_the_per_sample_oracle_bit_for_bit(self):
+        data = self._data()
+        report = evaluate_run(data, _CountingBackend())
+        oracle = _per_sample_scorer_metrics(data, MockBackend())
+        assert report.values["PPL"] == oracle["PPL"]
+        assert report.values["BE_qa"] == oracle["BE_qa"]
+        # The other 16 metrics never call the backend.
+        assert report.gm == gm_from_metrics({**report.values, **oracle})
+
+    @pytest.mark.parametrize(
+        "text, kind", [("wool scarf", LOGPROBS), ("two to three days", EMBED)], ids=["ppl", "embed"]
+    )
+    def test_a_failing_text_surfaces_its_error(self, text, kind):
+        backend = _CountingBackend(fail_on={text})
+        with pytest.raises(TransportError, match=f"^scorer refused '{text}'$"):
+            evaluate_run(self._data(), backend)
+        # The calls made up to the failure are the distinct texts before it.
+        texts = [t for k, t in backend.calls if k == kind]
+        assert texts == list(dict.fromkeys(texts)) and texts[-1] == text
 
 
 class TestHumanEval:

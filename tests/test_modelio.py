@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -6,6 +9,7 @@ from pathlib import Path
 import pytest
 import requests
 
+import ecomforge
 from ecomforge.modelio import (
     COMPLETE,
     BackendRequest,
@@ -327,3 +331,21 @@ class TestHttpBackend:
         )
         with pytest.raises(TransportError, match="request to .* (timed out|failed)"):
             backend.complete(_complete_request("x", model="m"))
+
+    def test_requests_is_imported_only_by_an_http_backend(self):
+        # A fresh interpreter: this process has imported requests already.
+        script = (
+            "import sys\n"
+            "import ecomforge.cli\n"
+            "print('requests' in sys.modules)\n"
+            "from ecomforge.modelio import HttpBackend\n"
+            "session = HttpBackend(base_url='http://127.0.0.1:9', model='m').session\n"
+            "import requests\n"
+            "print(type(session) is requests.Session)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(ecomforge.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["False", "True"]
