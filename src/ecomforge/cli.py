@@ -414,8 +414,13 @@ def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
             except (KeyError, TypeError) as exc:
                 raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
             for metric, value in metrics.items():
-                # bool is an int subclass, and json.loads reads NaN and Infinity.
-                if type(value) not in (int, float) or not math.isfinite(value):
+                # bool is an int subclass, json.loads reads NaN and Infinity,
+                # and an int past the float range overflows in float().
+                try:
+                    finite = type(value) in (int, float) and math.isfinite(float(value))
+                except OverflowError:
+                    finite = False
+                if not finite:
                     raise ForgeError(
                         f"replay row {i}: {metric} must be a finite number, got {json.dumps(value)}"
                     )

@@ -185,7 +185,7 @@ def load_config(
         except OSError as exc:
             raise ForgeError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(loaded, dict):
-            raise ForgeError("config root must be a JSON object")
+            raise ForgeError(f"{path}: config root must be a JSON object")
         cfg = _deep_merge(cfg, loaded)
     for expr in overrides:
         key, value = parse_override(expr)

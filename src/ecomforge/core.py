@@ -80,11 +80,11 @@ def is_taxonomy_label(value: str) -> bool:
     return value in _TAXONOMY_SET
 
 
-class _CharTable(dict):
+class MemoTable(dict):
     """A table that fills itself: looking up a missing key stores and returns
-    ``classify(key)``. It is only ever filled, so it needs no lock; threads
-    racing on one key only compute the same value twice. It holds at most one
-    entry per distinct character seen."""
+    ``classify(key)``, which must be a pure function of the key. It is only
+    ever filled, so it needs no lock; threads racing on one key only compute
+    the same value twice. It holds one entry per distinct key looked up."""
 
     __slots__ = ("classify",)
 
@@ -112,8 +112,8 @@ def _clean_code_point(cp: int) -> int:
 
 # clean_text's str.translate table (code point -> code point), and whether a
 # character is punctuation (tokenize, normalize_label).
-_CLEAN = _CharTable(_clean_code_point)
-_PUNCT = _CharTable(lambda ch: unicodedata.category(ch).startswith("P"))
+_CLEAN = MemoTable(_clean_code_point)
+_PUNCT = MemoTable(lambda ch: unicodedata.category(ch).startswith("P"))
 
 
 def clean_text(raw: str) -> str:

@@ -9,7 +9,10 @@ the geometric mean like every other metric.
 
 ROUGE-L's LCS is computed bit-parallel, one big-int step per candidate token;
 the tests check it against the memoized LCS recurrence. BLEU builds each
-n-gram level from the one below it.
+n-gram level from the one below it and clips through the set of grams the
+candidate and reference share: no shared gram clips to 0 (and ends the
+longer levels), a candidate that repeats no gram clips to the size of that
+set, and only otherwise are the shared grams counted on both sides.
 """
 from __future__ import annotations
 
@@ -47,6 +50,23 @@ def _next_level(grams: list, tokens: list[str], n: int) -> list:
     return [g + (t,) for g, t in zip(grams, tokens[n - 1 :])]
 
 
+def _clipped_matches(cand_grams: list, ref_grams: list, total: int) -> int:
+    """Sum over candidate grams of min(candidate count, reference count).
+    Only grams on both sides can count, and when the candidate repeats no
+    gram each of them counts min(1, reference count) = 1."""
+    cand_set = set(cand_grams)
+    common = cand_set.intersection(ref_grams)
+    if not common:
+        return 0
+    if len(cand_set) == total:
+        return len(common)
+    # Counting only the common grams keeps this linear; list.count per gram
+    # would be quadratic in the length of a long, repetitive generation.
+    cand_counts = Counter(g for g in cand_grams if g in common)
+    ref_counts = Counter(g for g in ref_grams if g in common)
+    return sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+
+
 def bleu(candidate: list[str], reference: list[str]) -> float:
     """Sentence BLEU-4: uniform quarter weights, brevity penalty, and
     epsilon-smoothed zero counts. Scaled to 0-100."""
@@ -67,10 +87,7 @@ def bleu(candidate: list[str], reference: list[str]) -> float:
             if n > 1:
                 cand_grams = _next_level(cand_grams, candidate, n)
                 ref_grams = _next_level(ref_grams, reference, n)
-            ref_counts = Counter(ref_grams)
-            clipped = sum(
-                min(c, ref_counts[g]) for g, c in Counter(cand_grams).items() if g in ref_counts
-            )
+            clipped = _clipped_matches(cand_grams, ref_grams, total)
         p = clipped / total if clipped > 0 else BLEU_EPSILON / total
         log_sum += 0.25 * math.log(p)
     c, r = len(candidate), len(reference)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .core import ForgeError, clean_text, tokenize
+from .core import ForgeError, MemoTable, clean_text, tokenize
 
 if TYPE_CHECKING:
     import requests
@@ -285,6 +285,18 @@ _MOCK_PREFIXES = (
 )
 
 
+def _token_logprob(token: str) -> float:
+    return -(1.0 + (stable_hash("lp", token) % 40) / 10.0)
+
+
+def _token_vector(key: tuple[str, int]) -> tuple[float, ...]:
+    token, dim = key
+    rng = np.random.default_rng(stable_hash("embed", token))
+    v = rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    return tuple(float(x) for x in v)
+
+
 @dataclass
 class MockBackend(Backend):
     """Offline backend: responses are pure functions of the request.
@@ -293,12 +305,22 @@ class MockBackend(Backend):
     deterministic pseudo-paraphrase of the prompt's last line (word rotation
     plus a hash-picked prefix). Logprobs and embeddings derive per token from
     stable hashes, so identical texts always score and embed identically.
+    Each token's logprob and its unit vector at ``embed_dim`` are computed
+    once per backend and read back from a memo on later calls; the memos
+    are only ever filled, so threads can share the backend without a lock.
     """
 
     table: dict[str, str] = field(default_factory=dict)
     model: str = "mock"
     logprob_per_token: float | None = None
     embed_dim: int = 16
+    _logprob: MemoTable = field(
+        default_factory=lambda: MemoTable(_token_logprob), init=False, repr=False, compare=False
+    )
+    # Keyed by (token, embed_dim): the field can be reassigned after use.
+    _vector: MemoTable = field(
+        default_factory=lambda: MemoTable(_token_vector), init=False, repr=False, compare=False
+    )
 
     def send(self, request: BackendRequest) -> BackendResponse:
         if request.kind == COMPLETE:
@@ -323,13 +345,8 @@ class MockBackend(Backend):
         tokens = tokenize(text)
         if self.logprob_per_token is not None:
             return tuple(self.logprob_per_token for _ in tokens)
-        return tuple(-(1.0 + (stable_hash("lp", t) % 40) / 10.0) for t in tokens)
+        return tuple(self._logprob[t] for t in tokens)
 
     def _vectors(self, text: str) -> tuple[tuple[float, ...], ...]:
-        out = []
-        for token in tokenize(text):
-            rng = np.random.default_rng(stable_hash("embed", token))
-            v = rng.standard_normal(self.embed_dim)
-            v /= np.linalg.norm(v)
-            out.append(tuple(float(x) for x in v))
-        return tuple(out)
+        dim = self.embed_dim
+        return tuple(self._vector[token, dim] for token in tokenize(text))

@@ -8,6 +8,7 @@ is fine; inputs are guarded small.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from functools import lru_cache
 
 MAX_TOKENS = 100
@@ -53,6 +54,38 @@ def oracle_bleu(candidate, reference, epsilon=1e-9):
     c, r = len(candidate), len(reference)
     bp = 1.0 if c > r else math.exp(1 - r / c)
     return 100.0 * bp * product ** (1.0 / 4.0)
+
+
+def counter_clip_bleu(candidate, reference, epsilon=1e-9):
+    """Sentence BLEU-4 with each level's clip taken from two Counters, in the
+    package's order of operations (n-grams built level from level, one
+    ``log_sum`` of quarter-weighted logs, levels past the first empty clip
+    skipped), so any clip that agrees with it gives the same float."""
+    _guard_tokens(candidate, reference)
+    log_sum = 0.0
+    cand_grams, ref_grams = candidate, reference
+    clipped = 1
+    for n in range(1, 5):
+        total = len(candidate) - n + 1
+        if total <= 0:
+            log_sum += 0.25 * math.log(epsilon)
+            continue
+        if clipped > 0:
+            if n == 2:
+                cand_grams = list(zip(candidate, candidate[1:]))
+                ref_grams = list(zip(reference, reference[1:]))
+            elif n > 2:
+                cand_grams = [g + (t,) for g, t in zip(cand_grams, candidate[n - 1 :])]
+                ref_grams = [g + (t,) for g, t in zip(ref_grams, reference[n - 1 :])]
+            ref_counts = Counter(ref_grams)
+            clipped = sum(
+                min(c, ref_counts[g]) for g, c in Counter(cand_grams).items() if g in ref_counts
+            )
+        p = clipped / total if clipped > 0 else epsilon / total
+        log_sum += 0.25 * math.log(p)
+    c, r = len(candidate), len(reference)
+    bp = 1.0 if c > r else math.exp(1 - r / c)
+    return 100.0 * bp * math.exp(log_sum)
 
 
 def oracle_lcs(a, b) -> int:

@@ -786,6 +786,26 @@ class TestCliErrorSurface:
         assert captured.err == f"error: replay row 0: BL_At must be a finite number, got {shown}\n"
         assert list((tmp_path / "out").iterdir()) == []
 
+    def test_replay_row_with_int_past_the_float_range_is_refused(self, tmp_path, capsys):
+        huge = "1" + "0" * 400
+        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
+        row["metrics"]["BL_At"] = "PLACEHOLDER"
+        replay = tmp_path / "rows.json"
+        replay.write_text(json.dumps([row]).replace('"PLACEHOLDER"', huge), encoding="utf-8")
+        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: replay row 0: BL_At must be a finite number, got {huge}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_config_root_not_an_object_names_the_file(self, tmp_path, capsys):
+        assert _run(tmp_path, "lora-verify", config=[1]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        path = tmp_path / "config.json"
+        assert captured.err == f"error: {path}: config root must be a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_bad_generation_row_is_clean_error(self, pipeline_dir, tmp_path, capsys):
         out = pipeline_dir / "out"
         gen_dir = tmp_path / "gens"

@@ -30,6 +30,7 @@ from ecomforge.evalsuite import (
 from ecomforge.modelio import EMBED, LOGPROBS, MockBackend, TransportError
 
 from oracles import (
+    counter_clip_bleu,
     oracle_bert_score,
     oracle_bleu,
     oracle_confusion_prf,
@@ -128,6 +129,30 @@ class TestOverlapKernelsAgainstOracles:
         assert _lcs_length(ref, cand) == lcs
         assert rouge_l(cand, ref) == pytest.approx(100.0 * lcs / 70, rel=1e-12)
         assert bleu(cand, ref) == pytest.approx(oracle_bleu(cand, ref), rel=1e-9)
+
+
+class TestBleuClipIsExact:
+    """The set-intersection clip gives the same float as two Counters."""
+
+    @pytest.mark.parametrize("alphabet", [("x", "y"), ("x", "y", "z")], ids=["2-token", "3-token"])
+    @given(data=st.data())
+    def test_equals_counter_clip(self, alphabet, data):
+        tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=60)
+        cand, ref = data.draw(tokens), data.draw(tokens)
+        assert bleu(cand, ref) == counter_clip_bleu(cand, ref)
+
+    def test_repeated_gram_clips_to_its_reference_count(self):
+        # "the" is 4 of the candidate's 4 unigrams and 2 of the reference's 3:
+        # it clips to 2, and no bigram is shared.
+        cand, ref = "the the the the".split(), "the cat the".split()
+        assert evalsuite._clipped_matches(cand, ref, 4) == 2
+        assert bleu(cand, ref) == counter_clip_bleu(cand, ref)
+        eps = evalsuite.BLEU_EPSILON
+        logs = [math.log(2 / 4), math.log(eps / 3), math.log(eps / 2), math.log(eps / 1)]
+        log_sum = 0.0
+        for value in logs:
+            log_sum += 0.25 * value
+        assert bleu(cand, ref) == 100.0 * math.exp(log_sum)
 
 
 class TestPerplexity:

@@ -110,6 +110,64 @@ class TestMockBackend:
         assert stable_hash("probe", 1) == 17251254434180977978
 
 
+# The unit vector and logprob of "tote" at embed_dim 16, as computed before
+# the mock memoized its per-token payloads.
+TOTE_VECTOR_16 = [
+    0.26920303824750724, -0.23574350321512041, -0.5624639558810763, -0.046109424850712254,
+    -0.18448584728781017, -0.2763127330616605, -0.1744797791578001, 0.17629472483582742,
+    -0.07890640137360118, -0.07783540453822384, -0.17642631655675897, -0.40787788955946214,
+    -0.012232988712321211, 0.37090056124058074, -0.05129245619372171, 0.17729407710607498,
+]
+MEMO_TEXTS = [f"tote bag {w} cotton tote {i}" for i, w in enumerate(["red", "blue", "wool", "silk"] * 5)]
+
+
+class TestMockBackendMemo:
+    def test_pinned_token_vector_and_logprob(self):
+        mock = MockBackend()
+        assert mock.embed_tokens("tote") == [TOTE_VECTOR_16]
+        assert mock.score_logprobs("tote") == [-4.4]
+
+    def test_same_result_before_and_after_the_memo_fills(self):
+        mock = MockBackend()
+        vectors, logprobs = mock.embed_tokens("tote bag"), mock.score_logprobs("tote bag")
+        for text in MEMO_TEXTS:
+            mock.embed_tokens(text)
+            mock.score_logprobs(text)
+        assert mock.embed_tokens("tote bag") == vectors
+        assert mock.score_logprobs("tote bag") == logprobs
+        assert vectors[0] == TOTE_VECTOR_16
+
+    def test_each_embed_dim_gets_its_own_width(self):
+        wide, narrow = MockBackend(embed_dim=16), MockBackend(embed_dim=8)
+        assert wide.embed_tokens("tote") == [TOTE_VECTOR_16]
+        (v8,) = narrow.embed_tokens("tote")
+        assert len(v8) == 8 and v8 != TOTE_VECTOR_16[:8]
+        # A backend whose width changes after use embeds at the new width.
+        wide.embed_dim = 8
+        assert wide.embed_tokens("tote") == [v8]
+
+    def test_threads_sharing_one_backend_embed_alike(self):
+        expected = [MockBackend().embed_tokens(text) for text in MEMO_TEXTS]
+        shared = MockBackend()
+        results: list = [None] * 8
+
+        def work(i):
+            results[i] = [shared.embed_tokens(text) for text in MEMO_TEXTS]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * len(results)
+
+
 class TestWithRetry:
     def _flaky(self, failures, status=503):
         calls = {"n": 0}
