@@ -146,7 +146,8 @@ def _validate(cfg: dict) -> None:
     pipeline = cfg["pipeline"]
     n_tasks = len(TaskKind)
     checks = [
-        (backend["concurrency"] >= 1, "backend.concurrency must be >= 1"),
+        # expand starts up to this many threads, one per seed in flight.
+        (1 <= backend["concurrency"] <= 64, "backend.concurrency must be in [1, 64]"),
         (0 <= backend["max_retries"] <= 10, "backend.max_retries must be in [0, 10]"),
         (backend["timeout_s"] > 0, "backend.timeout_s must be > 0"),
         (backend["expand_temperature"] >= 0, "backend.expand_temperature must be >= 0"),

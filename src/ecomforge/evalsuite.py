@@ -8,17 +8,20 @@ Perplexity enters the aggregate as 1/ln(PPL) so that lower perplexity raises
 the geometric mean like every other metric.
 
 ROUGE-L's LCS is computed bit-parallel, one big-int step per candidate token;
-the tests check it against the memoized LCS recurrence. BLEU builds each
-n-gram level from the one below it and clips through the set of grams the
-candidate and reference share: no shared gram clips to 0 (and ends the
-longer levels), a candidate that repeats no gram clips to the size of that
-set, and only otherwise are the shared grams counted on both sides.
+the tests check it against the memoized LCS recurrence. BLEU is one batch
+kernel, ``bleu_many``: per chunk of pairs it maps tokens to integer ids,
+builds each n-gram level's ids from the level below, and counts every
+pair's clipped matches at levels 1-4 with a few numpy passes. The clips are
+integers, and each score is then formed in Python floats in one fixed order
+of operations, so it is float-identical to clipping with two ``Counter``s.
 """
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, count
 
 import numpy as np
 
@@ -29,6 +32,10 @@ from .modelio import Backend
 
 
 BLEU_EPSILON = 1e-9
+# Pairs per ``_clip_counts`` call. Its arrays grow with the tokens of a
+# chunk: scoring a whole reference field as one chunk raised evaluate-mock's
+# peak RSS by about 5%.
+BLEU_CHUNK_PAIRS = 128
 ROUGE_BETA = 1.2
 
 # Report fields in table column order; PPL is reported raw and transformed
@@ -42,57 +49,77 @@ METRIC_NAMES = (
 )
 
 
-def _next_level(grams: list, tokens: list[str], n: int) -> list:
-    """The n-grams of ``tokens`` from its (n-1)-grams ``grams``; 1-grams are
-    the tokens themselves."""
-    if n == 2:
-        return list(zip(tokens, tokens[1:]))
-    return [g + (t,) for g, t in zip(grams, tokens[n - 1 :])]
+def _clip_counts(candidates: list[list[str]], references: list[list[str]]) -> np.ndarray:
+    """The clipped n-gram matches of each (candidate, reference) pair, as a
+    (4, pairs) integer array whose row n-1 holds level n.
+
+    Tokens become ids through one vocabulary. Every position that starts an
+    n-gram gets one id for (its pair, its n-gram): level n packs the
+    position's level n-1 id (its pair at level 1) with its n-th token and
+    re-ranks the packed keys, so ids stay below the token count and no key
+    overflows. Each gram clips to the smaller of its two counts in its pair.
+    A level past an empty clip clips to 0 with no special case, since an
+    (n+1)-gram can only match if its leading n-gram does.
+    """
+    seqs = [seq for pair in zip(candidates, references) for seq in pair]
+    flat = list(chain.from_iterable(seqs))
+    vocab = dict(zip(dict.fromkeys(flat), count()))
+    tokens = np.fromiter(map(vocab.__getitem__, flat), dtype=np.int64, count=len(flat))
+    lengths = np.fromiter(map(len, seqs), dtype=np.int64, count=len(seqs))
+    # Pair i's candidate is sequence 2i and its reference 2i+1.
+    seq = np.repeat(np.arange(len(seqs)), lengths)
+    pair, side = seq >> 1, seq & 1
+    pos = np.arange(len(flat))
+    left = np.repeat(np.cumsum(lengths), lengths) - pos  # tokens to the end of the sequence
+    ids = pair
+    clips = np.zeros((4, len(candidates)), dtype=np.int64)
+    for n in range(1, 5):
+        keep = left >= n
+        pos, left, pair, side, ids = pos[keep], left[keep], pair[keep], side[keep], ids[keep]
+        grams, ids = np.unique(ids * len(vocab) + tokens[pos + n - 1], return_inverse=True)
+        sides = np.bincount(ids * 2 + side, minlength=2 * len(grams))
+        matched = np.minimum(sides[0::2], sides[1::2])
+        gram_pair = np.empty(len(grams), dtype=np.int64)
+        gram_pair[ids] = pair
+        clips[n - 1] = np.bincount(gram_pair, weights=matched, minlength=len(candidates))
+    return clips
 
 
-def _clipped_matches(cand_grams: list, ref_grams: list, total: int) -> int:
-    """Sum over candidate grams of min(candidate count, reference count).
-    Only grams on both sides can count, and when the candidate repeats no
-    gram each of them counts min(1, reference count) = 1."""
-    cand_set = set(cand_grams)
-    common = cand_set.intersection(ref_grams)
-    if not common:
-        return 0
-    if len(cand_set) == total:
-        return len(common)
-    # Counting only the common grams keeps this linear; list.count per gram
-    # would be quadratic in the length of a long, repetitive generation.
-    cand_counts = Counter(g for g in cand_grams if g in common)
-    ref_counts = Counter(g for g in ref_grams if g in common)
-    return sum(min(c, ref_counts[g]) for g, c in cand_counts.items())
+def bleu_many(candidates: list[list[str]], references: list[list[str]]) -> list[float]:
+    """Sentence BLEU-4 of each (candidate, reference) pair: uniform quarter
+    weights, brevity penalty, and epsilon-smoothed zero counts. Scaled to
+    0-100. The clips are counted by ``_clip_counts`` over chunks of
+    ``BLEU_CHUNK_PAIRS`` pairs; each score is then formed in Python floats."""
+    if len(candidates) != len(references):
+        raise ForgeError(f"{len(candidates)} candidates vs {len(references)} references")
+    for candidate, reference in zip(candidates, references):
+        if not candidate:
+            raise ForgeError("candidate token sequence is empty")
+        if not reference:
+            raise ForgeError("reference token sequence is empty")
+    scores = []
+    for start in range(0, len(candidates), BLEU_CHUNK_PAIRS):
+        chunk = slice(start, start + BLEU_CHUNK_PAIRS)
+        cands, refs = candidates[chunk], references[chunk]
+        for candidate, reference, clipped in zip(cands, refs, _clip_counts(cands, refs).T.tolist()):
+            c, r = len(candidate), len(reference)
+            log_sum = 0.0
+            for n in range(1, 5):
+                total = c - n + 1
+                if total <= 0:
+                    log_sum += 0.25 * math.log(BLEU_EPSILON)
+                    continue
+                k = clipped[n - 1]
+                p = k / total if k > 0 else BLEU_EPSILON / total
+                log_sum += 0.25 * math.log(p)
+            bp = 1.0 if c > r else math.exp(1 - r / c)
+            scores.append(100.0 * bp * math.exp(log_sum))
+    return scores
 
 
 def bleu(candidate: list[str], reference: list[str]) -> float:
-    """Sentence BLEU-4: uniform quarter weights, brevity penalty, and
-    epsilon-smoothed zero counts. Scaled to 0-100."""
-    if not candidate:
-        raise ForgeError("candidate token sequence is empty")
-    if not reference:
-        raise ForgeError("reference token sequence is empty")
-    log_sum = 0.0
-    cand_grams, ref_grams = candidate, reference
-    clipped = 1
-    for n in range(1, 5):
-        total = len(candidate) - n + 1
-        if total <= 0:
-            log_sum += 0.25 * math.log(BLEU_EPSILON)
-            continue
-        # Once no n-gram matches, no longer gram can: clipped stays 0.
-        if clipped > 0:
-            if n > 1:
-                cand_grams = _next_level(cand_grams, candidate, n)
-                ref_grams = _next_level(ref_grams, reference, n)
-            clipped = _clipped_matches(cand_grams, ref_grams, total)
-        p = clipped / total if clipped > 0 else BLEU_EPSILON / total
-        log_sum += 0.25 * math.log(p)
-    c, r = len(candidate), len(reference)
-    bp = 1.0 if c > r else math.exp(1 - r / c)
-    return 100.0 * bp * math.exp(log_sum)
+    """Sentence BLEU-4 of one pair; see ``bleu_many``."""
+    return bleu_many([candidate], [reference])[0]
 
 
 def _lcs_length(a: list[str], b: list[str]) -> int:
@@ -304,18 +331,24 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
         if not samples:
             missing.append(task.value)
             continue
+        # normalize_label and tokenize are pure functions of the text, so each
+        # runs once per distinct text of the task.
         if task in LABEL_TASKS:
-            predictions = [normalize_label(s.generation) for s in samples]
+            labels = {t: normalize_label(t) for t in dict.fromkeys(s.generation for s in samples)}
+            predictions = [labels[s.generation] for s in samples]
             gold = [s.references[0] for s in samples]
             values.update(zip(fields[0][1], macro_prf(predictions, gold)))
             continue
-        gens = [tokenize(s.generation) for s in samples]
-        for s, tokens in zip(samples, gens):
-            if not tokens:
+        texts = dict.fromkeys(t for s in samples for t in (s.generation, *s.references))
+        # Interned, a token repeated across texts is held once.
+        tokens = {t: list(map(sys.intern, tokenize(t))) for t in texts}
+        gens = [tokens[s.generation] for s in samples]
+        for s, gen in zip(samples, gens):
+            if not gen:
                 raise ForgeError(f"{task.value}: sample {s.sample_id!r} has an empty generation")
         for i, (_, (bleu_key, rouge_key)) in enumerate(fields):
-            refs = [tokenize(s.references[i]) for s in samples]
-            values[bleu_key] = _mean([bleu(g, r) for g, r in zip(gens, refs)])
+            refs = [tokens[s.references[i]] for s in samples]
+            values[bleu_key] = _mean(bleu_many(gens, refs))
             values[rouge_key] = _mean([rouge_l(g, r) for g, r in zip(gens, refs)])
         # The scorer is a pure function of the text, so each distinct text
         # is scored once, in first-seen order, and read back per sample.

@@ -196,6 +196,8 @@ class TestConfig:
             ('backend={"model": "m"}', True),
             ("backend.max_retries=10", True),
             ("backend.max_retries=11", False),
+            ("backend.concurrency=64", True),
+            ("backend.concurrency=65", False),
         ],
     )
     def test_type_rules(self, override, accepted):
@@ -713,9 +715,11 @@ class TestCliErrorSurface:
             (["--set", "pipeline.target_total=7"], "pipeline.target_total"),
             (["--set", "rng_seed=-1"], "rng_seed"),
             (["--set", "backend.max_retries=11"], "backend.max_retries"),
+            # Refused at load, so no expand pool of that many threads exists.
+            (["--set", "backend.concurrency=1000000"], "backend.concurrency"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
-             "indivisible-target", "negative-seed", "retries-above-10"],
+             "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)

@@ -1,13 +1,17 @@
 import json
 import math
+import random
+import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from ecomforge import evalsuite
-from ecomforge.core import ForgeError, TaskKind, tokenize
+from ecomforge.core import ForgeError, TaskKind, normalize_label, tokenize
 from ecomforge.evalsuite import (
+    BLEU_CHUNK_PAIRS,
     METRIC_NAMES,
     HumanRating,
     MetricReport,
@@ -16,6 +20,7 @@ from ecomforge.evalsuite import (
     _lcs_length,
     bert_style_score,
     bleu,
+    bleu_many,
     evaluate_run,
     geometric_mean,
     gm_from_metrics,
@@ -27,6 +32,7 @@ from ecomforge.evalsuite import (
     render_table,
     rouge_l,
 )
+from ecomforge.formulate import LABEL_TASKS
 from ecomforge.modelio import EMBED, LOGPROBS, MockBackend, TransportError
 
 from oracles import (
@@ -131,21 +137,75 @@ class TestOverlapKernelsAgainstOracles:
         assert bleu(cand, ref) == pytest.approx(oracle_bleu(cand, ref), rel=1e-9)
 
 
-class TestBleuClipIsExact:
-    """The set-intersection clip gives the same float as two Counters."""
+ALPHABETS = pytest.mark.parametrize(
+    "alphabet",
+    [("x", "y"), ("x", "y", "z"), tuple(f"w{i}" for i in range(20))],
+    ids=["2-token", "3-token", "20-token"],
+)
 
-    @pytest.mark.parametrize("alphabet", [("x", "y"), ("x", "y", "z")], ids=["2-token", "3-token"])
+
+class TestBleuClipIsExact:
+    """The batch kernel's clip gives the same float as two Counters."""
+
+    @ALPHABETS
     @given(data=st.data())
     def test_equals_counter_clip(self, alphabet, data):
         tokens = st.lists(st.sampled_from(alphabet), min_size=1, max_size=60)
-        cand, ref = data.draw(tokens), data.draw(tokens)
-        assert bleu(cand, ref) == counter_clip_bleu(cand, ref)
+        pairs = data.draw(st.lists(st.tuples(tokens, tokens), min_size=1, max_size=6))
+        cands, refs = [c for c, _ in pairs], [r for _, r in pairs]
+        assert bleu_many(cands, refs) == [counter_clip_bleu(c, r) for c, r in pairs]
+        assert [bleu(c, r) for c, r in pairs] == [counter_clip_bleu(c, r) for c, r in pairs]
+
+    # Batches one pair short of a chunk, one chunk, and one pair into a
+    # second chunk. Sides of 1-3 tokens have levels with no grams.
+    @ALPHABETS
+    @given(
+        size=st.sampled_from([BLEU_CHUNK_PAIRS - 1, BLEU_CHUNK_PAIRS, BLEU_CHUNK_PAIRS + 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batches_across_a_chunk_boundary_equal_counter_clip(self, alphabet, size, seed):
+        rnd = random.Random(seed)
+
+        def side():
+            return [rnd.choice(alphabet) for _ in range(rnd.randint(1, 60))]
+
+        cands, refs = [side() for _ in range(size)], [side() for _ in range(size)]
+        assert bleu_many(cands, refs) == [counter_clip_bleu(c, r) for c, r in zip(cands, refs)]
+
+    def test_long_repetitive_pair_is_counted_in_linear_time(self):
+        # 20,000 tokens cycling over 300 words, against the same cycle
+        # rotated: every gram repeats about 66 times on each side. A clip
+        # that counts each gram with list.count took seconds here.
+        words = [f"w{i}" for i in range(300)]
+        cand = [words[i % 300] for i in range(20_000)]
+        ref = cand[5_000:] + cand[:5_000]
+        started = time.perf_counter()
+        clips = evalsuite._clip_counts([cand], [ref])[:, 0].tolist()
+        score = bleu_many([cand], [ref])[0]
+        assert time.perf_counter() - started < 1.0
+        for n in range(1, 5):
+            cand_grams = Counter(zip(*(cand[i:] for i in range(n))))
+            ref_grams = Counter(zip(*(ref[i:] for i in range(n))))
+            assert clips[n - 1] == sum((cand_grams & ref_grams).values())
+        log_sum = 0.0
+        for n in range(1, 5):
+            log_sum += 0.25 * math.log(clips[n - 1] / (20_000 - n + 1))
+        assert score == 100.0 * math.exp(log_sum)
+
+    def test_batch_refuses_what_one_pair_refuses(self):
+        with pytest.raises(ForgeError, match="^candidate token sequence is empty$"):
+            bleu_many([["a"], []], [["a"], ["b"]])
+        with pytest.raises(ForgeError, match="^reference token sequence is empty$"):
+            bleu_many([["a"], ["b"]], [["a"], []])
+        with pytest.raises(ForgeError, match="^2 candidates vs 1 references$"):
+            bleu_many([["a"], ["b"]], [["a"]])
+        assert bleu_many([], []) == []
 
     def test_repeated_gram_clips_to_its_reference_count(self):
         # "the" is 4 of the candidate's 4 unigrams and 2 of the reference's 3:
         # it clips to 2, and no bigram is shared.
         cand, ref = "the the the the".split(), "the cat the".split()
-        assert evalsuite._clipped_matches(cand, ref, 4) == 2
+        assert evalsuite._clip_counts([cand], [ref])[:, 0].tolist() == [2, 0, 0, 0]
         assert bleu(cand, ref) == counter_clip_bleu(cand, ref)
         eps = evalsuite.BLEU_EPSILON
         logs = [math.log(2 / 4), math.log(eps / 3), math.log(eps / 2), math.log(eps / 1)]
@@ -434,10 +494,38 @@ def _per_sample_scorer_metrics(data, backend):
     return {"PPL": ppl / len(rewriting), "BE_qa": sum(f1s) / len(f1s)}
 
 
+def _per_sample_metrics(data, backend):
+    """All 18 values as evaluate_run computed them before it tokenized and
+    resolved each distinct text once: every sample's generation and
+    references tokenized, and each label generation resolved, on their own."""
+    values = _per_sample_scorer_metrics(data, backend)
+    for task, fields in TASK_REFERENCES.items():
+        samples = data[task]
+        if task in LABEL_TASKS:
+            predictions = [normalize_label(s.generation) for s in samples]
+            gold = [s.references[0] for s in samples]
+            values.update(zip(fields[0][1], macro_prf(predictions, gold)))
+            continue
+        gens = [tokenize(s.generation) for s in samples]
+        for i, (_, (bleu_key, rouge_key)) in enumerate(fields):
+            refs = [tokenize(s.references[i]) for s in samples]
+            bleus = [counter_clip_bleu(g, r) for g, r in zip(gens, refs)]
+            rouges = [rouge_l(g, r) for g, r in zip(gens, refs)]
+            values[bleu_key] = sum(bleus) / len(bleus)
+            values[rouge_key] = sum(rouges) / len(rouges)
+    return values
+
+
 class TestScorerCallsPerDistinctText:
-    # Repeated generations in both scored tasks, a repeated Q&A reference,
-    # and one Q&A text that is a generation in one sample and the reference
-    # in another.
+    # Repeated generations in every task, a repeated Q&A reference, one Q&A
+    # text that is a generation in one sample and the reference in another,
+    # and an ads title that is also a rewriting reference.
+    ADS = [
+        ("oak desk lamp", "oak desk lamp with dimmer", "warm light for late work"),
+        ("brass lamp", "oak desk lamp with dimmer", "warm light for late work"),
+        ("oak desk lamp", "brass reading lamp", "oak desk lamp"),
+    ]
+    LABELS = ["It is Home & Living!", "jewelry", "It is Home & Living!", "jewelry", "shoes?"]
     REWRITES = ["oak desk lamp", "silver ring", "oak desk lamp", "wool scarf", "silver ring"]
     QA = [
         ("yes it fits", "it fits a queen bed"),
@@ -449,13 +537,19 @@ class TestScorerCallsPerDistinctText:
 
     def _data(self):
         title = "oak desk lamp with dimmer"
+        labels = [
+            Sample(f"l{i}", gen, (gold,))
+            for i, (gen, gold) in enumerate(zip(self.LABELS, ["home and living", "jewelry"] * 3))
+        ]
         return {
-            TaskKind.ADS_GENERATION: [Sample("a1", title, (title, title))],
+            TaskKind.ADS_GENERATION: [
+                Sample(f"a{i}", gen, refs) for i, (gen, *refs) in enumerate(self.ADS)
+            ],
             TaskKind.TITLE_REWRITING: [
                 Sample(f"t{i}", gen, (title, "desk lamp")) for i, gen in enumerate(self.REWRITES)
             ],
-            TaskKind.PRODUCT_CLASSIFICATION: [Sample("p1", "jewelry", ("jewelry",))],
-            TaskKind.INTENT_SPECULATION: [Sample("i1", "jewelry", ("jewelry",))],
+            TaskKind.PRODUCT_CLASSIFICATION: labels,
+            TaskKind.INTENT_SPECULATION: labels[::-1],
             TaskKind.GENERAL_QA: [
                 Sample(f"q{i}", gen, (ref,)) for i, (gen, ref) in enumerate(self.QA)
             ],
@@ -479,6 +573,26 @@ class TestScorerCallsPerDistinctText:
             "yes it fits", "it fits a queen bed", "ships in two days", "no", "two to three days"
         ]
         assert len(bert_calls) == len(self.QA)
+
+    def test_each_distinct_text_is_tokenized_and_resolved_once_per_task(self, monkeypatch):
+        data = self._data()
+        expected = _per_sample_metrics(data, MockBackend())
+        calls = {"tokenize": [], "normalize_label": []}
+        for name, fn in (("tokenize", tokenize), ("normalize_label", normalize_label)):
+            monkeypatch.setattr(
+                evalsuite, name, lambda text, fn=fn, seen=calls[name]: seen.append(text) or fn(text)
+            )
+        report = evaluate_run(data, MockBackend())
+        assert Counter(calls["normalize_label"]) == Counter(
+            t for task in LABEL_TASKS for t in {s.generation for s in data[task]}
+        )
+        texts = {
+            task: {t for s in samples for t in (s.generation, *s.references)}
+            for task, samples in data.items()
+            if task not in LABEL_TASKS
+        }
+        assert Counter(calls["tokenize"]) == Counter(t for ts in texts.values() for t in ts)
+        assert report.values == expected
 
     def test_report_equals_the_per_sample_oracle_bit_for_bit(self):
         data = self._data()
