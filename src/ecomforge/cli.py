@@ -5,7 +5,8 @@ expand (teacher variants), curate (dedup, balance, emit), evaluate (metric
 report or replay), lora-verify (adapter math checks), human-eval (rating
 distributions), check-manifest (artifact re-verification).
 
-Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure.
+Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure,
+usage errors included.
 """
 from __future__ import annotations
 
@@ -372,10 +373,10 @@ def cmd_evaluate(
     generations_dir: Path | None,
     replay_path: Path | None,
 ) -> int:
+    if (generations_dir is None) == (replay_path is None):
+        raise ForgeError("evaluate needs one of --generations DIR and --replay FILE")
     if replay_path is not None:
         return _cmd_replay(config, replay_path)
-    if generations_dir is None:
-        raise ForgeError("evaluate needs --generations DIR or --replay FILE")
     if not generations_dir.is_dir():
         raise ForgeError(f"generations directory {generations_dir} not found")
     out_dir = config.out_dir
@@ -499,8 +500,16 @@ def cmd_check_manifest(config: PipelineConfig) -> int:
 # Argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error with a ForgeError, so it is one ``error:`` line
+    and exit 1 like every other refusal. Subparsers share the class."""
+
+    def error(self, message: str):
+        raise ForgeError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="forge",
         description="E-commerce instruction-dataset construction and evaluation",
     )
@@ -541,8 +550,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = load_config(args.config, args.overrides)
         if args.command == "formulate":
             return cmd_formulate(config)

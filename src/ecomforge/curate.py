@@ -10,14 +10,13 @@ written and read by ``ingest.write_rows`` and ``ingest.read_rows``.
 from __future__ import annotations
 
 import hashlib
-import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 
 from .core import ForgeError, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import read_rows, sample, string_field, write_rows
+from .ingest import optional_string, read_rows, sample, string_field, write_rows
 
 NGRAM_ORDER = 3
 
@@ -130,13 +129,6 @@ def balance(pairs: list[InstructionPair], per_task: int, rng_seed: int) -> list[
     return out
 
 
-def _optional_string(row: dict, key: str) -> str | None:
-    value = row.get(key)
-    if value is not None and not isinstance(value, str):
-        raise TypeError(f"{key!r} must be a string or null, got {json.dumps(value)}")
-    return value
-
-
 def _pair_from_obj(obj: dict) -> InstructionPair:
     prov = obj["provenance"]
     return InstructionPair(
@@ -147,9 +139,9 @@ def _pair_from_obj(obj: dict) -> InstructionPair:
         output=string_field(obj, "output"),
         provenance=Provenance(
             origin=prov["origin"],
-            strategy=_optional_string(prov, "strategy"),
-            seed_id=_optional_string(prov, "seed_id"),
-            teacher=_optional_string(prov, "teacher"),
+            strategy=optional_string(prov, "strategy"),
+            seed_id=optional_string(prov, "seed_id"),
+            teacher=optional_string(prov, "teacher"),
         ),
     )
 

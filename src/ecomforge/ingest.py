@@ -1,13 +1,14 @@
 """Loading, screening, and splitting of raw interaction data, and the JSONL
 row format of every artifact.
 
-Interaction rows (keys: id, title, description, taxonomy, query, action) are
-loaded line by line: a bad line becomes a diagnostic and the load goes on.
-Every other JSONL file is written by ``write_rows``, one canonical line per
-row (sorted keys, compact separators, UTF-8, LF), and read by ``read_rows``,
+Every JSONL file is written by ``write_rows``, one canonical line per row
+(sorted keys, compact separators, UTF-8, LF), and read by ``read_rows``,
 which refuses the whole file at its first bad row with one path:line error.
-A whole-file JSON input (config, replay rows, run manifest) is read by
-``read_json``, which refuses it with one error naming the file.
+The interaction records file (keys: id, title, description, taxonomy, query,
+action) is read by the same loop and differs only in that a bad row is
+skipped and listed as a diagnostic, and the load goes on. A whole-file JSON
+input (config, replay rows, run manifest) is read by ``read_json``, which
+refuses it with one error naming the file.
 """
 from __future__ import annotations
 
@@ -33,26 +34,18 @@ class MalformedLine:
 
 
 def _text_field(obj: dict, key: str) -> str:
-    """The cleaned ``obj[key]``; empty when it is absent or null, refused
-    unless it is a JSON string."""
-    value = obj.get(key)
-    if value is None:
-        return ""
-    if not isinstance(value, str):
-        raise ValueError(f"{key!r} must be a string, got {json.dumps(value)}")
-    return clean_text(value)
+    """The cleaned ``obj[key]``; empty when it is absent or null."""
+    return clean_text(optional_string(obj, key) or "")
 
 
 def _parse_line(obj: dict) -> ProductRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("line is not a JSON object")
     rec_id = obj.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError("missing or empty id")
     title = _text_field(obj, "title")
     if not title:
         raise ValueError("empty title after cleaning")
-    taxonomy = clean_text(str(obj.get("taxonomy") or "")).lower()
+    taxonomy = _text_field(obj, "taxonomy").lower()
     if not is_taxonomy_label(taxonomy):
         raise ValueError(f"invalid taxonomy {obj.get('taxonomy')!r}")
     action_raw = obj.get("action")
@@ -72,33 +65,22 @@ def _lines(path: Path):
     """``(line number, bytes)`` of each line of ``path``. Only \\n, \\r and
     \\r\\n end a line: ``str.splitlines`` also breaks at U+2028, U+0085 and
     other separators that ``canonical_json`` writes raw inside strings. Each
-    reader decodes a line on its own, so a bad byte is that line's fault."""
+    line is decoded on its own, so a bad byte is that line's fault."""
     return enumerate(path.read_bytes().splitlines(), 1)
 
 
 def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[MalformedLine]]:
-    """Load interaction rows, cleaning text fields and rejecting bad lines.
+    """Load interaction rows, cleaning text fields and skipping bad rows.
 
     Returns (records, diagnostics) with input ordering preserved. Raises
     ForgeError if the file cannot be read or if every line fails.
     """
     path = Path(path)
+    diagnostics: list[MalformedLine] = []
     try:
-        raw_lines = _lines(path)
+        records = read_rows(path, _parse_line, lambda *d: diagnostics.append(MalformedLine(*d)))
     except OSError as exc:
         raise ForgeError(f"cannot read {path}: {exc}") from exc
-
-    records: list[ProductRecord] = []
-    diagnostics: list[MalformedLine] = []
-    for line_no, raw in raw_lines:
-        try:
-            line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            records.append(_parse_line(json.loads(line)))
-        except (ValueError, RecursionError) as exc:
-            diagnostics.append(MalformedLine(line=line_no, reason=str(exc)))
-
     if diagnostics and not records:
         raise ForgeError(f"all {len(diagnostics)} lines of {path} failed to parse")
     return records, diagnostics
@@ -116,11 +98,13 @@ def write_rows(path: str | Path, rows) -> bytes:
     return data
 
 
-def read_rows(path: str | Path, parse) -> list:
+def read_rows(path: str | Path, parse, skip=None) -> list:
     """``parse(obj)`` of each non-blank row of a JSONL file. A row that is not
     UTF-8, not JSON, nested too deeply to parse, not an object, or that
-    ``parse`` rejects with KeyError, TypeError or ValueError is refused with a
-    ForgeError naming path:line."""
+    ``parse`` rejects with KeyError, TypeError or ValueError is bad. Without
+    ``skip`` the file is refused at its first bad row with a ForgeError naming
+    path:line; with it, ``skip(line number, reason)`` is called and the row
+    left out."""
     rows = []
     for line_no, raw in _lines(Path(path)):
         try:
@@ -131,10 +115,11 @@ def read_rows(path: str | Path, parse) -> list:
             if not isinstance(obj, dict):
                 raise ValueError("row is not a JSON object")
             rows.append(parse(obj))
-        except KeyError as exc:
-            raise ForgeError(f"{path}:{line_no}: row has no {exc.args[0]!r} key") from None
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise ForgeError(f"{path}:{line_no}: {exc}") from None
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
+            reason = f"row has no {exc.args[0]!r} key" if isinstance(exc, KeyError) else str(exc)
+            if skip is None:
+                raise ForgeError(f"{path}:{line_no}: {reason}") from None
+            skip(line_no, reason)
     return rows
 
 
@@ -153,6 +138,15 @@ def string_field(row: dict, key: str) -> str:
     value = row[key]
     if not isinstance(value, str):
         raise TypeError(f"{key!r} must be a string, got {json.dumps(value)}")
+    return value
+
+
+def optional_string(row: dict, key: str) -> str | None:
+    """``row.get(key)``, refused with a TypeError unless it is a JSON string
+    or null."""
+    value = row.get(key)
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"{key!r} must be a string or null, got {json.dumps(value)}")
     return value
 
 

@@ -599,6 +599,17 @@ class TestEvaluateCommand:
     def test_needs_generations_or_replay(self, tmp_path):
         assert _run(tmp_path, "evaluate") == EXIT_ERROR
 
+    def test_generations_with_replay_is_refused_before_anything_is_written(
+        self, tmp_path, capsys
+    ):
+        code = _run(tmp_path, "evaluate", "--replay", "builtin",
+                    "--generations", str(tmp_path / "no-such-dir"))
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "replay_report.json").exists()
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     def test_missing_generations_dir_is_clean_error(self, tmp_path, capsys):
         missing = tmp_path / "no-such-dir"
         code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(missing))
@@ -696,6 +707,22 @@ class TestHumanEvalCommand:
 
 
 class TestCliErrorSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [["human-eval"], ["bogus"], ["formulate", "--nope"]],
+        ids=["missing-required-option", "unknown-command", "unknown-option"],
+    )
+    def test_usage_error_is_one_error_line_and_exit_1(self, capsys, argv):
+        assert main(argv) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "usage:" not in err
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: forge")
+
     def test_non_divisible_target_is_clean_error(self, pipeline_dir, capsys):
         out = pipeline_dir / "out"
         code = main(["curate", "--set", f"paths.out_dir={out}",

@@ -11,6 +11,7 @@ from ecomforge.ingest import (
     filter_by_action,
     load_interactions,
     read_rows,
+    string_field,
     sample,
     split_generic,
     write_rows,
@@ -21,14 +22,19 @@ from ecomforge.ingest import (
 SEPARATORS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 
 # Lines no reader can parse, with the start of the reason each one gets.
-UNPARSEABLE = pytest.mark.parametrize(
-    "raw, reason",
-    [
-        (b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
-        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
-    ],
-    ids=["not-utf8", "nested-200000-deep"],
-)
+UNPARSEABLE_ROWS = [
+    pytest.param(
+        b"\xff{}", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+        id="not-utf8",
+    ),
+    pytest.param(b"not json", "Expecting value: line 1 column 1 (char 0)", id="not-json"),
+    pytest.param(
+        b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded",
+        id="nested-200000-deep",
+    ),
+    pytest.param(b'["rec-001"]', "row is not a JSON object", id="not-an-object"),
+]
+UNPARSEABLE = pytest.mark.parametrize("raw, reason", UNPARSEABLE_ROWS)
 
 
 def _line(i, action="click", taxonomy="shoes", **extra):
@@ -42,6 +48,39 @@ def _line(i, action="click", taxonomy="shoes", **extra):
     }
     obj.update(extra)
     return json.dumps(obj)
+
+
+# Rows that are JSON objects but that ``_parse_id`` rejects, one per error
+# type a parser may raise, with the reason each one gets.
+PARSE_FAULT_ROWS = [
+    pytest.param(b'{"title": "x"}', "row has no 'id' key", id="parse-key-error"),
+    pytest.param(b'{"id": 7}', "'id' must be a string, got 7", id="parse-type-error"),
+    pytest.param(b'{"id": ""}', "empty id", id="parse-value-error"),
+]
+
+# Lines that are no bad row: a blank line is skipped unreported, and a string
+# holding U+2028 stays one row.
+CLEAN_ROWS = [
+    pytest.param(b" \t ", None, id="blank"),
+    pytest.param(
+        canonical_json(json.loads(_line(1, id="rec-001\u2028x"))).encode(), None,
+        id="u2028-in-a-string",
+    ),
+]
+
+
+def _parse_id(obj):
+    row_id = string_field(obj, "id")
+    if not row_id:
+        raise ValueError("empty id")
+    return row_id
+
+
+def _around_good_rows(tmp_path, raw):
+    """A rows file whose line 2 is ``raw``, between two good records."""
+    p = tmp_path / "rows.jsonl"
+    p.write_bytes(b"\n".join([_line(0).encode(), raw, _line(2).encode()]) + b"\n")
+    return p
 
 
 def _record(i, action=Action.CLICK):
@@ -73,15 +112,18 @@ class TestLoadInteractions:
             ({"id": ""}, "missing or empty id"),
             ({"title": "\U0001f6cd \u2728\U0001f381"}, "empty title after cleaning"),
             ({"title": "\U0001f6cd\ufe0f"}, "empty title after cleaning"),
-            ({"title": ["Boho", "bag"]}, "'title' must be a string, got [\"Boho\", \"bag\"]"),
-            ({"title": 7}, "'title' must be a string, got 7"),
+            ({"title": ["Boho", "bag"]},
+             "'title' must be a string or null, got [\"Boho\", \"bag\"]"),
+            ({"title": 7}, "'title' must be a string or null, got 7"),
             ({"description": {"text": "soft"}},
-             "'description' must be a string, got {\"text\": \"soft\"}"),
-            ({"query": False}, "'query' must be a string, got false"),
+             "'description' must be a string or null, got {\"text\": \"soft\"}"),
+            ({"query": False}, "'query' must be a string or null, got false"),
             ({"action": ["click"]}, "invalid action ['click']"),
+            ({"taxonomy": 5}, "'taxonomy' must be a string or null, got 5"),
         ],
         ids=["empty-id", "emoji-only-title", "emoji-variation-selector-title",
-             "list-title", "int-title", "object-description", "bool-query", "list-action"],
+             "list-title", "int-title", "object-description", "bool-query", "list-action",
+             "int-taxonomy"],
     )
     def test_bad_line_gets_its_diagnostic(self, tmp_path, fields, reason):
         p = tmp_path / "data.jsonl"
@@ -97,6 +139,9 @@ class TestLoadInteractions:
         records, diags = load_interactions(p)
         assert [r.id for r in records] == ["rec-000", "rec-002"]
         assert [d.line for d in diags] == [2] and diags[0].reason.startswith(reason)
+        skipped = []
+        read_rows(p, dict, lambda *pair: skipped.append(pair))
+        assert [(d.line, d.reason) for d in diags] == skipped
 
     def test_only_newlines_end_a_line(self, tmp_path):
         lines = [
@@ -179,6 +224,22 @@ class TestReadRows:
         with pytest.raises(ForgeError) as info:
             read_rows(p, dict)
         assert str(info.value).startswith(f"{p}:2: {reason}")
+
+    @pytest.mark.parametrize("raw, reason", [*UNPARSEABLE_ROWS, *PARSE_FAULT_ROWS, *CLEAN_ROWS])
+    def test_refusing_and_skipping_give_the_same_reason(self, tmp_path, raw, reason):
+        p = _around_good_rows(tmp_path, raw)
+        skipped = []
+        rows = read_rows(p, _parse_id, lambda *pair: skipped.append(pair))
+        if reason is None:
+            assert skipped == [] and read_rows(p, _parse_id) == rows
+            assert rows == [json.loads(line)["id"] for line in p.read_bytes().split(b"\n")
+                            if line.strip()]
+            return
+        with pytest.raises(ForgeError) as info:
+            read_rows(p, _parse_id)
+        assert skipped == [(2, str(info.value).removeprefix(f"{p}:2: "))]
+        assert skipped[0][1].startswith(reason)
+        assert rows == ["rec-000", "rec-002"]
 
 
 class TestFilterByAction:
