@@ -5,12 +5,17 @@ expand (teacher variants), curate (dedup, balance, emit), evaluate (metric
 report or replay), lora-verify (adapter math checks), human-eval (rating
 distributions), check-manifest (artifact re-verification).
 
+Each recorded stage declares the out-dir files it reads and writes once, in
+``STAGES``, through ``_stage``. A stage refuses an input whose producer's
+record no longer vouches for it, and check-manifest applies the same rule.
+
 Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure,
 usage errors included.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -145,27 +150,51 @@ def _read_stages(out_dir: Path) -> dict:
     return stages
 
 
-def _run_stage(
-    config: PipelineConfig, stage: str, inputs: dict[str, str], outputs: tuple[str, ...], body
-) -> int:
-    """Run ``body()``, which writes the out-dir files ``outputs`` and returns
+def _stale(out_dir: Path, recorded: dict) -> dict[str, str]:
+    """Each file of ``recorded`` (out-dir name -> sha256) that is missing or
+    no longer has its recorded sha256, in name order, with its state."""
+    stale = {}
+    for name, digest in sorted(recorded.items()):
+        path = out_dir / name
+        if not path.exists() or _sha256_file(path) != digest:
+            stale[name] = "HASH MISMATCH" if path.exists() else "MISSING"
+    return stale
+
+
+# Each recorded stage's out-dir files: STAGES[name] = (inputs, outputs). An
+# input's producer is the one stage whose outputs list it.
+STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
+def _stage(name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = ()):
+    """Register ``cmd(config, *args)`` as the recorded stage ``name``; a call
+    runs it under ``_run_stage``."""
+    STAGES[name] = (inputs, outputs)
+    return lambda cmd: functools.wraps(cmd)(
+        lambda config, *args: _run_stage(config, name, lambda: cmd(config, *args))
+    )
+
+
+def _run_stage(config: PipelineConfig, stage: str, body) -> int:
+    """Run ``body()``, which writes the stage's registered outputs and returns
     the exit code, under the out dir's lock, and record the stage in
     ``run_manifest.json``.
 
-    ``inputs`` maps each out-dir file the stage reads to the stage that
-    writes it. An input that its producer's record lists must still have the
-    recorded sha256, and so must every input that producer read; an input no
-    record lists is read as it is. The record holds the config hash, the
-    sha256 of the inputs and outputs, wall and CPU seconds and the process's
-    peak RSS.
+    Every registered input must exist. One that its producer's record lists
+    must still have the recorded sha256, and so must every input that
+    producer read; an input no record lists is read as it is. The record
+    holds the config hash, the sha256 of the inputs and outputs, wall and CPU
+    seconds and the process's peak RSS.
     """
     out_dir = config.out_dir
+    inputs, outputs = STAGES[stage]
     started, cpu_started = time.perf_counter(), time.process_time()
     with OutDirLock(out_dir):
         stages = _read_stages(out_dir)
         input_hashes = {}
-        for name, producer in inputs.items():
+        for name in inputs:
             path = out_dir / name
+            producer = next(other for other, (_, made) in STAGES.items() if name in made)
             if not path.exists():
                 raise ForgeError(f"{path} not found; run `forge {producer}` first")
             input_hashes[name] = _sha256_file(path)
@@ -174,12 +203,10 @@ def _run_stage(
                 continue
             if record["outputs"][name] != input_hashes[name]:
                 raise ForgeError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
-            for upstream, digest in record.get("inputs", {}).items():
-                upstream_path = out_dir / upstream
-                if not upstream_path.exists() or _sha256_file(upstream_path) != digest:
-                    raise ForgeError(
-                        f"{path} was built from an older {upstream}; rerun `forge {producer}`"
-                    )
+            for upstream in _stale(out_dir, record.get("inputs", {})):
+                raise ForgeError(
+                    f"{path} was built from an older {upstream}; rerun `forge {producer}`"
+                )
         code = body()
         stages[stage] = {
             "config_hash": config.hash(),
@@ -231,95 +258,83 @@ def _heldout_product_sets(config: PipelineConfig, test: list) -> list[list[str]]
 HELDOUT_PACKS = ("heldout_scenario_ads.jsonl", "heldout_recommendation.jsonl")
 
 
+@_stage("formulate", outputs=("seeds.jsonl", "ingest.errors.jsonl", *HELDOUT_PACKS))
 def cmd_formulate(config: PipelineConfig) -> int:
     out_dir = config.out_dir
-
-    def body():
-        train, test, diagnostics = _load_split(config)
-        qa_train, _ = _load_qa_split(config)
-        pipeline_cfg = config["pipeline"]
-        seeds = formulate.build_seed_set(
-            train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
-        )
-        packs = [
-            curate.build_heldout_packs(
-                curate.SCENARIO_ADS,
-                scenarios=pipeline_cfg["heldout_scenarios"],
-                product_sets=_heldout_product_sets(config, test),
-            ),
-            curate.build_heldout_packs(
-                curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]
-            ),
-        ]
-        ingest.write_rows(out_dir / "ingest.errors.jsonl", diagnostics)
-        manifest = curate.emit_jsonl(seeds, out_dir / "seeds.jsonl")
-        for prompts, name in zip(packs, HELDOUT_PACKS):
-            curate.emit_pack(prompts, out_dir / name)
-        print(f"formulate: {manifest.count} seed pairs -> {out_dir / 'seeds.jsonl'}")
-        for task, count in manifest.per_task.items():
-            print(f"  {task}: {count}")
-        print(f"  held-out packs: {len(packs[0])} scenario ads, {len(packs[1])} recommendation")
-        if diagnostics:
-            print(f"  {len(diagnostics)} malformed input lines (see ingest.errors.jsonl)")
-        return EXIT_PARTIAL if diagnostics else EXIT_OK
-
-    outputs = ("seeds.jsonl", "ingest.errors.jsonl", *HELDOUT_PACKS)
-    return _run_stage(config, "formulate", {}, outputs, body)
+    train, test, diagnostics = _load_split(config)
+    qa_train, _ = _load_qa_split(config)
+    pipeline_cfg = config["pipeline"]
+    seeds = formulate.build_seed_set(
+        train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
+    )
+    packs = [
+        curate.build_heldout_packs(
+            curate.SCENARIO_ADS,
+            scenarios=pipeline_cfg["heldout_scenarios"],
+            product_sets=_heldout_product_sets(config, test),
+        ),
+        curate.build_heldout_packs(curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]),
+    ]
+    ingest.write_rows(out_dir / "ingest.errors.jsonl", diagnostics)
+    manifest = curate.emit_jsonl(seeds, out_dir / "seeds.jsonl")
+    for prompts, name in zip(packs, HELDOUT_PACKS):
+        curate.emit_pack(prompts, out_dir / name)
+    print(f"formulate: {manifest.count} seed pairs -> {out_dir / 'seeds.jsonl'}")
+    for task, count in manifest.per_task.items():
+        print(f"  {task}: {count}")
+    print(f"  held-out packs: {len(packs[0])} scenario ads, {len(packs[1])} recommendation")
+    if diagnostics:
+        print(f"  {len(diagnostics)} malformed input lines (see ingest.errors.jsonl)")
+    return EXIT_PARTIAL if diagnostics else EXIT_OK
 
 
+@_stage("expand", inputs=("seeds.jsonl",), outputs=("expanded.jsonl", "diagnostics.jsonl"))
 def cmd_expand(config: PipelineConfig, backend_kind: str) -> int:
     out_dir = config.out_dir
-
-    def body():
-        seeds = curate.load_jsonl(out_dir / "seeds.jsonl")
-        backend = make_backend(config, backend_kind)
-        pipeline_cfg, backend_cfg = config["pipeline"], config["backend"]
-        plan = expand.ExpansionPlan(
-            instruction_rewrites=pipeline_cfg["instruction_rewrites"],
-            response_generations=pipeline_cfg["response_generations"],
-            response_rewrites=pipeline_cfg["response_rewrites"],
-            rng_seed=config.rng_seed,
-            concurrency=backend_cfg["concurrency"],
-            temperature=backend_cfg["expand_temperature"],
-            max_tokens=backend_cfg["max_tokens"],
-        )
-        result = expand.expand_corpus(backend, seeds, plan)
-        manifest = curate.emit_jsonl(result.pairs, out_dir / "expanded.jsonl")
-        ingest.write_rows(out_dir / "diagnostics.jsonl", result.failures)
-        print(
-            f"expand: {manifest.count} pairs ({len(result.failures)} failed calls) "
-            f"-> {out_dir / 'expanded.jsonl'}"
-        )
-        return EXIT_PARTIAL if result.failures else EXIT_OK
-
-    outputs = ("expanded.jsonl", "diagnostics.jsonl")
-    return _run_stage(config, "expand", {"seeds.jsonl": "formulate"}, outputs, body)
+    seeds = curate.load_jsonl(out_dir / "seeds.jsonl")
+    backend = make_backend(config, backend_kind)
+    pipeline_cfg, backend_cfg = config["pipeline"], config["backend"]
+    plan = expand.ExpansionPlan(
+        instruction_rewrites=pipeline_cfg["instruction_rewrites"],
+        response_generations=pipeline_cfg["response_generations"],
+        response_rewrites=pipeline_cfg["response_rewrites"],
+        rng_seed=config.rng_seed,
+        concurrency=backend_cfg["concurrency"],
+        temperature=backend_cfg["expand_temperature"],
+        max_tokens=backend_cfg["max_tokens"],
+    )
+    result = expand.expand_corpus(backend, seeds, plan)
+    manifest = curate.emit_jsonl(result.pairs, out_dir / "expanded.jsonl")
+    ingest.write_rows(out_dir / "diagnostics.jsonl", result.failures)
+    print(
+        f"expand: {manifest.count} pairs ({len(result.failures)} failed calls) "
+        f"-> {out_dir / 'expanded.jsonl'}"
+    )
+    return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
+@_stage(
+    "curate", inputs=("expanded.jsonl", *HELDOUT_PACKS), outputs=("dataset.jsonl", "manifest.json")
+)
 def cmd_curate(config: PipelineConfig) -> int:
     out_dir = config.out_dir
-
-    def body():
-        pairs = curate.load_jsonl(out_dir / "expanded.jsonl")
-        pipeline_cfg = config["pipeline"]
-        deduped = curate.dedup(pairs, pipeline_cfg["near_dup_threshold"])
-        per_task = pipeline_cfg["target_total"] // len(TaskKind)
-        balanced = curate.balance(deduped, per_task, config.rng_seed)
-        dataset_path = out_dir / "dataset.jsonl"
-        manifest = curate.emit_jsonl(balanced, dataset_path)
-        training_ids = {p.id for p in balanced}
-        for name in HELDOUT_PACKS:
-            pack_ids = ingest.read_rows(out_dir / name, lambda row: row["id"])
-            if training_ids.intersection(pack_ids):
-                raise ForgeError(f"{name} ids overlap the training set")
-        _write_json(out_dir / "manifest.json", vars(manifest))
-        print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
-        for task, count in manifest.per_task.items():
-            print(f"  {task}: {count}")
-        return EXIT_OK
-
-    inputs = {"expanded.jsonl": "expand", **{name: "formulate" for name in HELDOUT_PACKS}}
-    return _run_stage(config, "curate", inputs, ("dataset.jsonl", "manifest.json"), body)
+    pairs = curate.load_jsonl(out_dir / "expanded.jsonl")
+    pipeline_cfg = config["pipeline"]
+    deduped = curate.dedup(pairs, pipeline_cfg["near_dup_threshold"])
+    per_task = pipeline_cfg["target_total"] // len(TaskKind)
+    balanced = curate.balance(deduped, per_task, config.rng_seed)
+    dataset_path = out_dir / "dataset.jsonl"
+    manifest = curate.emit_jsonl(balanced, dataset_path)
+    training_ids = {p.id for p in balanced}
+    for name in HELDOUT_PACKS:
+        pack_ids = ingest.read_rows(out_dir / name, lambda row: ingest.string_field(row, "id"))
+        if training_ids.intersection(pack_ids):
+            raise ForgeError(f"{name} ids overlap the training set")
+    _write_json(out_dir / "manifest.json", vars(manifest))
+    print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
+    for task, count in manifest.per_task.items():
+        print(f"  {task}: {count}")
+    return EXIT_OK
 
 
 def _read_generations(path: Path) -> dict[str, str]:
@@ -379,120 +394,111 @@ def cmd_evaluate(
         return _cmd_replay(config, replay_path)
     if not generations_dir.is_dir():
         raise ForgeError(f"generations directory {generations_dir} not found")
+    return _cmd_evaluate(config, backend_kind, generations_dir)
+
+
+@_stage("evaluate", outputs=("report.json", "report.txt"))
+def _cmd_evaluate(config: PipelineConfig, backend_kind: str, generations_dir: Path) -> int:
     out_dir = config.out_dir
-
-    def body():
-        data = _build_eval_data(config, generations_dir)
-        backend = make_backend(config, backend_kind)
-        report = evalsuite.evaluate_run(data, backend)
-        payload = report.to_json()
-        _write_json(out_dir / "report.json", payload)
-        table = evalsuite.render_table([("run", report)])
-        ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
-        print(table)
-        if report.partial:
-            print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
-        elif report.gm is None:
-            print(f"no GM; undefined by {', '.join(payload['gm_undefined_by'])}")
-        return EXIT_OK if report.gm is not None else EXIT_PARTIAL
-
-    return _run_stage(config, "evaluate", {}, ("report.json", "report.txt"), body)
+    data = _build_eval_data(config, generations_dir)
+    backend = make_backend(config, backend_kind)
+    report = evalsuite.evaluate_run(data, backend)
+    payload = report.to_json()
+    _write_json(out_dir / "report.json", payload)
+    table = evalsuite.render_table([("run", report)])
+    ingest.write_atomic(out_dir / "report.txt", (table + "\n").encode("utf-8"))
+    print(table)
+    if report.partial:
+        print(f"partial report; missing tasks: {', '.join(report.missing_tasks)}")
+    elif report.gm is None:
+        print(f"no GM; undefined by {', '.join(payload['gm_undefined_by'])}")
+    return EXIT_OK if report.gm is not None else EXIT_PARTIAL
 
 
+@_stage("replay", outputs=("replay_report.json",))
 def _cmd_replay(config: PipelineConfig, replay_path: Path) -> int:
     if str(replay_path) == "builtin":
         replay_path = demo_data_path("reference_runs.json")
-
-    def body():
-        rows = ingest.read_json(replay_path)
-        if not isinstance(rows, list) or not rows:
-            raise ForgeError(f"{replay_path} must hold a non-empty JSON list of runs")
-        reports: dict[str, evalsuite.MetricReport] = {}
-        for i, row in enumerate(rows):
+    rows = ingest.read_json(replay_path)
+    if not isinstance(rows, list) or not rows:
+        raise ForgeError(f"{replay_path} must hold a non-empty JSON list of runs")
+    reports: dict[str, evalsuite.MetricReport] = {}
+    for i, row in enumerate(rows):
+        try:
+            name = row["name"]
+            metrics = {m: row["metrics"][m] for m in evalsuite.METRIC_NAMES}
+        except (KeyError, TypeError) as exc:
+            raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
+        for metric, value in metrics.items():
+            # bool is an int subclass, json.loads reads NaN and Infinity,
+            # and an int past the float range overflows in float().
             try:
-                name = row["name"]
-                metrics = {m: row["metrics"][m] for m in evalsuite.METRIC_NAMES}
-            except (KeyError, TypeError) as exc:
-                raise ForgeError(f"replay row {i}: missing or bad field ({exc})") from exc
-            for metric, value in metrics.items():
-                # bool is an int subclass, json.loads reads NaN and Infinity,
-                # and an int past the float range overflows in float().
-                try:
-                    finite = type(value) in (int, float) and math.isfinite(float(value))
-                except OverflowError:
-                    finite = False
-                if not finite:
-                    raise ForgeError(
-                        f"replay row {i}: {metric} must be a finite number, got {json.dumps(value)}"
-                    )
-                metrics[metric] = float(value)
-            if not isinstance(name, str) or not name:
-                raise ForgeError(f"replay row {i}: name must be a non-empty string")
-            if name in reports:
-                raise ForgeError(f"replay row {i}: duplicate name {name!r}")
-            undefined = evalsuite.gm_undefined_by(metrics)
-            if undefined:
-                raise ForgeError(f"replay row {i}: GM undefined by {', '.join(undefined)}")
-            gm = evalsuite.gm_from_metrics(metrics)
-            reports[name] = evalsuite.MetricReport(values=dict(metrics), gm=gm)
-        _write_json(
-            config.out_dir / "replay_report.json",
-            {name: report.to_json() for name, report in reports.items()},
-        )
-        print(evalsuite.render_table(list(reports.items())))
-        return EXIT_OK
-
-    return _run_stage(config, "replay", {}, ("replay_report.json",), body)
+                finite = type(value) in (int, float) and math.isfinite(float(value))
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ForgeError(
+                    f"replay row {i}: {metric} must be a finite number, got {json.dumps(value)}"
+                )
+            metrics[metric] = float(value)
+        if not isinstance(name, str) or not name:
+            raise ForgeError(f"replay row {i}: name must be a non-empty string")
+        if name in reports:
+            raise ForgeError(f"replay row {i}: duplicate name {name!r}")
+        undefined = evalsuite.gm_undefined_by(metrics)
+        if undefined:
+            raise ForgeError(f"replay row {i}: GM undefined by {', '.join(undefined)}")
+        gm = evalsuite.gm_from_metrics(metrics)
+        reports[name] = evalsuite.MetricReport(values=dict(metrics), gm=gm)
+    _write_json(
+        config.out_dir / "replay_report.json",
+        {name: report.to_json() for name, report in reports.items()},
+    )
+    print(evalsuite.render_table(list(reports.items())))
+    return EXIT_OK
 
 
+@_stage("lora-verify", outputs=("lora_verify.json",))
 def cmd_lora_verify(config: PipelineConfig) -> int:
-    def body():
-        rows = lora.verify(config.rng_seed)
-        for name, ok, detail in rows:
-            print(f"{name:<24s} {'PASS' if ok else 'FAIL'}  {detail}")
-        failed = [name for name, ok, _ in rows if not ok]
-        if failed:
-            raise ForgeError(f"lora-verify failed: {', '.join(failed)}")
-        _write_json(config.out_dir / "lora_verify.json", {name: detail for name, _, detail in rows})
-        return EXIT_OK
-
-    return _run_stage(config, "lora-verify", {}, ("lora_verify.json",), body)
+    rows = lora.verify(config.rng_seed)
+    for name, ok, detail in rows:
+        print(f"{name:<24s} {'PASS' if ok else 'FAIL'}  {detail}")
+    failed = [name for name, ok, _ in rows if not ok]
+    if failed:
+        raise ForgeError(f"lora-verify failed: {', '.join(failed)}")
+    _write_json(config.out_dir / "lora_verify.json", {name: detail for name, _, detail in rows})
+    return EXIT_OK
 
 
+@_stage("human-eval", outputs=("human_eval.json",))
 def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
+    ratings = evalsuite.load_ratings(ratings_path)
+    if not ratings:
+        raise ForgeError(f"{ratings_path} holds no ratings")
+    report = evalsuite.human_eval_report(ratings)
     out_path = config.out_dir / "human_eval.json"
-
-    def body():
-        ratings = evalsuite.load_ratings(ratings_path)
-        if not ratings:
-            raise ForgeError(f"{ratings_path} holds no ratings")
-        report = evalsuite.human_eval_report(ratings)
-        _write_json(out_path, vars(report))
-        for task, dist in sorted(report.per_task.items()):
-            parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
-            print(f"{task}: {parts}")
-        print(f"annotators: {len(report.annotator_counts)} -> {out_path}")
-        return EXIT_OK
-
-    return _run_stage(config, "human-eval", {}, ("human_eval.json",), body)
+    _write_json(out_path, vars(report))
+    for task, dist in sorted(report.per_task.items()):
+        parts = ", ".join(f"{rate}: {frac:.2f}" for rate, frac in dist.items())
+        print(f"{task}: {parts}")
+    print(f"annotators: {len(report.annotator_counts)} -> {out_path}")
+    return EXIT_OK
 
 
 def cmd_check_manifest(config: PipelineConfig) -> int:
-    manifest_path = config.out_dir / "run_manifest.json"
-    if not manifest_path.exists():
-        raise ForgeError(f"{manifest_path} not found")
+    """Print each recorded output as OK, MISSING or HASH MISMATCH, and each
+    recorded input that is missing or moved as CHANGED; exit 1 unless all OK."""
+    out_dir = config.out_dir
+    if not (out_dir / "run_manifest.json").exists():
+        raise ForgeError(f"{out_dir / 'run_manifest.json'} not found")
     bad = 0
-    for stage, info in sorted(_read_stages(config.out_dir).items()):
-        for name, expected in sorted(info.get("outputs", {}).items()):
-            path = config.out_dir / name
-            if not path.exists():
-                print(f"{stage}/{name}: MISSING")
-                bad += 1
-                continue
-            actual = _sha256_file(path)
-            ok = actual == expected
-            print(f"{stage}/{name}: {'OK' if ok else 'HASH MISMATCH'}")
-            bad += 0 if ok else 1
+    for stage, record in sorted(_read_stages(out_dir).items()):
+        stale, changed = (_stale(out_dir, record.get(key, {})) for key in ("outputs", "inputs"))
+        for name in sorted(record.get("outputs", {})):
+            print(f"{stage}/{name}: {stale.get(name, 'OK')}")
+        for name in changed:
+            print(f"{stage}/{name}: CHANGED")
+        bad += len(stale) + len(changed)
     return EXIT_ERROR if bad else EXIT_OK
 
 
@@ -515,7 +521,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, backend: bool = False):
+    def add(name: str, help_text: str, handler, *options: tuple[str, dict]):
+        """A command that calls ``handler(config, *values)``, one value per
+        extra ``(flag, add_argument keywords)`` option."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None, help="JSON config file")
         p.add_argument(
@@ -526,26 +534,21 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config value (dotted path, JSON value)",
         )
-        if backend:
-            p.add_argument("--backend", choices=("mock", "http"), default="mock")
-        return p
+        dests = [p.add_argument(flag, **kwargs).dest for flag, kwargs in options]
+        p.set_defaults(handler=handler, dests=dests)
 
-    add("formulate", "ingest raw interactions and build the seed set")
-    add("expand", "grow the seed set with teacher variants", backend=True)
-    add("curate", "dedup, balance, emit the dataset and held-out packs")
-    p_eval = add("evaluate", "compute the metric report", backend=True)
-    p_eval.add_argument("--generations", type=Path, default=None, metavar="DIR")
-    p_eval.add_argument(
-        "--replay",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help="aggregate pre-computed metric rows ('builtin' for the bundled set)",
-    )
-    add("lora-verify", "verify the adapter math end to end")
-    p_human = add("human-eval", "summarize human rating files")
-    p_human.add_argument("--ratings", type=Path, required=True, metavar="FILE")
-    add("check-manifest", "re-verify stage outputs against the run manifest")
+    backend = ("--backend", {"choices": ("mock", "http"), "default": "mock"})
+    add("formulate", "ingest raw interactions and build the seed set", cmd_formulate)
+    add("expand", "grow the seed set with teacher variants", cmd_expand, backend)
+    add("curate", "dedup, balance, emit the dataset and held-out packs", cmd_curate)
+    generations = ("--generations", {"type": Path, "default": None, "metavar": "DIR"})
+    replay_help = "aggregate pre-computed metric rows ('builtin' for the bundled set)"
+    replay = ("--replay", {"type": Path, "default": None, "metavar": "FILE", "help": replay_help})
+    add("evaluate", "compute the metric report", cmd_evaluate, backend, generations, replay)
+    add("lora-verify", "verify the adapter math end to end", cmd_lora_verify)
+    ratings = ("--ratings", {"type": Path, "required": True, "metavar": "FILE"})
+    add("human-eval", "summarize human rating files", cmd_human_eval, ratings)
+    add("check-manifest", "re-verify stage outputs and inputs", cmd_check_manifest)
     return parser
 
 
@@ -553,21 +556,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         config = load_config(args.config, args.overrides)
-        if args.command == "formulate":
-            return cmd_formulate(config)
-        if args.command == "expand":
-            return cmd_expand(config, args.backend)
-        if args.command == "curate":
-            return cmd_curate(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config, args.backend, args.generations, args.replay)
-        if args.command == "lora-verify":
-            return cmd_lora_verify(config)
-        if args.command == "human-eval":
-            return cmd_human_eval(config, args.ratings)
-        if args.command == "check-manifest":
-            return cmd_check_manifest(config)
-        raise ForgeError(f"unknown command {args.command!r}")
+        return args.handler(config, *(getattr(args, dest) for dest in args.dests))
     except (ForgeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

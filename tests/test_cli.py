@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ from ecomforge.cli import (
     EXIT_ERROR,
     EXIT_OK,
     EXIT_PARTIAL,
+    STAGES,
+    build_parser,
     demo_data_path,
     main,
     make_backend,
@@ -783,6 +786,17 @@ class TestCliErrorSurface:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "expanded.jsonl:2: row has no 'provenance' key" in err
 
+    def test_unrecorded_pack_with_a_non_string_id_is_clean_error(self, tmp_path, capsys):
+        out = _formulate_and_expand(tmp_path)
+        records = _stage_records(out)
+        del records["formulate"]
+        (out / "run_manifest.json").write_text(json.dumps({"stages": records}), encoding="utf-8")
+        pack = out / "heldout_recommendation.jsonl"
+        pack.write_text(json.dumps({"id": ["x"]}) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert _run(tmp_path, "curate") == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {pack}:1: 'id' must be a string, got [\"x\"]\n"
+
     def test_replay_row_missing_metric_is_clean_error(self, tmp_path, capsys):
         replay = tmp_path / "rows.json"
         replay.write_text(json.dumps([{"name": "x", "metrics": {"BL_At": 1.0}}]))
@@ -1034,6 +1048,29 @@ def _stage_records(out):
     return json.loads((out / "run_manifest.json").read_text())["stages"]
 
 
+class TestStageRegistry:
+    def test_each_input_has_one_producer_and_each_file_one_writer(self):
+        assert set(STAGES) == {
+            "formulate", "expand", "curate", "evaluate", "replay", "lora-verify", "human-eval"
+        }
+        outputs = [name for _, made in STAGES.values() for name in made]
+        assert len(outputs) == len(set(outputs))
+        for stage, (inputs, _) in STAGES.items():
+            for name in inputs:
+                assert name in outputs, (stage, name)
+
+    def test_parser_offers_the_seven_commands(self):
+        (commands,) = [
+            action.choices
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert set(commands) == {
+            "formulate", "expand", "curate", "evaluate", "lora-verify", "human-eval",
+            "check-manifest",
+        }
+
+
 class TestStageRunner:
     @pytest.mark.parametrize(
         "edit, refused",
@@ -1056,6 +1093,30 @@ class TestStageRunner:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and refused in err
         assert not (out / "dataset.jsonl").exists() and "curate" not in _stage_records(out)
+
+    def test_check_manifest_reports_an_input_changed_by_a_rerun(self, tmp_path, capsys):
+        out = _formulate_and_expand(tmp_path)
+        assert _run(tmp_path, "curate") == EXIT_OK
+        capsys.readouterr()
+        assert _run(tmp_path, "check-manifest") == EXIT_OK
+        consistent = [
+            "curate/dataset.jsonl: OK",
+            "curate/manifest.json: OK",
+            "expand/diagnostics.jsonl: OK",
+            "expand/expanded.jsonl: OK",
+            "formulate/heldout_recommendation.jsonl: OK",
+            "formulate/heldout_scenario_ads.jsonl: OK",
+            "formulate/ingest.errors.jsonl: OK",
+            "formulate/seeds.jsonl: OK",
+        ]
+        assert capsys.readouterr().out.splitlines() == consistent
+        assert _run(tmp_path, "formulate", "--set", "rng_seed=3") == EXIT_OK
+        capsys.readouterr()
+        assert _run(tmp_path, "check-manifest") == EXIT_ERROR
+        lines = capsys.readouterr().out.splitlines()
+        assert "expand/seeds.jsonl: CHANGED" in lines
+        assert [line for line in lines if not line.endswith(": CHANGED")] == consistent
+        assert _run(tmp_path, "curate") == EXIT_ERROR
 
     def test_same_config_rerun_of_formulate_is_accepted(self, tmp_path):
         _formulate_and_expand(tmp_path)
