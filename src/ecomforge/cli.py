@@ -48,16 +48,6 @@ def demo_data_path(name: str) -> Path:
     return Path(str(resources.files("ecomforge") / "data" / name))
 
 
-def _records_path(config: PipelineConfig) -> Path:
-    configured = config["paths"]["data_in"]
-    return Path(configured) if configured else demo_data_path("demo_records.jsonl")
-
-
-def _qa_path(config: PipelineConfig) -> Path:
-    configured = config["paths"]["qa_in"]
-    return Path(configured) if configured else demo_data_path("demo_qa.jsonl")
-
-
 def make_backend(config: PipelineConfig, kind: str) -> Backend:
     backend_cfg = config["backend"]
     if kind == "mock":
@@ -132,7 +122,8 @@ def _write_json(path: Path, obj) -> None:
 def _read_stages(out_dir: Path) -> dict:
     """The stage records of ``run_manifest.json``, or {} when there is none.
     A file that is not ``{"stages": {name: record}}``, each record an object
-    whose ``inputs`` and ``outputs`` are objects, is refused."""
+    whose ``inputs`` and ``outputs`` are objects keyed by plain file names
+    (not empty, ``.`` or ``..``, and without ``/``), is refused."""
     path = out_dir / "run_manifest.json"
     if not path.exists():
         return {}
@@ -140,7 +131,11 @@ def _read_stages(out_dir: Path) -> dict:
         stages = ingest.read_json(path)["stages"]
         ok = isinstance(stages, dict) and all(
             isinstance(record, dict)
-            and all(isinstance(record.get(key, {}), dict) for key in ("inputs", "outputs"))
+            and all(
+                isinstance(files, dict)
+                and all(name not in ("", ".", "..") and "/" not in name for name in files)
+                for files in (record.get("inputs", {}), record.get("outputs", {}))
+            )
             for record in stages.values()
         )
     except (ForgeError, KeyError, TypeError):
@@ -224,23 +219,19 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
 # Stage commands
 
 
-def _load_split(config: PipelineConfig) -> tuple[list, list, list]:
-    """Train records, test records and the load's diagnostics."""
-    path = _records_path(config)
-    records, diagnostics = ingest.load_interactions(path)
-    filtered = ingest.filter_by_action(records)
-    train, test = ingest.split_generic(
-        filtered, config["pipeline"]["split_ratio"], config.rng_seed, lambda r: r.id, path
-    )
-    return train, test, diagnostics
-
-
-def _load_qa_split(config: PipelineConfig) -> tuple[list, list]:
-    path = _qa_path(config)
-    qa_pairs = formulate.load_qa_pairs(path)
-    return ingest.split_generic(
-        qa_pairs, config["pipeline"]["split_ratio"], config.rng_seed, lambda q: q.id, path
-    )
+def _load_splits(config: PipelineConfig) -> tuple[tuple[list, list], tuple[list, list], list]:
+    """The (train, test) split of the records, the (train, test) split of the
+    Q&A pairs and the records file's load diagnostics. A null
+    ``paths.data_in`` or ``paths.qa_in`` reads the bundled demo file."""
+    paths, ratio = config["paths"], config["pipeline"]["split_ratio"]
+    records_path = Path(paths["data_in"] or demo_data_path("demo_records.jsonl"))
+    records, diagnostics = ingest.load_interactions(records_path)
+    records = ingest.filter_by_action(records)
+    split = ingest.split_generic(records, ratio, config.rng_seed, lambda r: r.id, records_path)
+    qa_path = Path(paths["qa_in"] or demo_data_path("demo_qa.jsonl"))
+    qa_pairs = formulate.load_qa_pairs(qa_path)
+    qa_split = ingest.split_generic(qa_pairs, ratio, config.rng_seed, lambda q: q.id, qa_path)
+    return split, qa_split, diagnostics
 
 
 def _heldout_product_sets(config: PipelineConfig, test: list) -> list[list[str]]:
@@ -261,20 +252,16 @@ HELDOUT_PACKS = ("heldout_scenario_ads.jsonl", "heldout_recommendation.jsonl")
 @_stage("formulate", outputs=("seeds.jsonl", "ingest.errors.jsonl", *HELDOUT_PACKS))
 def cmd_formulate(config: PipelineConfig) -> int:
     out_dir = config.out_dir
-    train, test, diagnostics = _load_split(config)
-    qa_train, _ = _load_qa_split(config)
+    (train, test), (qa_train, _), diagnostics = _load_splits(config)
     pipeline_cfg = config["pipeline"]
     seeds = formulate.build_seed_set(
         train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
     )
-    packs = [
-        curate.build_heldout_packs(
-            curate.SCENARIO_ADS,
-            scenarios=pipeline_cfg["heldout_scenarios"],
-            product_sets=_heldout_product_sets(config, test),
-        ),
-        curate.build_heldout_packs(curate.RECOMMENDATION, intents=pipeline_cfg["heldout_intents"]),
-    ]
+    packs = curate.build_heldout_packs(
+        pipeline_cfg["heldout_scenarios"],
+        _heldout_product_sets(config, test),
+        pipeline_cfg["heldout_intents"],
+    )
     ingest.write_rows(out_dir / "ingest.errors.jsonl", diagnostics)
     manifest = curate.emit_jsonl(seeds, out_dir / "seeds.jsonl")
     for prompts, name in zip(packs, HELDOUT_PACKS):
@@ -357,8 +344,7 @@ def _build_eval_data(
     """Pair each generation with its reference fields from
     ``evalsuite.TASK_REFERENCES``: test records, or test Q&A for general_qa.
     A task without a generations file is left out."""
-    _, test, _ = _load_split(config)
-    _, qa_test = _load_qa_split(config)
+    (_, test), (_, qa_test), _ = _load_splits(config)
     records = {r.id: r for r in test}
     qa_refs = {q.id: q for q in qa_test}
 

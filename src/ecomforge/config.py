@@ -149,7 +149,8 @@ def _validate(cfg: dict) -> None:
         # expand starts up to this many threads, one per seed in flight.
         (1 <= backend["concurrency"] <= 64, "backend.concurrency must be in [1, 64]"),
         (0 <= backend["max_retries"] <= 10, "backend.max_retries must be in [0, 10]"),
-        (backend["timeout_s"] > 0, "backend.timeout_s must be > 0"),
+        # socket.settimeout overflows on a value near 1e10 s or past it.
+        (0 < backend["timeout_s"] <= 3600, "backend.timeout_s must be in (0, 3600]"),
         (backend["expand_temperature"] >= 0, "backend.expand_temperature must be >= 0"),
         (backend["max_tokens"] >= 1, "backend.max_tokens must be >= 1"),
         (pipeline["seed_per_task"] >= 1, "pipeline.seed_per_task must be >= 1"),

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .core import ForgeError, TaskKind, tokenize
@@ -190,37 +191,23 @@ def and_join(items: list[str]) -> str:
 
 
 def build_heldout_packs(
-    kind: str,
-    *,
-    scenarios: list[str] = (),
-    product_sets: list[list[str]] = (),
-    intents: list[str] = (),
-) -> list[HeldoutPrompt]:
-    """Zero-shot evaluation prompts, never turned into training pairs.
-
-    scenario_ads crosses every scenario with every product set;
-    recommendation wraps each free-form shopping intent as-is.
-    """
-    prompts: list[HeldoutPrompt] = []
-    if kind == SCENARIO_ADS:
-        if not scenarios or not product_sets or any(not ps for ps in product_sets):
-            raise ForgeError("scenario_ads needs scenarios and nonempty product sets")
-        i = 0
-        for scenario in scenarios:
-            for products in product_sets:
-                text = SCENARIO_AD_TEMPLATE.format(
-                    scenario=scenario, products=and_join(list(products))
-                )
-                prompts.append(HeldoutPrompt(f"heldout-{kind}-{i:04d}", kind, text))
-                i += 1
-    elif kind == RECOMMENDATION:
-        if not intents:
-            raise ForgeError("recommendation needs at least one intent")
-        for i, intent in enumerate(intents):
-            prompts.append(HeldoutPrompt(f"heldout-{kind}-{i:04d}", kind, intent))
-    else:
-        raise ValueError(f"unknown pack kind {kind!r}")
-    return prompts
+    scenarios: list[str], product_sets: list[list[str]], intents: list[str]
+) -> tuple[list[HeldoutPrompt], list[HeldoutPrompt]]:
+    """The two zero-shot evaluation packs, never turned into training pairs:
+    scenario_ads crosses every scenario with every product set, and
+    recommendation wraps each free-form shopping intent as-is."""
+    if not scenarios or not product_sets or any(not ps for ps in product_sets):
+        raise ForgeError("scenario_ads needs scenarios and nonempty product sets")
+    if not intents:
+        raise ForgeError("recommendation needs at least one intent")
+    ads = [
+        SCENARIO_AD_TEMPLATE.format(scenario=scenario, products=and_join(list(products)))
+        for scenario, products in product(scenarios, product_sets)
+    ]
+    return tuple(
+        [HeldoutPrompt(f"heldout-{kind}-{i:04d}", kind, text) for i, text in enumerate(texts)]
+        for kind, texts in ((SCENARIO_ADS, ads), (RECOMMENDATION, intents))
+    )
 
 
 def emit_pack(prompts: list[HeldoutPrompt], path: str | Path) -> int:

@@ -192,10 +192,10 @@ def split_generic(
     items: list, ratio: float, seed: int, id_of, source: str | Path = "input"
 ) -> tuple[list, list]:
     """Deterministic two-way split of any id-carrying items: shuffle by
-    seeded hash, first ceil(ratio*n) to the first side. A repeated id is
-    refused with an error naming ``source`` and the id."""
+    seeded hash, first ceil(ratio*n) to the first side. No items, or a
+    repeated id, is refused with an error naming ``source``."""
     if not items:
-        raise ForgeError("cannot split an empty list")
+        raise ForgeError(f"{source}: no rows to split")
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     ids = [id_of(item) for item in items]

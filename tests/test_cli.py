@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -42,9 +43,9 @@ def _run(tmp_path, *argv, config=None):
 def _write_ads_generation(gen_dir):
     """Write a one-row ads_generation.jsonl for the first demo test record
     with a description; returns its id."""
-    from ecomforge.cli import _load_split
+    from ecomforge.cli import _load_splits
 
-    _, test, _ = _load_split(load_config())
+    (_, test), _, _ = _load_splits(load_config())
     record = next(r for r in test if r.description)
     gen_dir.mkdir(exist_ok=True)
     (gen_dir / "ads_generation.jsonl").write_text(
@@ -57,10 +58,9 @@ def _write_generations(gen_dir, wrong_labels=False):
     """Write one generations file per task for five demo test records and
     five test Q&A pairs, each generation equal to its reference; with
     ``wrong_labels`` every product_classification answer is a wrong label."""
-    from ecomforge.cli import _load_qa_split, _load_split
+    from ecomforge.cli import _load_splits
 
-    _, test, _ = _load_split(load_config())
-    _, qa_test = _load_qa_split(load_config())
+    (_, test), (_, qa_test), _ = _load_splits(load_config())
     records = [r for r in test if r.description and r.query][:5]
     classified = [
         (r.id, next(t for t in TAXONOMY if t != r.taxonomy) if wrong_labels else r.taxonomy)
@@ -261,6 +261,42 @@ class TestFormulate:
             f"error: {rows}: duplicate id {repeated!r}; train/test disjointness would break\n"
         )
 
+    def test_demo_heldout_packs_keep_their_bytes(self, tmp_path):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        pinned = {
+            "heldout_scenario_ads.jsonl": (
+                "bba0d30ebc36f6159887e197d6a7f466447c3fc075cc29c03c78fd0b763651b5", 6
+            ),
+            "heldout_recommendation.jsonl": (
+                "a9bb1f22e22b9378b33a9e0ec1cdbce6e49cb4607c437c1f0572ced7e1a4824e", 4
+            ),
+        }
+        for name, (digest, rows) in pinned.items():
+            data = (tmp_path / "out" / name).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+            assert data.count(b"\n") == rows
+
+    @pytest.mark.parametrize(
+        "key, rows",
+        [
+            ("data_in", "no_action"),
+            ("data_in", "empty"),
+            ("qa_in", "empty"),
+        ],
+        ids=["records-all-no-action", "records-empty", "qa-empty"],
+    )
+    def test_empty_split_names_the_file(self, tmp_path, capsys, key, rows):
+        path = tmp_path / "rows.jsonl"
+        text = ""
+        if rows == "no_action":
+            demo = demo_data_path("demo_records.jsonl").read_text(encoding="utf-8")
+            lines = [json.loads(line) | {"action": "no_action"} for line in demo.splitlines()]
+            text = "".join(json.dumps(row) + "\n" for row in lines)
+        path.write_text(text, encoding="utf-8")
+        assert _run(tmp_path, "formulate", config={"paths": {key: str(path)}}) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {path}: no rows to split\n"
+        assert not list((tmp_path / "out").iterdir())
+
     def test_rerun_hash_oracle(self, tmp_path):
         _run(tmp_path, "formulate")
         first = (tmp_path / "out" / "seeds.jsonl").read_bytes()
@@ -388,11 +424,10 @@ class TestEvaluateCommand:
     def test_smoke_generations_equal_references(self, pipeline_dir, tmp_path, capsys):
         out = pipeline_dir / "out"
         # Build generations == references from the test split.
-        from ecomforge.cli import _load_split, _load_qa_split
+        from ecomforge.cli import _load_splits
 
         config = load_config(None, [f"paths.out_dir={out}"])
-        _, test, _ = _load_split(config)
-        _, qa_test = _load_qa_split(config)
+        (_, test), (_, qa_test), _ = _load_splits(config)
         gen_dir = tmp_path / "gens"
         gen_dir.mkdir()
         eligible = [r for r in test if r.description and r.query][:5]
@@ -423,10 +458,10 @@ class TestEvaluateCommand:
         out = pipeline_dir / "out"
         gen_dir = tmp_path / "gens"
         gen_dir.mkdir()
-        from ecomforge.cli import _load_split
+        from ecomforge.cli import _load_splits
 
         config = load_config(None, [f"paths.out_dir={out}"])
-        _, test, _ = _load_split(config)
+        (_, test), _, _ = _load_splits(config)
         record = next(r for r in test if r.description)
         (gen_dir / "ads_generation.jsonl").write_text(
             json.dumps({"id": record.id, "generation": record.title}) + "\n",
@@ -747,9 +782,13 @@ class TestCliErrorSurface:
             (["--set", "backend.max_retries=11"], "backend.max_retries"),
             # Refused at load, so no expand pool of that many threads exists.
             (["--set", "backend.concurrency=1000000"], "backend.concurrency"),
+            # socket.settimeout overflows on these, deep in a backend call.
+            (["--set", "backend.timeout_s=1e300"], "backend.timeout_s"),
+            (["--set", "backend.timeout_s=Infinity"], "backend.timeout_s"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
-             "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64"],
+             "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64",
+             "timeout-1e300", "timeout-infinity"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)
@@ -1017,6 +1056,25 @@ class TestManifestAndLock:
         assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
         assert (out / "run_manifest.json").read_text(encoding="utf-8") == manifest
+
+    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
+    @pytest.mark.parametrize("key", ["inputs", "outputs"])
+    @pytest.mark.parametrize(
+        "name", ["", ".", "..", "../x", "sub/seeds.jsonl", "/etc/hostname"],
+        ids=["empty", "dot", "dot-dot", "parent", "subdir", "absolute"],
+    )
+    def test_run_manifest_naming_a_path_that_is_not_a_file_name_is_refused(
+        self, tmp_path, capsys, command, key, name
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        manifest = json.dumps({"stages": {"formulate": {key: {name: "0"}}}})
+        (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
+        assert _run(tmp_path, command) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
 
     def test_lockfile_blocks_concurrent_runs(self, tmp_path):
         out = tmp_path / "out"

@@ -8,7 +8,6 @@ import pytest
 from ecomforge.core import ForgeError, TaskKind
 from ecomforge.curate import (
     RECOMMENDATION,
-    SCENARIO_ADS,
     and_join,
     balance,
     build_heldout_packs,
@@ -357,9 +356,7 @@ class TestHeldoutPacks:
             "custom baby face mug",
             "puzzle plaque",
         ]
-        prompts = build_heldout_packs(
-            SCENARIO_ADS, scenarios=["Christmas"], product_sets=[products]
-        )
+        prompts, _ = build_heldout_packs(["Christmas"], [products], ["gift ideas"])
         assert prompts[0].prompt == (
             "Christmas is almost. Generate an ad for the following products: "
             "Himalayan salt lamp, bee house, grow sunflower plant kit, "
@@ -369,24 +366,24 @@ class TestHeldoutPacks:
     def test_empty_inputs(self):
         needs_sets = "scenario_ads needs scenarios and nonempty product sets"
         with pytest.raises(ForgeError, match=needs_sets):
-            build_heldout_packs(SCENARIO_ADS, scenarios=["Christmas"], product_sets=[])
+            build_heldout_packs(["Christmas"], [], ["gift ideas"])
         with pytest.raises(ForgeError, match=needs_sets):
-            build_heldout_packs(SCENARIO_ADS, scenarios=["Christmas"], product_sets=[[]])
+            build_heldout_packs(["Christmas"], [[]], ["gift ideas"])
+        with pytest.raises(ForgeError, match=needs_sets):
+            build_heldout_packs([], [["a"]], [])
         with pytest.raises(ForgeError, match="recommendation needs at least one intent"):
-            build_heldout_packs(RECOMMENDATION, intents=[])
+            build_heldout_packs(["Christmas"], [["a"]], [])
 
     def test_product_of_cardinalities(self):
-        prompts = build_heldout_packs(
-            SCENARIO_ADS,
-            scenarios=["Christmas", "Sports Fans", "Mid-year Sale"],
-            product_sets=[["a", "b"], ["c", "d"]],
+        prompts, _ = build_heldout_packs(
+            ["Christmas", "Sports Fans", "Mid-year Sale"], [["a", "b"], ["c", "d"]], ["gift ideas"]
         )
         assert len(prompts) == 3 * 2
         assert len({p.id for p in prompts}) == 6
 
     def test_recommendation_passthrough(self):
-        prompts = build_heldout_packs(
-            RECOMMENDATION, intents=["What should I buy for a wedding?"]
+        _, prompts = build_heldout_packs(
+            ["Christmas"], [["a"]], ["What should I buy for a wedding?"]
         )
         assert prompts[0].prompt == "What should I buy for a wedding?"
         assert prompts[0].id.startswith("heldout-recommendation-")
@@ -397,7 +394,7 @@ class TestHeldoutPacks:
         assert and_join(["a", "b", "c"]) == "a, b, and c"
 
     def test_emit_pack(self, tmp_path):
-        prompts = build_heldout_packs(RECOMMENDATION, intents=["one", "two"])
+        _, prompts = build_heldout_packs(["Christmas"], [["a"]], ["one", "two"])
         path = tmp_path / "pack.jsonl"
         assert emit_pack(prompts, path) == 2
         rows = [json.loads(l) for l in path.read_text().splitlines()]

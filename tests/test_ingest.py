@@ -302,7 +302,7 @@ class TestSplit:
             assert test == ordered[40:]
 
     def test_empty_input(self):
-        with pytest.raises(ForgeError, match="cannot split an empty list"):
+        with pytest.raises(ForgeError, match="^input: no rows to split$"):
             _split([], 0.5, seed=0)
 
     def test_bad_ratio(self):
