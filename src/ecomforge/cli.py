@@ -23,6 +23,7 @@ import os
 import resource
 import sys
 import time
+import unicodedata
 from importlib import resources
 from pathlib import Path
 
@@ -34,7 +35,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import curate, evalsuite, expand, formulate, ingest, lora  # noqa: E402
 from .config import PipelineConfig, load_config  # noqa: E402
-from .core import ForgeError, TaskKind  # noqa: E402
+from .core import ForgeError, MemoTable, TaskKind  # noqa: E402
 from .modelio import Backend, HttpBackend, MockBackend, RetryPolicy  # noqa: E402
 
 EXIT_OK = 0
@@ -176,10 +177,14 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
     ``run_manifest.json``.
 
     Every registered input must exist. One that its producer's record lists
-    must still have the recorded sha256, and so must every input that
-    producer read; an input no record lists is read as it is. The record
-    holds the config hash, the sha256 of the inputs and outputs, wall and CPU
-    seconds and the process's peak RSS.
+    must still have the recorded sha256, must have been written under this
+    interpreter's Unicode version (``clean_text`` strips by Unicode category,
+    so another version can clean the same text otherwise), and every input
+    that producer read must still have its sha256; an input no record lists
+    is read as it is, and so is a record that names no Unicode version. The
+    record holds the config hash, the Unicode and Python versions, the
+    sha256 of the inputs and outputs, wall and CPU seconds and the process's
+    peak RSS.
     """
     out_dir = config.out_dir
     inputs, outputs = STAGES[stage]
@@ -198,6 +203,11 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
                 continue
             if record["outputs"][name] != input_hashes[name]:
                 raise ForgeError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
+            if record.get("unicode", unicodedata.unidata_version) != unicodedata.unidata_version:
+                raise ForgeError(
+                    f"{path} was written by `forge {producer}` under Unicode "
+                    f"{record['unicode']}, this Python has {unicodedata.unidata_version}; rerun it"
+                )
             for upstream in _stale(out_dir, record.get("inputs", {})):
                 raise ForgeError(
                     f"{path} was built from an older {upstream}; rerun `forge {producer}`"
@@ -205,6 +215,8 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
         code = body()
         stages[stage] = {
             "config_hash": config.hash(),
+            "unicode": unicodedata.unidata_version,
+            "python": ".".join(map(str, sys.version_info[:3])),
             "inputs": input_hashes,
             "outputs": {name: _sha256_file(out_dir / name) for name in outputs},
             "seconds": round(time.perf_counter() - started, 3),
@@ -220,8 +232,9 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
 
 
 def _load_splits(config: PipelineConfig) -> tuple[tuple[list, list], tuple[list, list], list]:
-    """The (train, test) split of the records, the (train, test) split of the
-    Q&A pairs and the records file's load diagnostics. A null
+    """The (train, test) split of the screened records (``ingest.ScreenedRow``,
+    from which a stage builds the records it uses), the (train, test) split of
+    the Q&A pairs and the records file's load diagnostics. A null
     ``paths.data_in`` or ``paths.qa_in`` reads the bundled demo file."""
     paths, ratio = config["paths"], config["pipeline"]["split_ratio"]
     records_path = Path(paths["data_in"] or demo_data_path("demo_records.jsonl"))
@@ -255,7 +268,10 @@ def cmd_formulate(config: PipelineConfig) -> int:
     (train, test), (qa_train, _), diagnostics = _load_splits(config)
     pipeline_cfg = config["pipeline"]
     seeds = formulate.build_seed_set(
-        train, qa_train, per_task=pipeline_cfg["seed_per_task"], seed=config.rng_seed
+        [ingest.build_record(r) for r in train],
+        qa_train,
+        per_task=pipeline_cfg["seed_per_task"],
+        seed=config.rng_seed,
     )
     packs = curate.build_heldout_packs(
         pipeline_cfg["heldout_scenarios"],
@@ -343,9 +359,11 @@ def _build_eval_data(
 ) -> dict[TaskKind, list[evalsuite.Sample]]:
     """Pair each generation with its reference fields from
     ``evalsuite.TASK_REFERENCES``: test records, or test Q&A for general_qa.
-    A task without a generations file is left out."""
+    A task without a generations file is left out. Only the test records
+    that a sample names are built, each once."""
     (_, test), (_, qa_test), _ = _load_splits(config)
-    records = {r.id: r for r in test}
+    rows = {r.id: r for r in test}
+    records = MemoTable(lambda rec_id: ingest.build_record(rows[rec_id]))
     qa_refs = {q.id: q for q in qa_test}
 
     data: dict[TaskKind, list[evalsuite.Sample]] = {}
@@ -353,12 +371,12 @@ def _build_eval_data(
         path = generations_dir / f"{task.value}.jsonl"
         if not path.exists():
             continue
-        source, source_name = records, "test split"
+        ids, source, source_name = rows, records, "test split"
         if task is TaskKind.GENERAL_QA:
-            source, source_name = qa_refs, "test QA set"
+            ids, source, source_name = qa_refs, qa_refs, "test QA set"
         samples = data[task] = []
         for sample_id, generation in _read_generations(path).items():
-            if sample_id not in source:
+            if sample_id not in ids:
                 raise ForgeError(f"{task.value}: id {sample_id!r} not in the {source_name}")
             references = tuple(getattr(source[sample_id], name) for name, _ in fields)
             for (name, _), text in zip(fields, references):

@@ -25,10 +25,10 @@ from itertools import chain, count
 
 import numpy as np
 
-from .core import ForgeError, TaskKind, normalize_label, tokenize
+from .core import ForgeError, MemoTable, TaskKind, normalize_label, tokenize
 from .formulate import LABEL_TASKS
 from .ingest import read_rows, string_field
-from .modelio import Backend
+from .modelio import Backend, BackendError
 
 
 BLEU_EPSILON = 1e-9
@@ -37,6 +37,10 @@ BLEU_EPSILON = 1e-9
 # peak RSS by about 5%.
 BLEU_CHUNK_PAIRS = 128
 ROUGE_BETA = 1.2
+# Tokens per ``embed_tokens`` call: OpenAI's embeddings endpoint takes at most
+# 2,048 inputs per request
+# (https://platform.openai.com/docs/api-reference/embeddings/create).
+EMBED_CHUNK_TOKENS = 2048
 
 # Report fields in table column order; PPL is reported raw and transformed
 # only inside the aggregate.
@@ -315,33 +319,56 @@ def _mean(xs: list[float]) -> float:
     return sum(xs) / len(xs)
 
 
+def _embed_rows(backend: Backend, vocab: list[str]) -> np.ndarray:
+    """One float64 row per token of ``vocab``, in its order: one
+    ``embed_tokens`` call per chunk of ``EMBED_CHUNK_TOKENS`` tokens, sent
+    space-joined (``tokenize`` gives the joined tokens back unchanged). A
+    chunk answered with a vector count other than its token count, or at a
+    width other than the first chunk's, is refused: every later row would
+    belong to another token."""
+    rows: list[list[float]] = []
+    for start in range(0, len(vocab), EMBED_CHUNK_TOKENS):
+        chunk = vocab[start : start + EMBED_CHUNK_TOKENS]
+        vectors = backend.embed_tokens(" ".join(chunk))
+        if len(vectors) != len(chunk):
+            raise BackendError(f"{len(vectors)} embedding vectors for {len(chunk)} tokens")
+        if rows and len(vectors[0]) != len(rows[0]):
+            raise BackendError(
+                f"embedding width {len(vectors[0])} differs from the first chunk's {len(rows[0])}"
+            )
+        rows.extend(vectors)
+    return np.asarray(rows, dtype=float)
+
+
 def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> MetricReport:
     """Compute the full report over aligned per-task samples.
 
-    The backend supplies token logprobs (perplexity of rewritten titles) and
-    token embeddings (Q&A similarity), one call per distinct text per run.
-    Tasks with no samples are reported as missing and the aggregate is
-    omitted; so is an aggregate that a metric leaves undefined. A generation
-    with no tokens on an overlap task is refused, naming its task and sample.
+    Each distinct text is tokenized once per run. The backend supplies token
+    logprobs (perplexity of rewritten titles), one call per distinct text,
+    and token embeddings (Q&A similarity): a token's vector does not depend
+    on the text around it, so the distinct tokens of all Q&A texts are
+    embedded together, in chunks. Tasks with no samples are reported as
+    missing and the aggregate is omitted; so is an aggregate that a metric
+    leaves undefined. A generation with no tokens on an overlap task is
+    refused, naming its task and sample.
     """
     values: dict[str, float | None] = {name: None for name in METRIC_NAMES}
     missing: list[str] = []
+    # Interned, a token repeated across texts is held once.
+    tokens = MemoTable(lambda text: list(map(sys.intern, tokenize(text))))
     for task, fields in TASK_REFERENCES.items():
         samples = data.get(task)
         if not samples:
             missing.append(task.value)
             continue
-        # normalize_label and tokenize are pure functions of the text, so each
-        # runs once per distinct text of the task.
+        # normalize_label is a pure function of the text, so it runs once per
+        # distinct text of the task.
         if task in LABEL_TASKS:
             labels = {t: normalize_label(t) for t in dict.fromkeys(s.generation for s in samples)}
             predictions = [labels[s.generation] for s in samples]
             gold = [s.references[0] for s in samples]
             values.update(zip(fields[0][1], macro_prf(predictions, gold)))
             continue
-        texts = dict.fromkeys(t for s in samples for t in (s.generation, *s.references))
-        # Interned, a token repeated across texts is held once.
-        tokens = {t: list(map(sys.intern, tokenize(t))) for t in texts}
         gens = [tokens[s.generation] for s in samples]
         for s, gen in zip(samples, gens):
             if not gen:
@@ -358,7 +385,10 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
             values["PPL"] = _mean([ppl[s.generation] for s in samples])
         elif task is TaskKind.GENERAL_QA:
             texts = dict.fromkeys(t for s in samples for t in (s.generation, s.references[0]))
-            vectors = {t: np.asarray(backend.embed_tokens(t), dtype=float) for t in texts}
+            vocab = dict.fromkeys(chain.from_iterable(tokens[t] for t in texts))
+            matrix = _embed_rows(backend, list(vocab))
+            row_of = dict(zip(vocab, count()))
+            vectors = {t: matrix[[row_of[tok] for tok in tokens[t]]] for t in texts}
             f1s = [
                 bert_style_score(vectors[s.generation], vectors[s.references[0]])[2]
                 for s in samples

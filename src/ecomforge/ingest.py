@@ -19,6 +19,7 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .core import Action, ForgeError, ProductRecord, clean_text, is_taxonomy_label
 
@@ -38,7 +39,20 @@ def _text_field(obj: dict, key: str) -> str:
     return clean_text(optional_string(obj, key) or "")
 
 
-def _parse_line(obj: dict) -> ProductRecord:
+class ScreenedRow(NamedTuple):
+    """An interaction row that passed every check of the screen. Title and
+    taxonomy are cleaned; description and query are held as the file gives
+    them (a string or None), and ``build_record`` cleans them."""
+
+    id: str
+    title: str
+    taxonomy: str
+    action: Action
+    raw_description: str | None
+    raw_query: str | None
+
+
+def _screen(obj: dict) -> ScreenedRow:
     rec_id = obj.get("id")
     if not isinstance(rec_id, str) or not rec_id:
         raise ValueError("missing or empty id")
@@ -51,13 +65,25 @@ def _parse_line(obj: dict) -> ProductRecord:
     action_raw = obj.get("action")
     if not isinstance(action_raw, str) or action_raw not in _ACTIONS:
         raise ValueError(f"invalid action {action_raw!r}")
+    return ScreenedRow(
+        rec_id,
+        title,
+        taxonomy,
+        _ACTIONS[action_raw],
+        optional_string(obj, "description"),
+        optional_string(obj, "query"),
+    )
+
+
+def build_record(row: ScreenedRow) -> ProductRecord:
+    """The record of a screened row, with description and query cleaned."""
     return ProductRecord(
-        id=rec_id,
-        title=title,
-        taxonomy=taxonomy,
-        action=_ACTIONS[action_raw],
-        description=_text_field(obj, "description") or None,
-        query=_text_field(obj, "query") or None,
+        id=row.id,
+        title=row.title,
+        taxonomy=row.taxonomy,
+        action=row.action,
+        description=clean_text(row.raw_description or "") or None,
+        query=clean_text(row.raw_query or "") or None,
     )
 
 
@@ -69,16 +95,17 @@ def _lines(path: Path):
     return enumerate(path.read_bytes().splitlines(), 1)
 
 
-def load_interactions(path: str | Path) -> tuple[list[ProductRecord], list[MalformedLine]]:
-    """Load interaction rows, cleaning text fields and skipping bad rows.
+def load_interactions(path: str | Path) -> tuple[list[ScreenedRow], list[MalformedLine]]:
+    """Screen every interaction row, skipping bad rows. A stage builds the
+    records it uses from the screened rows with ``build_record``.
 
-    Returns (records, diagnostics) with input ordering preserved. Raises
+    Returns (rows, diagnostics) with input ordering preserved. Raises
     ForgeError if the file cannot be read or if every line fails.
     """
     path = Path(path)
     diagnostics: list[MalformedLine] = []
     try:
-        records = read_rows(path, _parse_line, lambda *d: diagnostics.append(MalformedLine(*d)))
+        records = read_rows(path, _screen, lambda *d: diagnostics.append(MalformedLine(*d)))
     except OSError as exc:
         raise ForgeError(f"cannot read {path}: {exc}") from exc
     if diagnostics and not records:
@@ -167,7 +194,7 @@ def write_atomic(path: str | Path, data: bytes) -> None:
         raise
 
 
-def filter_by_action(records: list[ProductRecord]) -> list[ProductRecord]:
+def filter_by_action(records: list) -> list:
     """Drop rows labelled no_action (no purchase interest); order preserved."""
     return [r for r in records if r.action is not Action.NO_ACTION]
 

@@ -189,11 +189,22 @@ def parse_chat_logprobs(payload: dict) -> tuple[float, ...]:
 
 
 def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
-    """Extract data[*].embedding from an embeddings response."""
+    """Extract data[*].embedding from an embeddings response, each placed at
+    its item's ``index``, not at its place in the list. The indices must be
+    0 to len(data) - 1, each once."""
     try:
-        return tuple(tuple(float(x) for x in item["embedding"]) for item in payload["data"])
+        items = payload["data"]
+        placed: dict[int, tuple[float, ...]] = {}
+        for item in items:
+            index = item["index"]
+            if type(index) is not int or not 0 <= index < len(items):
+                raise BackendError(f"embedding index {json.dumps(index)} out of range")
+            if index in placed:
+                raise BackendError(f"embedding index {index} repeated")
+            placed[index] = tuple(float(x) for x in item["embedding"])
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendError(f"missing embeddings: {exc}") from exc
+    return tuple(placed[i] for i in range(len(items)))
 
 
 def _new_session() -> requests.Session:
@@ -262,7 +273,10 @@ class HttpBackend(Backend):
             return BackendResponse(text=parse_chat_text(payload))
         if request.kind == LOGPROBS:
             return BackendResponse(token_logprobs=parse_chat_logprobs(payload))
-        return BackendResponse(token_vectors=parse_embeddings(payload))
+        vectors = parse_embeddings(payload)
+        if len(vectors) != len(body["input"]):
+            raise BackendError(f"{len(vectors)} embeddings for {len(body['input'])} input tokens")
+        return BackendResponse(token_vectors=vectors)
 
 
 # ---------------------------------------------------------------------------

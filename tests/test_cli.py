@@ -2,8 +2,10 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -20,11 +22,18 @@ from ecomforge.cli import (
     make_backend,
 )
 from ecomforge.config import DEFAULTS, _validate, load_config, parse_override
-from ecomforge.core import TAXONOMY, ForgeError, TaskKind
+from ecomforge.core import TAXONOMY, Action, ForgeError, ProductRecord, TaskKind, clean_text
 from ecomforge.curate import load_jsonl
 from ecomforge.expand import ExpansionFailure
-from ecomforge.ingest import canonical_json, write_rows
-from ecomforge.modelio import LOGPROBS, BackendResponse, MockBackend, TransportError
+from ecomforge.ingest import build_record, canonical_json, write_rows
+from ecomforge.modelio import (
+    LOGPROBS,
+    BackendResponse,
+    HttpBackend,
+    MockBackend,
+    RetryPolicy,
+    TransportError,
+)
 
 # A whole-file JSON value nested deeper than any parser recursion limit.
 DEEP_JSON = "[" * 200_000 + "]" * 200_000
@@ -46,7 +55,7 @@ def _write_ads_generation(gen_dir):
     from ecomforge.cli import _load_splits
 
     (_, test), _, _ = _load_splits(load_config())
-    record = next(r for r in test if r.description)
+    record = next(r for r in map(build_record, test) if r.description)
     gen_dir.mkdir(exist_ok=True)
     (gen_dir / "ads_generation.jsonl").write_text(
         json.dumps({"id": record.id, "generation": record.title}) + "\n", encoding="utf-8"
@@ -61,7 +70,7 @@ def _write_generations(gen_dir, wrong_labels=False):
     from ecomforge.cli import _load_splits
 
     (_, test), (_, qa_test), _ = _load_splits(load_config())
-    records = [r for r in test if r.description and r.query][:5]
+    records = [r for r in map(build_record, test) if r.description and r.query][:5]
     classified = [
         (r.id, next(t for t in TAXONOMY if t != r.taxonomy) if wrong_labels else r.taxonomy)
         for r in records
@@ -234,6 +243,49 @@ class TestConfig:
         assert json.dumps(json.loads(block), sort_keys=True) == json.dumps(DEFAULTS, sort_keys=True)
 
 
+# Malformed rows of the screen test. Each pair's first id would be in the
+# test split, and its second in train, if every row were split; rec-05,
+# rec-06 and rec-08 carry two faults each, and the first check in the
+# screen's order names the row.
+SCREEN_FAULTS = {
+    "rec-07": {"description": {"text": "soft"}},
+    "rec-00": {"description": 5},
+    "rec-09": {"query": False},
+    "rec-01": {"query": ["lamp"]},
+    "rec-11": {"taxonomy": "gadgets"},
+    "rec-02": {"taxonomy": "Home & Living"},
+    "rec-13": {"title": "\U0001f6cd \u2728"},
+    "rec-03": {"title": "\U0001f6cd\ufe0f"},
+    "rec-14": {"action": "no_action"},
+    "rec-04": {"action": "no_action"},
+    "rec-05": {"taxonomy": "gadgets", "description": 5},
+    "rec-06": {"description": 5, "query": 6},
+    "rec-08": {"title": "\u2728", "action": "browse"},
+}
+
+
+def _screen_records(path):
+    """Write 60 records, the ones in SCREEN_FAULTS malformed or no_action,
+    with emoji and zero-width spaces for the cleaning to strip; returns the
+    rows as written."""
+    rows = []
+    for i in range(60):
+        row = {
+            "id": f"rec-{i:02d}",
+            "title": f"Oak  Lamp {i} \u2728",
+            "description": f"Warm\u200blight for a desk {i} \U0001f381" if i % 4 else None,
+            "query": f"desk   lamp {i}" if i % 3 else None,
+            "taxonomy": TAXONOMY[i % len(TAXONOMY)].title(),
+            "action": ("click", "cart_add", "purchase")[i % 3],
+        }
+        row.update(SCREEN_FAULTS.get(row["id"], {}))
+        rows.append(row)
+    path.write_text(
+        "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows), encoding="utf-8"
+    )
+    return rows
+
+
 class TestFormulate:
     def test_demo_emits_300_seeds(self, tmp_path):
         assert _run(tmp_path, "formulate") == EXIT_OK
@@ -243,6 +295,90 @@ class TestFormulate:
         for pair in seeds:
             counts[pair.task] = counts.get(pair.task, 0) + 1
         assert all(counts[t] == 60 for t in TaskKind)
+
+    def test_screen_keeps_every_check(self, tmp_path, monkeypatch):
+        from ecomforge import ingest
+        from ecomforge.cli import _build_eval_data, _load_splits
+
+        records_path = tmp_path / "records.jsonl"
+        rows = {row["id"]: row for row in _screen_records(records_path)}
+        overrides = [
+            f"paths.data_in={records_path}",
+            "pipeline.seed_per_task=2",
+            "pipeline.heldout_product_sets=1",
+            "pipeline.heldout_set_size=2",
+        ]
+        code = main(["formulate", *(a for o in overrides for a in ("--set", o)),
+                     "--set", f"paths.out_dir={tmp_path / 'out'}"])
+        assert code == EXIT_PARTIAL
+        # ingest.errors.jsonl, the split and seeds.jsonl as written before
+        # the screen and the build were two steps.
+        errors = (tmp_path / "out" / "ingest.errors.jsonl").read_text(encoding="utf-8")
+        assert errors.splitlines() == [
+            '{"line":1,"reason":"\'description\' must be a string or null, got 5"}',
+            '{"line":2,"reason":"\'query\' must be a string or null, got [\\"lamp\\"]"}',
+            '{"line":3,"reason":"invalid taxonomy \'Home & Living\'"}',
+            '{"line":4,"reason":"empty title after cleaning"}',
+            '{"line":6,"reason":"invalid taxonomy \'gadgets\'"}',
+            '{"line":7,"reason":"\'description\' must be a string or null, got 5"}',
+            '{"line":8,"reason":"\'description\' must be a string or null, got {\\"text\\": \\"soft\\"}"}',
+            '{"line":9,"reason":"empty title after cleaning"}',
+            '{"line":10,"reason":"\'query\' must be a string or null, got false"}',
+            '{"line":12,"reason":"invalid taxonomy \'gadgets\'"}',
+            '{"line":14,"reason":"empty title after cleaning"}',
+        ]
+        assert hashlib.sha256((tmp_path / "out" / "seeds.jsonl").read_bytes()).hexdigest() == (
+            "7bbc216815a31f7d47f1458e1854a2f1b51e0a453530a7166bc082b44ca8fa29"
+        )
+        config = load_config(None, overrides)
+        (train, test), _, _ = _load_splits(config)
+        assert [r.id for r in train] == [
+            "rec-24", "rec-27", "rec-28", "rec-21", "rec-16", "rec-32", "rec-10", "rec-48",
+            "rec-46", "rec-23", "rec-40", "rec-41", "rec-53", "rec-30", "rec-17", "rec-33",
+            "rec-35", "rec-12", "rec-56", "rec-42", "rec-39", "rec-25", "rec-52", "rec-54",
+            "rec-37", "rec-47", "rec-51", "rec-50", "rec-26", "rec-36", "rec-31", "rec-38",
+            "rec-59", "rec-55", "rec-45", "rec-34", "rec-29", "rec-20",
+        ]
+        assert [r.id for r in test] == [
+            "rec-58", "rec-15", "rec-22", "rec-49", "rec-57", "rec-18", "rec-43", "rec-19",
+            "rec-44",
+        ]
+
+        # evaluate builds only the test records its samples name, each once,
+        # and each equals the record a full parse of its row gives.
+        named = {
+            "ads_generation": [r.id for r in test if rows[r.id]["description"]],
+            "title_rewriting": [r.id for r in test if rows[r.id]["query"]],
+        }
+        gen_dir = tmp_path / "gens"
+        gen_dir.mkdir()
+        for task, ids in named.items():
+            (gen_dir / f"{task}.jsonl").write_text(
+                "".join(json.dumps({"id": i, "generation": "oak lamp"}) + "\n" for i in ids),
+                encoding="utf-8",
+            )
+        built = []
+        build = ingest.build_record
+        monkeypatch.setattr(ingest, "build_record", lambda row: built.append(row.id) or build(row))
+        data = _build_eval_data(config, gen_dir)
+        assert sorted(built) == sorted(set(named["ads_generation"] + named["title_rewriting"]))
+
+        def full_parse(row):
+            return ProductRecord(
+                id=row["id"],
+                title=clean_text(row["title"]),
+                taxonomy=clean_text(row["taxonomy"]).lower(),
+                action=Action(row["action"]),
+                description=clean_text(row["description"] or "") or None,
+                query=clean_text(row["query"] or "") or None,
+            )
+
+        for task, fields in ((TaskKind.ADS_GENERATION, ("title", "description")),
+                             (TaskKind.TITLE_REWRITING, ("title", "query"))):
+            assert [s.sample_id for s in data[task]] == named[task.value]
+            for sample in data[task]:
+                record = full_parse(rows[sample.sample_id])
+                assert sample.references == tuple(getattr(record, f) for f in fields)
 
     def test_missing_input_path(self, tmp_path):
         code = _run(tmp_path, "formulate", config={"paths": {"data_in": str(tmp_path / "nope.jsonl")}})
@@ -430,7 +566,7 @@ class TestEvaluateCommand:
         (_, test), (_, qa_test), _ = _load_splits(config)
         gen_dir = tmp_path / "gens"
         gen_dir.mkdir()
-        eligible = [r for r in test if r.description and r.query][:5]
+        eligible = [r for r in map(build_record, test) if r.description and r.query][:5]
         rows = {
             TaskKind.ADS_GENERATION: [(r.id, r.title) for r in eligible],
             TaskKind.TITLE_REWRITING: [(r.id, r.title) for r in eligible],
@@ -462,7 +598,7 @@ class TestEvaluateCommand:
 
         config = load_config(None, [f"paths.out_dir={out}"])
         (_, test), _, _ = _load_splits(config)
-        record = next(r for r in test if r.description)
+        record = next(r for r in map(build_record, test) if r.description)
         (gen_dir / "ads_generation.jsonl").write_text(
             json.dumps({"id": record.id, "generation": record.title}) + "\n",
             encoding="utf-8",
@@ -632,6 +768,112 @@ class TestEvaluateCommand:
         code = _run(tmp_path, "evaluate", "--backend", "http", "--generations", str(gen_dir))
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == message + "\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def _evaluate_over_stub_session(self, tmp_path, monkeypatch, answer):
+        """Run ``evaluate --backend http`` on the demo generations against a
+        stub session: chat posts get the mock backend's logprobs, and an
+        embeddings post gets the data list ``answer(items, post number)``
+        makes from the mock's items, one per input token in index order.
+        Each Q&A generation is another sample's answer."""
+        mock = MockBackend()
+
+        class Response:
+            status_code = 200
+
+            def __init__(self, payload):
+                self.payload = payload
+
+            def json(self):
+                return self.payload
+
+        class StubSession:
+            embed_posts = 0
+
+            def post(self, url, json, **kwargs):
+                if url.endswith("/embeddings"):
+                    vectors = mock.embed_tokens(" ".join(json["input"]))
+                    items = [{"index": i, "embedding": v} for i, v in enumerate(vectors)]
+                    data = answer(items, self.embed_posts)
+                    self.embed_posts += 1
+                    return Response({"data": data})
+                text = json["messages"][-1]["content"]
+                content = [{"logprob": lp} for lp in mock.score_logprobs(text)]
+                return Response({"choices": [{"logprobs": {"content": content}}]})
+
+        session = StubSession()
+        monkeypatch.setattr(
+            "ecomforge.cli.make_backend",
+            lambda config, kind: HttpBackend(
+                base_url="http://stub", model=mock.model, session=session,
+                policy=RetryPolicy(max_retries=0),
+            ),
+        )
+        gen_dir = tmp_path / "gens"
+        _write_generations(gen_dir)
+        # Each Q&A sample gets the next one's answer: BE_qa then depends on
+        # which vector each token gets.
+        qa_path = gen_dir / "general_qa.jsonl"
+        rows = [json.loads(line) for line in qa_path.read_text(encoding="utf-8").splitlines()]
+        answers = [row["generation"] for row in rows]
+        for row, answer_text in zip(rows, answers[1:] + answers[:1]):
+            row["generation"] = answer_text
+        qa_path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return _run(tmp_path, "evaluate", "--backend", "http", "--generations", str(gen_dir))
+
+    def test_embeddings_are_placed_by_index(self, tmp_path, monkeypatch):
+        # Two tokens per embeddings post, answered in order and reversed.
+        monkeypatch.setattr(evalsuite, "EMBED_CHUNK_TOKENS", 2)
+        reports = []
+        for name, answer in (("in-order", lambda items, n: items),
+                             ("reversed", lambda items, n: items[::-1])):
+            (tmp_path / name).mkdir()
+            assert self._evaluate_over_stub_session(tmp_path / name, monkeypatch, answer) == EXIT_OK
+            reports.append((tmp_path / name / "out" / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            (lambda items, n: items[:-1], r"\d+ embeddings for \d+ input tokens"),
+            (
+                lambda items, n: items + [{"index": len(items), "embedding": [0.0] * 16}],
+                r"\d+ embeddings for \d+ input tokens",
+            ),
+            (
+                lambda items, n: [{"embedding": items[0]["embedding"]}, *items[1:]],
+                "missing embeddings: 'index'",
+            ),
+            (
+                lambda items, n: [*items[:-1], {**items[-1], "index": 0}],
+                "embedding index 0 repeated",
+            ),
+            (
+                lambda items, n: [*items[:-1], {**items[-1], "index": len(items)}],
+                r"embedding index \d+ out of range",
+            ),
+            (
+                lambda items, n: [{**items[0], "index": "0"}, *items[1:]],
+                'embedding index "0" out of range',
+            ),
+            (
+                lambda items, n: [{**item, "embedding": item["embedding"][:8]} for item in items]
+                if n else items,
+                "embedding width 8 differs from the first chunk's 16",
+            ),
+        ],
+        ids=["short", "long", "missing-index", "repeated-index", "index-out-of-range",
+             "string-index", "width-across-chunks"],
+    )
+    def test_embeddings_answer_out_of_contract_is_one_error_line(
+        self, tmp_path, monkeypatch, capsys, answer, message
+    ):
+        # Ten tokens per embeddings post, so the demo Q&A takes several.
+        monkeypatch.setattr(evalsuite, "EMBED_CHUNK_TOKENS", 10)
+        code = self._evaluate_over_stub_session(tmp_path, monkeypatch, answer)
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}\n", err), err
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_needs_generations_or_replay(self, tmp_path):
@@ -1192,6 +1434,41 @@ class TestStageRunner:
         assert set(records["curate"]["inputs"]) == {
             "expanded.jsonl", "heldout_scenario_ads.jsonl", "heldout_recommendation.jsonl"
         }
+
+    def test_unicode_and_python_versions_recorded_per_stage(self, tmp_path):
+        records = _stage_records(_formulate_and_expand(tmp_path))
+        python = ".".join(map(str, sys.version_info[:3]))
+        for record in records.values():
+            assert record["unicode"] == unicodedata.unidata_version
+            assert record["python"] == python
+
+    # Python 3.10 ships Unicode 13.0.0 and 3.11 ships 14.0.0.
+    OTHER_UNICODE = "14.0.0" if unicodedata.unidata_version == "13.0.0" else "13.0.0"
+
+    @pytest.mark.parametrize("recorded", [OTHER_UNICODE, None], ids=["other-version", "no-key"])
+    def test_expand_refuses_seeds_written_under_another_unicode_version(
+        self, tmp_path, capsys, recorded
+    ):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        out = tmp_path / "out"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        if recorded is None:
+            # A record written before stages recorded the Unicode version.
+            del manifest["stages"]["formulate"]["unicode"]
+        else:
+            manifest["stages"]["formulate"]["unicode"] = recorded
+        (out / "run_manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        code = _run(tmp_path, "expand", "--backend", "mock")
+        if recorded is None:
+            assert code == EXIT_OK
+            return
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            f"error: {out / 'seeds.jsonl'} was written by `forge formulate` under Unicode "
+            f"{recorded}, this Python has {unicodedata.unidata_version}; rerun it\n"
+        )
+        assert not (out / "expanded.jsonl").exists() and "expand" not in _stage_records(out)
 
     def test_formulate_records_packs_and_error_sidecar(self, tmp_path):
         assert _run(tmp_path, "formulate") == EXIT_OK

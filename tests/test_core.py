@@ -4,7 +4,7 @@ import pkgutil
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ecomforge
 from ecomforge import core
@@ -161,6 +161,22 @@ class TestTokenize:
             assert token
             assert not any(c.isspace() for c in token)
 
+
+    @settings(derandomize=True, max_examples=400)
+    @given(
+        st.text(
+            alphabet=st.one_of(st.sampled_from(" .,;!?-'\"()ΑΣσςİıI"), st.characters()),
+            max_size=80,
+        )
+    )
+    @example("Wait!!! ...what?! (yes) --")
+    @example("ΟΔΟΣ ΣΑΣ. Σ ΑΣ!")
+    @example("İSTANBUL İ İi")
+    def test_joined_tokens_tokenize_to_themselves(self, text):
+        # evalsuite embeds distinct tokens as one space-joined text, which
+        # the backend tokenizes again: every token must come back unchanged.
+        tokens = tokenize(text)
+        assert tokenize(" ".join(tokens)) == tokens
 
 class TestNormalizeLabel:
     def test_ampersand_form(self):

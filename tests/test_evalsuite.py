@@ -33,7 +33,7 @@ from ecomforge.evalsuite import (
     rouge_l,
 )
 from ecomforge.formulate import LABEL_TASKS
-from ecomforge.modelio import EMBED, LOGPROBS, MockBackend, TransportError
+from ecomforge.modelio import EMBED, LOGPROBS, BackendError, MockBackend, TransportError
 
 from oracles import (
     counter_clip_bleu,
@@ -555,6 +555,9 @@ class TestScorerCallsPerDistinctText:
             ],
         }
 
+    # The distinct tokens of the distinct Q&A texts, in first-seen order.
+    QA_TOKENS = "yes it fits a queen bed ships in two days no to three"
+
     def test_each_distinct_text_is_scored_once_in_first_seen_order(self, monkeypatch):
         bert_calls = []
         score = evalsuite.bert_style_score
@@ -569,12 +572,12 @@ class TestScorerCallsPerDistinctText:
         assert [text for kind, text in backend.calls if kind == LOGPROBS] == [
             "oak desk lamp", "silver ring", "wool scarf"
         ]
-        assert [text for kind, text in backend.calls if kind == EMBED] == [
-            "yes it fits", "it fits a queen bed", "ships in two days", "no", "two to three days"
-        ]
+        assert [text for kind, text in backend.calls if kind == EMBED] == [self.QA_TOKENS]
         assert len(bert_calls) == len(self.QA)
 
-    def test_each_distinct_text_is_tokenized_and_resolved_once_per_task(self, monkeypatch):
+    def test_each_distinct_text_is_tokenized_once_per_run_and_resolved_once_per_task(
+        self, monkeypatch
+    ):
         data = self._data()
         expected = _per_sample_metrics(data, MockBackend())
         calls = {"tokenize": [], "normalize_label": []}
@@ -586,12 +589,16 @@ class TestScorerCallsPerDistinctText:
         assert Counter(calls["normalize_label"]) == Counter(
             t for task in LABEL_TASKS for t in {s.generation for s in data[task]}
         )
+        # The ads title "oak desk lamp with dimmer" is also every rewriting
+        # sample's title reference: it is tokenized once.
         texts = {
-            task: {t for s in samples for t in (s.generation, *s.references)}
+            t
             for task, samples in data.items()
             if task not in LABEL_TASKS
+            for s in samples
+            for t in (s.generation, *s.references)
         }
-        assert Counter(calls["tokenize"]) == Counter(t for ts in texts.values() for t in ts)
+        assert Counter(calls["tokenize"]) == Counter(texts)
         assert report.values == expected
 
     def test_report_equals_the_per_sample_oracle_bit_for_bit(self):
@@ -603,16 +610,63 @@ class TestScorerCallsPerDistinctText:
         # The other 16 metrics never call the backend.
         assert report.gm == gm_from_metrics({**report.values, **oracle})
 
+    @pytest.mark.parametrize("chunk", [1, 4, 13, 14])
+    def test_embed_chunks_split_the_distinct_tokens(self, monkeypatch, chunk):
+        monkeypatch.setattr(evalsuite, "EMBED_CHUNK_TOKENS", chunk)
+        data = self._data()
+        backend = _CountingBackend()
+        report = evaluate_run(data, backend)
+        words = self.QA_TOKENS.split()
+        assert [text for kind, text in backend.calls if kind == EMBED] == [
+            " ".join(words[i : i + chunk]) for i in range(0, len(words), chunk)
+        ]
+        assert report.values["BE_qa"] == _per_sample_scorer_metrics(data, MockBackend())["BE_qa"]
+
     @pytest.mark.parametrize(
-        "text, kind", [("wool scarf", LOGPROBS), ("two to three days", EMBED)], ids=["ppl", "embed"]
+        "kind, calls",
+        [
+            (LOGPROBS, ["oak desk lamp", "silver ring", "wool scarf"]),
+            (EMBED, ["yes it fits a", "queen bed ships in"]),
+        ],
+        ids=["ppl", "embed"],
     )
-    def test_a_failing_text_surfaces_its_error(self, text, kind):
-        backend = _CountingBackend(fail_on={text})
-        with pytest.raises(TransportError, match=f"^scorer refused '{text}'$"):
+    def test_a_failing_text_surfaces_its_error(self, monkeypatch, kind, calls):
+        # Four tokens per embed call: the Q&A tokens take four calls, and the
+        # second one is refused.
+        monkeypatch.setattr(evalsuite, "EMBED_CHUNK_TOKENS", 4)
+        backend = _CountingBackend(fail_on={calls[-1]})
+        with pytest.raises(TransportError, match=f"^scorer refused '{calls[-1]}'$"):
             evaluate_run(self._data(), backend)
-        # The calls made up to the failure are the distinct texts before it.
-        texts = [t for k, t in backend.calls if k == kind]
-        assert texts == list(dict.fromkeys(texts)) and texts[-1] == text
+        # The calls made up to the failure are the ones before it, each once.
+        assert [t for k, t in backend.calls if k == kind] == calls
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            (lambda vectors, n: vectors[:-1], "^6 embedding vectors for 7 tokens$"),
+            (lambda vectors, n: vectors + vectors[:1], "^8 embedding vectors for 7 tokens$"),
+            (
+                lambda vectors, n: [v[:8] for v in vectors] if n else vectors,
+                "^embedding width 8 differs from the first chunk's 16$",
+            ),
+        ],
+        ids=["short", "long", "width-across-chunks"],
+    )
+    def test_embeddings_that_do_not_fit_the_tokens_are_refused(self, monkeypatch, answer, message):
+        """A backend answering another vector count than the tokens sent, or
+        another width than an earlier chunk's, would put every later row on
+        another token."""
+        sent = []
+
+        class Misfit(MockBackend):
+            def embed_tokens(self, text):
+                sent.append(text)
+                return answer(super().embed_tokens(text), len(sent) - 1)
+
+        # Seven tokens per embed call: the Q&A tokens take two calls.
+        monkeypatch.setattr(evalsuite, "EMBED_CHUNK_TOKENS", 7)
+        with pytest.raises(BackendError, match=message):
+            evaluate_run(self._data(), Misfit())
 
 
 class TestHumanEval:

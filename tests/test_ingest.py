@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from ecomforge.core import Action, ForgeError, ProductRecord
 from ecomforge.ingest import (
+    build_record,
     canonical_json,
     filter_by_action,
     load_interactions,
@@ -181,7 +182,7 @@ class TestLoadInteractions:
         p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         records, _ = load_interactions(p)
         assert records[0].title == "salt lamp"
-        assert records[0].query == "lamp glow"
+        assert build_record(records[0]).query == "lamp glow"
 
     def test_missing_optional_fields(self, tmp_path):
         p = tmp_path / "data.jsonl"
@@ -191,7 +192,8 @@ class TestLoadInteractions:
         p.write_text(json.dumps(obj) + "\n", encoding="utf-8")
         records, diags = load_interactions(p)
         assert not diags
-        assert records[0].description is None and records[0].query is None
+        record = build_record(records[0])
+        assert record.description is None and record.query is None
 
     def test_all_lines_bad_is_fatal(self, tmp_path):
         p = tmp_path / "data.jsonl"
