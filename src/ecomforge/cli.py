@@ -61,6 +61,7 @@ def make_backend(config: PipelineConfig, kind: str) -> Backend:
             api_key=os.environ.get(api_key_env),
             timeout_s=backend_cfg["timeout_s"],
             policy=RetryPolicy(max_retries=backend_cfg["max_retries"]),
+            concurrency=backend_cfg["concurrency"],
         )
     raise ForgeError(f"unknown backend kind {kind!r}")
 
@@ -157,6 +158,15 @@ def _stale(out_dir: Path, recorded: dict) -> dict[str, str]:
     return stale
 
 
+def _other_unicode(record: dict) -> str | None:
+    """The Unicode version a stage record was written under, when it is not
+    this interpreter's: ``clean_text`` strips by Unicode category, so another
+    version can clean the same text otherwise. A record that names no version
+    is read as it is."""
+    version = record.get("unicode", unicodedata.unidata_version)
+    return None if version == unicodedata.unidata_version else version
+
+
 # Each recorded stage's out-dir files: STAGES[name] = (inputs, outputs). An
 # input's producer is the one stage whose outputs list it.
 STAGES: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {}
@@ -178,13 +188,11 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
 
     Every registered input must exist. One that its producer's record lists
     must still have the recorded sha256, must have been written under this
-    interpreter's Unicode version (``clean_text`` strips by Unicode category,
-    so another version can clean the same text otherwise), and every input
-    that producer read must still have its sha256; an input no record lists
-    is read as it is, and so is a record that names no Unicode version. The
-    record holds the config hash, the Unicode and Python versions, the
-    sha256 of the inputs and outputs, wall and CPU seconds and the process's
-    peak RSS.
+    interpreter's Unicode version (``_other_unicode``), and every input that
+    producer read must still have its sha256; an input no record lists is
+    read as it is. The record holds the config hash, the Unicode and Python
+    versions, the sha256 of the inputs and outputs, wall and CPU seconds and
+    the process's peak RSS.
     """
     out_dir = config.out_dir
     inputs, outputs = STAGES[stage]
@@ -203,10 +211,11 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
                 continue
             if record["outputs"][name] != input_hashes[name]:
                 raise ForgeError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
-            if record.get("unicode", unicodedata.unidata_version) != unicodedata.unidata_version:
+            recorded_unicode = _other_unicode(record)
+            if recorded_unicode is not None:
                 raise ForgeError(
                     f"{path} was written by `forge {producer}` under Unicode "
-                    f"{record['unicode']}, this Python has {unicodedata.unidata_version}; rerun it"
+                    f"{recorded_unicode}, this Python has {unicodedata.unidata_version}; rerun it"
                 )
             for upstream in _stale(out_dir, record.get("inputs", {})):
                 raise ForgeError(
@@ -490,8 +499,9 @@ def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
 
 
 def cmd_check_manifest(config: PipelineConfig) -> int:
-    """Print each recorded output as OK, MISSING or HASH MISMATCH, and each
-    recorded input that is missing or moved as CHANGED; exit 1 unless all OK."""
+    """Print each recorded output as OK, MISSING or HASH MISMATCH, each
+    recorded input that is missing or moved as CHANGED, and each record
+    written under another Unicode version as UNICODE; exit 1 unless all OK."""
     out_dir = config.out_dir
     if not (out_dir / "run_manifest.json").exists():
         raise ForgeError(f"{out_dir / 'run_manifest.json'} not found")
@@ -502,7 +512,11 @@ def cmd_check_manifest(config: PipelineConfig) -> int:
             print(f"{stage}/{name}: {stale.get(name, 'OK')}")
         for name in changed:
             print(f"{stage}/{name}: CHANGED")
-        bad += len(stale) + len(changed)
+        recorded_unicode = _other_unicode(record)
+        if recorded_unicode is not None:
+            here = unicodedata.unidata_version
+            print(f"{stage}: UNICODE {recorded_unicode} (this Python has {here})")
+        bad += len(stale) + len(changed) + (recorded_unicode is not None)
     return EXIT_ERROR if bad else EXIT_OK
 
 

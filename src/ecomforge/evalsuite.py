@@ -345,9 +345,9 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
 
     Each distinct text is tokenized once per run. The backend supplies token
     logprobs (perplexity of rewritten titles), one call per distinct text,
-    and token embeddings (Q&A similarity): a token's vector does not depend
-    on the text around it, so the distinct tokens of all Q&A texts are
-    embedded together, in chunks. Tasks with no samples are reported as
+    all through one ``score_logprobs_many``, and token embeddings (Q&A
+    similarity): a token's vector does not depend on the text around it, so
+    the distinct tokens of all Q&A texts are embedded together, in chunks. Tasks with no samples are reported as
     missing and the aggregate is omitted; so is an aggregate that a metric
     leaves undefined. A generation with no tokens on an overlap task is
     refused, naming its task and sample.
@@ -380,8 +380,9 @@ def evaluate_run(data: dict[TaskKind, list[Sample]], backend: Backend) -> Metric
         # The scorer is a pure function of the text, so each distinct text
         # is scored once, in first-seen order, and read back per sample.
         if task is TaskKind.TITLE_REWRITING:
-            texts = dict.fromkeys(s.generation for s in samples)
-            ppl = {t: perplexity(backend.score_logprobs(t)) for t in texts}
+            texts = list(dict.fromkeys(s.generation for s in samples))
+            scored = backend.score_logprobs_many(texts)
+            ppl = {t: perplexity(logprobs) for t, logprobs in zip(texts, scored)}
             values["PPL"] = _mean([ppl[s.generation] for s in samples])
         elif task is TaskKind.GENERAL_QA:
             texts = dict.fromkeys(t for s in samples for t in (s.generation, s.references[0]))

@@ -42,9 +42,10 @@ _STRATEGY_TAGS = {
 @dataclass(frozen=True)
 class ExpansionPlan:
     """Variant counts per strategy, the seed the calls' sampling seeds derive
-    from, the pool size and the decoding settings, as ``config`` checked
-    them. Classification-style tasks (``LABEL_TASKS``) get instruction
-    rewrites only."""
+    from, the backend's concurrency (the pool runs twice that many chains)
+    and the decoding settings, as ``config`` checked them.
+    Classification-style tasks (``LABEL_TASKS``) get instruction rewrites
+    only."""
 
     instruction_rewrites: int
     response_generations: int
@@ -74,8 +75,8 @@ def expand_corpus(
 ) -> ExpansionResult:
     """Grow the seed set per the plan, returning seeds plus variants.
 
-    Each seed's chain is one task on a pool of ``plan.concurrency`` threads:
-    its instruction rewrites, then response generation j on the j-th
+    Each seed's chain is one task on a pool of ``2 * plan.concurrency``
+    threads: its instruction rewrites, then response generation j on the j-th
     successful rewrite (or on the seed instruction when fewer rewrites
     succeeded), then its response rewrites. Failed calls are collected,
     every seed's rewrites first, then per seed the generations before the
@@ -142,7 +143,9 @@ def expand_corpus(
         calls = plan.instruction_rewrites + plan.response_generations + plan.response_rewrites
         return variants, rewrite_failures, response_failures, calls
 
-    with ThreadPoolExecutor(max_workers=plan.concurrency) as pool:
+    # Twice the backend's slots: up to half the chains can be backing off
+    # from a retry while the rest keep every slot busy.
+    with ThreadPoolExecutor(max_workers=2 * plan.concurrency) as pool:
         variants, rewrite_failures, response_failures, calls = zip(*pool.map(expand_seed, seeds))
     failures = [f for seed_failures in rewrite_failures + response_failures for f in seed_failures]
     total_calls = sum(calls)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -150,6 +152,11 @@ class Backend:
             raise BackendError("backend returned no logprobs payload")
         return list(response.token_logprobs)
 
+    def score_logprobs_many(self, texts: list[str]) -> list[list[float]]:
+        """``score_logprobs`` of each text, in input order, one call at a
+        time; the first failure is raised."""
+        return [self.score_logprobs(text) for text in texts]
+
     def embed_tokens(self, text: str) -> list[list[float]]:
         request = BackendRequest(kind=EMBED, text=text, model=self.model, max_tokens=1)
         response = self.send(request)
@@ -222,6 +229,11 @@ class HttpBackend(Backend):
     input. The API key is read from the named environment variable, never
     from configuration files. ``requests`` is imported on first use, so a
     run that never makes an HttpBackend does not load it.
+
+    At most ``concurrency`` posts are on the wire at once, over every thread
+    that shares the backend. A post holds one of that many slots and nothing
+    else does: a retry's backoff and the parsing of a response happen
+    outside it, so a throttled call leaves its slot to other callers.
     """
 
     base_url: str
@@ -230,9 +242,42 @@ class HttpBackend(Backend):
     timeout_s: float = 60.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     session: requests.Session = field(default_factory=_new_session)
+    concurrency: int = 1
+    _slots: threading.BoundedSemaphore = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.concurrency < 1:
+            raise ValueError("concurrency must be >= 1")
+        self._slots = threading.BoundedSemaphore(self.concurrency)
 
     def send(self, request: BackendRequest) -> BackendResponse:
         return with_retry(self._send_once, request, self.policy)
+
+    def score_logprobs_many(self, texts: list[str]) -> list[list[float]]:
+        """``score_logprobs`` of each text over a pool of ``concurrency``
+        threads, so the posts overlap; results come back in input order.
+        Once a call has failed no further post starts, the calls still
+        queued are cancelled, and the first failure in input order is
+        raised."""
+        failed = threading.Event()
+
+        def score(text: str) -> list[float] | None:
+            if failed.is_set():
+                return None
+            try:
+                return self.score_logprobs(text)
+            except BaseException:
+                failed.set()
+                raise
+
+        pool = ThreadPoolExecutor(max_workers=self.concurrency)
+        try:
+            futures = [pool.submit(score, text) for text in texts]
+            # A call skipped after a failure returns None; the loop reaches
+            # a future holding a failure before it returns.
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
     def _send_once(self, request: BackendRequest) -> BackendResponse:
         import requests
@@ -256,7 +301,8 @@ class HttpBackend(Backend):
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         try:
-            resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
+            with self._slots:
+                resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
         except requests.Timeout as exc:
             raise TransportError(f"request to {url} timed out") from exc
         except requests.RequestException as exc:

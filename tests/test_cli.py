@@ -1470,6 +1470,31 @@ class TestStageRunner:
         )
         assert not (out / "expanded.jsonl").exists() and "expand" not in _stage_records(out)
 
+    @pytest.mark.parametrize("recorded", [OTHER_UNICODE, None], ids=["other-version", "no-key"])
+    def test_check_manifest_lists_a_record_written_under_another_unicode_version(
+        self, tmp_path, capsys, recorded
+    ):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        out = tmp_path / "out"
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        if recorded is None:
+            del manifest["stages"]["formulate"]["unicode"]
+        else:
+            manifest["stages"]["formulate"]["unicode"] = recorded
+        (out / "run_manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        capsys.readouterr()
+        code = _run(tmp_path, "check-manifest")
+        lines = capsys.readouterr().out.splitlines()
+        outputs = sorted(manifest["stages"]["formulate"]["outputs"])
+        assert lines[: len(outputs)] == [f"formulate/{name}: OK" for name in outputs]
+        if recorded is None:
+            assert code == EXIT_OK and len(lines) == len(outputs)
+            return
+        assert code == EXIT_ERROR
+        assert lines[len(outputs) :] == [
+            f"formulate: UNICODE {recorded} (this Python has {unicodedata.unidata_version})"
+        ]
+
     def test_formulate_records_packs_and_error_sidecar(self, tmp_path):
         assert _run(tmp_path, "formulate") == EXIT_OK
         assert set(_stage_records(tmp_path / "out")["formulate"]["outputs"]) == {

@@ -23,7 +23,16 @@ from ecomforge.formulate import (
     InstructionPair,
     Provenance,
 )
-from ecomforge.modelio import MockBackend, TransportError, stable_hash
+from ecomforge.evalsuite import Sample, evaluate_run
+from ecomforge.modelio import (
+    COMPLETE,
+    BackendRequest,
+    HttpBackend,
+    MockBackend,
+    RetryPolicy,
+    TransportError,
+    stable_hash,
+)
 
 
 def _seed(task, i=0, output="a perfectly fine output text"):
@@ -343,28 +352,88 @@ class TestExpandCorpus:
         with pytest.raises(ForgeError, match="all 3 teacher calls failed"):
             expand_corpus(Dead(), seeds, plan)
 
-    def test_concurrency_bound_respected(self):
+    def test_posts_in_flight_stay_within_the_backend_concurrency(self):
+        """expand runs twice as many chains as the backend has slots, and
+        evaluate overlaps its logprob posts; throttled calls back off. The
+        posts on the wire at once never outnumber ``concurrency``."""
+        concurrency = 2
         lock = threading.Lock()
-        state = {"active": 0, "peak": 0}
+        state = {"active": 0, "peak": 0, "throttled": 0}
+        posted = Counter()
+        threads = set()
+        mock = MockBackend()
 
-        class Probe(MockBackend):
-            def send(self, request):
+        class Response:
+            def __init__(self, status_code, payload=None):
+                self.status_code, self.payload = status_code, payload
+
+            def json(self):
+                return self.payload
+
+        class CountingSession:
+            """Answers as the mock backend does; the first post of about a
+            quarter of the bodies gets a 429."""
+
+            def post(self, url, **kwargs):
+                body = kwargs["json"]
+                text = body["messages"][-1]["content"]
+                key = (text, body.get("seed"), body.get("logprobs"))
                 with lock:
                     state["active"] += 1
                     state["peak"] = max(state["peak"], state["active"])
-                time.sleep(0.002)
+                    threads.add(threading.get_ident())
+                    throttled = posted[key] == 0 and stable_hash(*key) % 4 == 0
+                    posted[key] += 1
+                    state["throttled"] += throttled
+                time.sleep(0.001)
                 try:
-                    return super().send(request)
+                    if throttled:
+                        return Response(429)
+                    if body.get("logprobs"):
+                        content = [{"logprob": lp} for lp in mock.score_logprobs(text)]
+                        return Response(200, {"choices": [{"logprobs": {"content": content}}]})
+                    request = BackendRequest(
+                        kind=COMPLETE,
+                        text=text,
+                        model=body["model"],
+                        temperature=body["temperature"],
+                        max_tokens=body["max_tokens"],
+                        seed=body["seed"],
+                    )
+                    message = {"content": mock.send(request).text}
+                    return Response(200, {"choices": [{"message": message}]})
                 finally:
                     with lock:
                         state["active"] -= 1
 
+        backend = HttpBackend(
+            base_url="http://stub",
+            model=mock.model,
+            session=CountingSession(),
+            policy=RetryPolicy(max_retries=1, base_delay=0.002),
+            concurrency=concurrency,
+        )
         seeds = [_seed(task, i) for task in TaskKind for i in range(6)]
         plan = _plan(
-            instruction_rewrites=2, response_generations=1, response_rewrites=1, concurrency=3
+            instruction_rewrites=2,
+            response_generations=1,
+            response_rewrites=1,
+            concurrency=concurrency,
         )
-        expand_corpus(Probe(), seeds, plan)
-        assert 1 <= state["peak"] <= 3
+        result = expand_corpus(backend, seeds, plan)
+        assert result == expand_corpus(mock, seeds, plan)
+        assert 1 <= len(threads) <= 2 * concurrency
+
+        samples = [
+            Sample(f"t{i}", f"oak desk lamp number {i}", ("oak desk lamp", "desk lamp"))
+            for i in range(12)
+        ]
+        report = evaluate_run({TaskKind.TITLE_REWRITING: samples}, backend)
+        assert report.values["PPL"] == evaluate_run(
+            {TaskKind.TITLE_REWRITING: samples}, mock
+        ).values["PPL"]
+        assert state["throttled"] > 0
+        assert 1 <= state["peak"] <= concurrency
 
     def test_one_pool_task_per_seed(self, monkeypatch):
         submitted = []
@@ -380,6 +449,18 @@ class TestExpandCorpus:
         result = expand_corpus(MockBackend(), seeds, plan)
         assert len(submitted) == len(seeds)
         assert not result.failures
+
+    def test_pool_runs_two_chains_per_backend_slot(self, monkeypatch):
+        sizes = []
+
+        class Sized(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(expand, "ThreadPoolExecutor", Sized)
+        expand_corpus(MockBackend(), _one_seed_per_task(), _plan(concurrency=3))
+        assert sizes == [6]
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,10 @@ import pytest
 import requests
 
 import ecomforge
+from ecomforge import modelio
 from ecomforge.modelio import (
     COMPLETE,
+    Backend,
     BackendRequest,
     BackendError,
     BackendResponse,
@@ -407,3 +409,125 @@ class TestHttpBackend:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["False", "True"]
+
+
+class _Response:
+    def __init__(self, status_code, payload=None):
+        self.status_code, self.payload = status_code, payload
+
+    def json(self):
+        return self.payload
+
+
+def _logprobs_response(text):
+    content = [{"logprob": lp} for lp in MockBackend().score_logprobs(text)]
+    return _Response(200, {"choices": [{"logprobs": {"content": content}}]})
+
+
+def _stub_backend(session, concurrency, **kwargs):
+    return HttpBackend(
+        base_url="http://stub", model="mock", session=session, concurrency=concurrency, **kwargs
+    )
+
+
+class TestHttpBackendSlots:
+    def test_a_backoff_holds_no_slot(self, monkeypatch):
+        """At concurrency 1, while one caller backs off from a 429, another
+        caller's post goes through."""
+        backing_off, other_posted = threading.Event(), threading.Event()
+        posts = []
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                text = json["messages"][-1]["content"]
+                throttled = text == "first" and text not in posts
+                posts.append(text)
+                if text == "second":
+                    other_posted.set()
+                if throttled:
+                    return _Response(429)
+                return _Response(200, {"choices": [{"message": {"content": text.upper()}}]})
+
+        waited = []
+
+        def sleep(delay):
+            backing_off.set()
+            waited.append(other_posted.wait(timeout=30))
+
+        retry = modelio.with_retry
+        monkeypatch.setattr(
+            modelio,
+            "with_retry",
+            lambda send, request, policy: retry(send, request, policy, sleep=sleep),
+        )
+        backend = _stub_backend(Session(), 1)
+        second = []
+
+        def call_second():
+            backing_off.wait(timeout=30)
+            second.append(backend.complete(_complete_request("second")))
+
+        thread = threading.Thread(target=call_second)
+        thread.start()
+        assert backend.complete(_complete_request("first")) == "FIRST"
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert waited == [True] and second == ["SECOND"]
+        assert posts == ["first", "second", "first"]
+
+    def test_bad_concurrency_rejected(self):
+        with pytest.raises(ValueError, match="concurrency"):
+            _stub_backend(None, 0)
+
+
+class TestScoreLogprobsMany:
+    TEXTS = ["oak desk lamp", "silver ring", "wool scarf"]
+
+    def test_results_keep_input_order_when_posts_finish_out_of_order(self):
+        texts = self.TEXTS
+        returned = {text: threading.Event() for text in texts}
+        # The third post returns first, then the first, then the second.
+        waits_for = {texts[0]: texts[2], texts[1]: texts[0]}
+        finished = []
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                text = json["messages"][-1]["content"]
+                if text in waits_for:
+                    assert returned[waits_for[text]].wait(timeout=30)
+                finished.append(text)
+                returned[text].set()
+                return _logprobs_response(text)
+
+        backend = _stub_backend(Session(), 3)
+        scored = backend.score_logprobs_many(texts)
+        assert finished == [texts[2], texts[0], texts[1]]
+        assert scored == Backend.score_logprobs_many(backend, texts)
+        assert scored == [MockBackend().score_logprobs(text) for text in texts]
+
+    def test_the_first_failure_in_input_order_is_raised_and_no_post_follows(self):
+        texts = ["t0", "bad1", "bad2", "t3", "t4", "t5"]
+        bad2_failed = threading.Event()
+        posted = []
+
+        class Session:
+            def post(self, url, json, **kwargs):
+                text = json["messages"][-1]["content"]
+                posted.append(text)
+                if text == "bad1":
+                    # bad1 fails after bad2 has.
+                    assert bad2_failed.wait(timeout=30)
+                    return _Response(400)
+                if text == "bad2":
+                    bad2_failed.set()
+                    return _Response(401)
+                return _logprobs_response(text)
+
+        backend = _stub_backend(Session(), 2)
+        with pytest.raises(TransportError) as exc:
+            backend.score_logprobs_many(texts)
+        assert exc.value.status == 400
+        assert sorted(posted) == ["bad1", "bad2", "t0"]
+
+    def test_no_texts(self):
+        assert _stub_backend(None, 2).score_logprobs_many([]) == []
