@@ -6,8 +6,10 @@ report or replay), lora-verify (adapter math checks), human-eval (rating
 distributions), check-manifest (artifact re-verification).
 
 Each recorded stage declares the out-dir files it reads and writes once, in
-``STAGES``, through ``_stage``. A stage refuses an input whose producer's
-record no longer vouches for it, and check-manifest applies the same rule.
+``STAGES``, through ``_stage``; a run manifest may name no other stage or
+file. One rule, ``_verdict``, judges a stage record: a record with any
+verdict vouches for none of its files. A stage refuses an input that such a
+record lists, quoting the verdict line that check-manifest prints for it.
 
 Exit codes: 0 clean, 2 completed with partial diagnostics, 1 hard failure,
 usage errors included.
@@ -123,22 +125,24 @@ def _write_json(path: Path, obj) -> None:
 
 def _read_stages(out_dir: Path) -> dict:
     """The stage records of ``run_manifest.json``, or {} when there is none.
-    A file that is not ``{"stages": {name: record}}``, each record an object
-    whose ``inputs`` and ``outputs`` are objects keyed by plain file names
-    (not empty, ``.`` or ``..``, and without ``/``), is refused."""
+    A file that is not ``{"stages": {stage: record}}`` is refused, as is a
+    stage not in ``STAGES`` or a record whose ``inputs`` or ``outputs`` name a
+    file no stage in ``STAGES`` writes, or whose ``unicode`` is not printable."""
     path = out_dir / "run_manifest.json"
     if not path.exists():
         return {}
+    files = {name for _, made in STAGES.values() for name in made}
     try:
         stages = ingest.read_json(path)["stages"]
         ok = isinstance(stages, dict) and all(
-            isinstance(record, dict)
+            stage in STAGES
+            and isinstance(record, dict)
             and all(
-                isinstance(files, dict)
-                and all(name not in ("", ".", "..") and "/" not in name for name in files)
-                for files in (record.get("inputs", {}), record.get("outputs", {}))
+                isinstance(recorded, dict) and files.issuperset(recorded)
+                for recorded in (record.get("inputs", {}), record.get("outputs", {}))
             )
-            for record in stages.values()
+            and str.isprintable(record.get("unicode", ""))
+            for stage, record in stages.items()
         )
     except (ForgeError, KeyError, TypeError):
         ok = False
@@ -147,24 +151,30 @@ def _read_stages(out_dir: Path) -> dict:
     return stages
 
 
-def _stale(out_dir: Path, recorded: dict) -> dict[str, str]:
-    """Each file of ``recorded`` (out-dir name -> sha256) that is missing or
-    no longer has its recorded sha256, in name order, with its state."""
-    stale = {}
-    for name, digest in sorted(recorded.items()):
-        path = out_dir / name
-        if not path.exists() or _sha256_file(path) != digest:
-            stale[name] = "HASH MISMATCH" if path.exists() else "MISSING"
-    return stale
-
-
-def _other_unicode(record: dict) -> str | None:
-    """The Unicode version a stage record was written under, when it is not
-    this interpreter's: ``clean_text`` strips by Unicode category, so another
-    version can clean the same text otherwise. A record that names no version
-    is read as it is."""
+def _verdict(out_dir: Path, record: dict, sha256) -> list[tuple[str, str]]:
+    """Every reason that a stage record's files are unsafe to read, as (file
+    name, state) pairs: recorded outputs that are MISSING or have a HASH
+    MISMATCH, recorded inputs that have CHANGED, and ("", "UNICODE ...") for a
+    record written under another Unicode version, whose ``clean_text`` can
+    strip other characters (a record naming no version is read as it is).
+    ``sha256(path)`` is the caller's per-run hash cache."""
+    verdict = []
+    for key, changed in (("outputs", None), ("inputs", "CHANGED")):
+        for name, digest in sorted(record.get(key, {}).items()):
+            path = out_dir / name
+            if not path.exists():
+                verdict.append((name, changed or "MISSING"))
+            elif sha256(path) != digest:
+                verdict.append((name, changed or "HASH MISMATCH"))
     version = record.get("unicode", unicodedata.unidata_version)
-    return None if version == unicodedata.unidata_version else version
+    if version != unicodedata.unidata_version:
+        verdict.append(("", f"UNICODE {version} (this Python has {unicodedata.unidata_version})"))
+    return verdict
+
+
+def _verdict_line(stage: str, name: str, state: str) -> str:
+    """A verdict entry as check-manifest prints it and a refusal quotes it."""
+    return f"{stage}/{name}: {state}" if name else f"{stage}: {state}"
 
 
 # Each recorded stage's out-dir files: STAGES[name] = (inputs, outputs). An
@@ -184,43 +194,35 @@ def _stage(name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = (
 def _run_stage(config: PipelineConfig, stage: str, body) -> int:
     """Run ``body()``, which writes the stage's registered outputs and returns
     the exit code, under the out dir's lock, and record the stage in
-    ``run_manifest.json``.
+    ``run_manifest.json``: the config hash, the Unicode and Python versions,
+    the sha256 of the inputs and outputs, wall and CPU seconds and the
+    process's peak RSS.
 
     Every registered input must exist. One that its producer's record lists
-    must still have the recorded sha256, must have been written under this
-    interpreter's Unicode version (``_other_unicode``), and every input that
-    producer read must still have its sha256; an input no record lists is
-    read as it is. The record holds the config hash, the Unicode and Python
-    versions, the sha256 of the inputs and outputs, wall and CPU seconds and
-    the process's peak RSS.
+    is refused, quoting the first entry, while that record has a
+    ``_verdict``; an input no record lists is read as it is.
     """
     out_dir = config.out_dir
     inputs, outputs = STAGES[stage]
     started, cpu_started = time.perf_counter(), time.process_time()
     with OutDirLock(out_dir):
         stages = _read_stages(out_dir)
+        sha256 = functools.cache(_sha256_file)
+        verdict_of = functools.cache(lambda producer: _verdict(out_dir, stages[producer], sha256))
         input_hashes = {}
         for name in inputs:
             path = out_dir / name
             producer = next(other for other, (_, made) in STAGES.items() if name in made)
             if not path.exists():
                 raise ForgeError(f"{path} not found; run `forge {producer}` first")
-            input_hashes[name] = _sha256_file(path)
-            record = stages.get(producer, {})
-            if name not in record.get("outputs", {}):
+            recorded = stages.get(producer, {}).get("outputs", {})
+            if name not in recorded:
+                input_hashes[name] = sha256(path)
                 continue
-            if record["outputs"][name] != input_hashes[name]:
-                raise ForgeError(f"{path} differs from the one `forge {producer}` wrote; rerun it")
-            recorded_unicode = _other_unicode(record)
-            if recorded_unicode is not None:
-                raise ForgeError(
-                    f"{path} was written by `forge {producer}` under Unicode "
-                    f"{recorded_unicode}, this Python has {unicodedata.unidata_version}; rerun it"
-                )
-            for upstream in _stale(out_dir, record.get("inputs", {})):
-                raise ForgeError(
-                    f"{path} was built from an older {upstream}; rerun `forge {producer}`"
-                )
+            for entry in verdict_of(producer)[:1]:
+                line = _verdict_line(producer, *entry)
+                raise ForgeError(f"{path} cannot be read: {line}; rerun `forge {producer}`")
+            input_hashes[name] = recorded[name]
         code = body()
         stages[stage] = {
             "config_hash": config.hash(),
@@ -335,13 +337,13 @@ def cmd_curate(config: PipelineConfig) -> int:
     deduped = curate.dedup(pairs, pipeline_cfg["near_dup_threshold"])
     per_task = pipeline_cfg["target_total"] // len(TaskKind)
     balanced = curate.balance(deduped, per_task, config.rng_seed)
-    dataset_path = out_dir / "dataset.jsonl"
-    manifest = curate.emit_jsonl(balanced, dataset_path)
     training_ids = {p.id for p in balanced}
     for name in HELDOUT_PACKS:
         pack_ids = ingest.read_rows(out_dir / name, lambda row: ingest.string_field(row, "id"))
         if training_ids.intersection(pack_ids):
             raise ForgeError(f"{name} ids overlap the training set")
+    dataset_path = out_dir / "dataset.jsonl"
+    manifest = curate.emit_jsonl(balanced, dataset_path)
     _write_json(out_dir / "manifest.json", vars(manifest))
     print(f"curate: {manifest.count} pairs -> {dataset_path} (sha256 {manifest.sha256[:12]})")
     for task, count in manifest.per_task.items():
@@ -499,24 +501,20 @@ def cmd_human_eval(config: PipelineConfig, ratings_path: Path) -> int:
 
 
 def cmd_check_manifest(config: PipelineConfig) -> int:
-    """Print each recorded output as OK, MISSING or HASH MISMATCH, each
-    recorded input that is missing or moved as CHANGED, and each record
-    written under another Unicode version as UNICODE; exit 1 unless all OK."""
+    """Print each record's outputs as OK or by their ``_verdict`` state, then
+    its other verdict entries; exit 1 if any record has a verdict."""
     out_dir = config.out_dir
     if not (out_dir / "run_manifest.json").exists():
         raise ForgeError(f"{out_dir / 'run_manifest.json'} not found")
-    bad = 0
+    sha256 = functools.cache(_sha256_file)
+    bad = False
     for stage, record in sorted(_read_stages(out_dir).items()):
-        stale, changed = (_stale(out_dir, record.get(key, {})) for key in ("outputs", "inputs"))
-        for name in sorted(record.get("outputs", {})):
-            print(f"{stage}/{name}: {stale.get(name, 'OK')}")
-        for name in changed:
-            print(f"{stage}/{name}: CHANGED")
-        recorded_unicode = _other_unicode(record)
-        if recorded_unicode is not None:
-            here = unicodedata.unidata_version
-            print(f"{stage}: UNICODE {recorded_unicode} (this Python has {here})")
-        bad += len(stale) + len(changed) + (recorded_unicode is not None)
+        verdict = _verdict(out_dir, record, sha256)
+        failed = {name: state for name, state in verdict if state in ("MISSING", "HASH MISMATCH")}
+        lines = [(name, failed.get(name, "OK")) for name in sorted(record.get("outputs", {}))]
+        for entry in lines + [entry for entry in verdict if entry not in failed.items()]:
+            print(_verdict_line(stage, *entry))
+        bad = bad or bool(verdict)
     return EXIT_ERROR if bad else EXIT_OK
 
 

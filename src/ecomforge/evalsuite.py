@@ -122,7 +122,8 @@ def bleu_many(candidates: list[list[str]], references: list[list[str]]) -> list[
 
 
 def bleu(candidate: list[str], reference: list[str]) -> float:
-    """Sentence BLEU-4 of one pair; see ``bleu_many``."""
+    """Sentence BLEU-4 of one pair; see ``bleu_many``. No stage calls it, but
+    ``perfbench/passrun.py`` wraps ``evalsuite.bleu`` by name, so it stays."""
     return bleu_many([candidate], [reference])[0]
 
 

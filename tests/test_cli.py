@@ -1302,8 +1302,9 @@ class TestManifestAndLock:
     @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
     @pytest.mark.parametrize("key", ["inputs", "outputs"])
     @pytest.mark.parametrize(
-        "name", ["", ".", "..", "../x", "sub/seeds.jsonl", "/etc/hostname"],
-        ids=["empty", "dot", "dot-dot", "parent", "subdir", "absolute"],
+        "name",
+        ["", ".", "..", "../x", "sub/seeds.jsonl", "/etc/hostname", "x.jsonl", "x\nexpand: OK"],
+        ids=["empty", "dot", "dot-dot", "parent", "subdir", "absolute", "unregistered", "newline"],
     )
     def test_run_manifest_naming_a_path_that_is_not_a_file_name_is_refused(
         self, tmp_path, capsys, command, key, name
@@ -1312,6 +1313,28 @@ class TestManifestAndLock:
         out.mkdir()
         manifest = json.dumps({"stages": {"formulate": {key: {name: "0"}}}})
         (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
+        assert _run(tmp_path, command) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
+        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
+
+    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"other": {"outputs": {}}},
+            {"formulate": {"unicode": "13.0.0\nexpand/seeds.jsonl: OK"}},
+            {"formulate": {"unicode": 13}},
+        ],
+        ids=["unregistered-stage", "unicode-with-newline", "unicode-number"],
+    )
+    def test_run_manifest_with_an_unregistered_stage_or_unprintable_unicode_is_refused(
+        self, tmp_path, capsys, command, record
+    ):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_manifest.json").write_text(json.dumps({"stages": record}), encoding="utf-8")
         assert _run(tmp_path, command) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -1373,15 +1396,21 @@ class TestStageRegistry:
 
 class TestStageRunner:
     @pytest.mark.parametrize(
-        "edit, refused",
+        "edit, read, refused",
         [
-            ("expanded", "expanded.jsonl differs from the one `forge expand` wrote"),
-            ("pack", "heldout_recommendation.jsonl differs from the one `forge formulate` wrote"),
-            ("reformulate", "expanded.jsonl was built from an older seeds.jsonl"),
+            ("expanded", "expanded.jsonl", "expand/expanded.jsonl: HASH MISMATCH"),
+            # curate reads formulate's first pack before the edited one, and
+            # the record that vouches for both has a verdict.
+            (
+                "pack",
+                "heldout_scenario_ads.jsonl",
+                "formulate/heldout_recommendation.jsonl: HASH MISMATCH",
+            ),
+            ("reformulate", "expanded.jsonl", "expand/seeds.jsonl: CHANGED"),
         ],
         ids=["edited-expanded", "edited-pack", "reformulated-seeds"],
     )
-    def test_curate_refuses_stale_or_edited_input(self, tmp_path, capsys, edit, refused):
+    def test_curate_refuses_stale_or_edited_input(self, tmp_path, capsys, edit, read, refused):
         out = _formulate_and_expand(tmp_path)
         if edit == "reformulate":
             assert _run(tmp_path, "formulate", "--set", "pipeline.seed_per_task=30") == EXIT_OK
@@ -1390,9 +1419,46 @@ class TestStageRunner:
             path.write_text("".join(path.read_text().splitlines(True)[:-1]), encoding="utf-8")
         capsys.readouterr()
         assert _run(tmp_path, "curate") == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and refused in err
+        producer = refused.split("/")[0]
+        assert capsys.readouterr().err == (
+            f"error: {out / read} cannot be read: {refused}; rerun `forge {producer}`\n"
+        )
         assert not (out / "dataset.jsonl").exists() and "curate" not in _stage_records(out)
+
+    def test_expand_and_check_manifest_quote_one_verdict_for_an_edited_pack(
+        self, tmp_path, capsys
+    ):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        out = tmp_path / "out"
+        pack = out / "heldout_recommendation.jsonl"
+        pack.write_bytes(pack.read_bytes() + b"\n")
+        capsys.readouterr()
+        assert _run(tmp_path, "expand", "--backend", "mock") == EXIT_ERROR
+        line = "formulate/heldout_recommendation.jsonl: HASH MISMATCH"
+        assert capsys.readouterr().err == (
+            f"error: {out / 'seeds.jsonl'} cannot be read: {line}; rerun `forge formulate`\n"
+        )
+        assert _run(tmp_path, "check-manifest") == EXIT_ERROR
+        assert line in capsys.readouterr().out.splitlines()
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert _run(tmp_path, "expand", "--backend", "mock") == EXIT_OK
+
+    def test_refused_curate_leaves_dataset_and_manifest_as_they_were(self, tmp_path, capsys):
+        out = _formulate_and_expand(tmp_path)
+        assert _run(tmp_path, "curate") == EXIT_OK
+        records = _stage_records(out)
+        del records["formulate"]
+        (out / "run_manifest.json").write_text(json.dumps({"stages": records}), encoding="utf-8")
+        first_id = json.loads((out / "dataset.jsonl").read_text().splitlines()[0])["id"]
+        (out / "heldout_recommendation.jsonl").write_text(
+            json.dumps({"id": first_id}) + "\n", encoding="utf-8"
+        )
+        before = {name: (out / name).read_bytes() for name in ("dataset.jsonl", "run_manifest.json")}
+        capsys.readouterr()
+        assert _run(tmp_path, "curate", "--set", "rng_seed=1") == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: heldout_recommendation.jsonl ids overlap the training set\n"
+        assert {name: (out / name).read_bytes() for name in before} == before
 
     def test_check_manifest_reports_an_input_changed_by_a_rerun(self, tmp_path, capsys):
         out = _formulate_and_expand(tmp_path)
@@ -1465,8 +1531,8 @@ class TestStageRunner:
             return
         assert code == EXIT_ERROR
         assert capsys.readouterr().err == (
-            f"error: {out / 'seeds.jsonl'} was written by `forge formulate` under Unicode "
-            f"{recorded}, this Python has {unicodedata.unidata_version}; rerun it\n"
+            f"error: {out / 'seeds.jsonl'} cannot be read: formulate: UNICODE {recorded} "
+            f"(this Python has {unicodedata.unidata_version}); rerun `forge formulate`\n"
         )
         assert not (out / "expanded.jsonl").exists() and "expand" not in _stage_records(out)
 

@@ -98,6 +98,13 @@ class TestRougeL:
         assert oracle_lcs(list("abcd"), list("acbd")) == 3
         assert got == pytest.approx(75.0)
 
+    def test_lin_2004_worked_example(self):
+        # Lin (2004), "ROUGE": against "police killed the gunman", S2 shares
+        # the LCS "police the gunman" and S3 only "the gunman".
+        reference = "police killed the gunman".split()
+        assert rouge_l("police kill the gunman".split(), reference) == pytest.approx(75.0)
+        assert rouge_l("the gunman kill police".split(), reference) == pytest.approx(50.0)
+
     def test_exhaustive_lcs_oracle(self):
         cases = [
             ("the quick brown fox", "the brown quick fox"),
@@ -200,6 +207,12 @@ class TestBleuClipIsExact:
         with pytest.raises(ForgeError, match="^2 candidates vs 1 references$"):
             bleu_many([["a"], ["b"]], [["a"]])
         assert bleu_many([], []) == []
+
+    def test_papineni_2002_modified_unigram_precision(self):
+        # Papineni et al. (2002), "BLEU", section 2.1: seven "the" against
+        # "the cat is on the mat" clip to the reference's two (precision 2/7).
+        cand, ref = ["the"] * 7, "the cat is on the mat".split()
+        assert evalsuite._clip_counts([cand], [ref])[:, 0].tolist() == [2, 0, 0, 0]
 
     def test_repeated_gram_clips_to_its_reference_count(self):
         # "the" is 4 of the candidate's 4 unigrams and 2 of the reference's 3:
