@@ -12,8 +12,10 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+from urllib.parse import urlsplit
 
 from .core import ForgeError, TaskKind
 from .ingest import read_json
@@ -140,18 +142,31 @@ def _check_types(default, value, where: str = "") -> None:
         raise ForgeError(f"{where} must be {kind}, got {shown}")
 
 
+def _is_http_url(url: str) -> bool:
+    try:
+        parts = urlsplit(url)
+        return parts.scheme in ("http", "https") and bool(parts.hostname) and parts.port != 0
+    except ValueError:  # a port that is not a number in [0, 65535]
+        return False
+
+
 def _validate(cfg: dict) -> None:
     _check_types(DEFAULTS, cfg)
     backend = cfg["backend"]
     pipeline = cfg["pipeline"]
     n_tasks = len(TaskKind)
     checks = [
+        (_is_http_url(backend["base_url"]), "backend.base_url must be an http:// or https:// URL"),
         # expand starts up to this many threads, one per seed in flight.
         (1 <= backend["concurrency"] <= 64, "backend.concurrency must be in [1, 64]"),
         (0 <= backend["max_retries"] <= 10, "backend.max_retries must be in [0, 10]"),
         # socket.settimeout overflows on a value near 1e10 s or past it.
         (0 < backend["timeout_s"] <= 3600, "backend.timeout_s must be in (0, 3600]"),
-        (backend["expand_temperature"] >= 0, "backend.expand_temperature must be >= 0"),
+        # JSON request bodies carry it, and JSON has no Infinity or NaN.
+        (
+            0 <= backend["expand_temperature"] < math.inf,
+            "backend.expand_temperature must be finite and >= 0",
+        ),
         (backend["max_tokens"] >= 1, "backend.max_tokens must be >= 1"),
         (pipeline["seed_per_task"] >= 1, "pipeline.seed_per_task must be >= 1"),
         (pipeline["instruction_rewrites"] >= 0, "pipeline.instruction_rewrites must be >= 0"),

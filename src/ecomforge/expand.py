@@ -80,7 +80,8 @@ def expand_corpus(
     successful rewrite (or on the seed instruction when fewer rewrites
     succeeded), then its response rewrites. Failed calls are collected,
     every seed's rewrites first, then per seed the generations before the
-    response rewrites. Raises ForgeError only when every teacher call failed.
+    response rewrites. Raises ForgeError, naming the first failure, only when
+    every teacher call failed.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
@@ -150,6 +151,10 @@ def expand_corpus(
     failures = [f for seed_failures in rewrite_failures + response_failures for f in seed_failures]
     total_calls = sum(calls)
     if total_calls > 0 and len(failures) == total_calls:
-        raise ForgeError(f"all {total_calls} teacher calls failed")
+        first = failures[0]
+        raise ForgeError(
+            f"all {total_calls} teacher calls failed (first: seed {first.seed_id}, "
+            f"{first.strategy} {first.index}: {first.reason})"
+        )
     pairs = [p for pair, seed_variants in zip(seeds, variants) for p in (pair, *seed_variants)]
     return ExpansionResult(pairs=pairs, failures=failures)

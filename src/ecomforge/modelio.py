@@ -12,16 +12,15 @@ import hashlib
 import json
 import threading
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
+from urllib.parse import urlsplit
 
 import numpy as np
 
 from .core import ForgeError, MemoTable, clean_text, tokenize
-
-if TYPE_CHECKING:
-    import requests
 
 COMPLETE = "complete"
 LOGPROBS = "logprobs"
@@ -214,10 +213,81 @@ def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
     return tuple(placed[i] for i in range(len(items)))
 
 
-def _new_session() -> requests.Session:
-    import requests
+@dataclass(frozen=True)
+class HttpResponse:
+    """A response ``HttpSession.post`` has read in full."""
 
-    return requests.Session()
+    status_code: int
+    body: bytes
+
+    def json(self):
+        """The body as JSON; a ValueError when it is not UTF-8 JSON, and a
+        RecursionError when it is nested too deeply to parse."""
+        return json.loads(self.body.decode("utf-8"))
+
+
+def _json_body(payload: dict) -> bytes:
+    """``HttpSession.post``'s body; its ``json`` parameter hides the module."""
+    return json.dumps(payload, allow_nan=False).encode("utf-8")
+
+
+def _close_all(idle: dict[tuple, list]) -> None:
+    for connections in idle.values():
+        for connection in connections:
+            connection.close()
+
+
+class HttpSession:
+    """POSTs JSON over ``http.client``, imported on the first post.
+
+    A connection stays open after its post for the next post to the same
+    origin with the same timeout (RFC 9112 section 9.3), so the session
+    holds no more connections than it had posts in flight at once; idle
+    ones are closed when it is collected. Every wire failure is a
+    ``TransportError``. A reused connection that fails before a response
+    arrives, as when the server closed it while idle, is retried once on a
+    new one. Safe to share between threads."""
+
+    def __init__(self) -> None:
+        self._idle: dict[tuple, list] = {}
+        self._lock = threading.Lock()
+        weakref.finalize(self, _close_all, self._idle)
+
+    def post(self, url: str, json: dict, headers: dict[str, str], timeout: float) -> HttpResponse:
+        from http.client import HTTPConnection, HTTPException, HTTPSConnection
+
+        parts = urlsplit(url)
+        connect = HTTPSConnection if parts.scheme == "https" else HTTPConnection
+        key = (parts.scheme, parts.netloc, timeout)
+        target = parts.path + (f"?{parts.query}" if parts.query else "")
+        body = _json_body(json)
+        with self._lock:
+            idle = self._idle.get(key)
+            reused = idle.pop() if idle else None
+        connection = reused or connect(parts.netloc, timeout=timeout)
+        try:
+            try:
+                connection.request("POST", target, body, headers)
+                response = connection.getresponse()
+            except (ConnectionResetError, BrokenPipeError):
+                if connection is not reused:
+                    raise
+                connection.close()
+                connection = connect(parts.netloc, timeout=timeout)
+                connection.request("POST", target, body, headers)
+                response = connection.getresponse()
+            data = response.read()
+        except (OSError, HTTPException) as exc:
+            connection.close()
+            if isinstance(exc, TimeoutError):
+                raise TransportError(f"request to {url} timed out") from exc
+            raise TransportError(f"request to {url} failed: {exc}") from exc
+        if response.will_close:
+            connection.close()
+        else:
+            with self._lock:
+                self._idle.setdefault(key, []).append(connection)
+        return HttpResponse(response.status, data)
 
 
 @dataclass
@@ -227,8 +297,8 @@ class HttpBackend(Backend):
     Completions and logprob scoring POST to ``{base_url}/chat/completions``;
     token embeddings POST to ``{base_url}/embeddings`` with the token list as
     input. The API key is read from the named environment variable, never
-    from configuration files. ``requests`` is imported on first use, so a
-    run that never makes an HttpBackend does not load it.
+    from configuration files. ``session`` may be any object with the
+    ``post`` of ``HttpSession``, returning ``status_code`` and ``json()``.
 
     At most ``concurrency`` posts are on the wire at once, over every thread
     that shares the backend. A post holds one of that many slots and nothing
@@ -241,7 +311,7 @@ class HttpBackend(Backend):
     api_key: str | None = None
     timeout_s: float = 60.0
     policy: RetryPolicy = field(default_factory=RetryPolicy)
-    session: requests.Session = field(default_factory=_new_session)
+    session: HttpSession = field(default_factory=HttpSession)
     concurrency: int = 1
     _slots: threading.BoundedSemaphore = field(init=False, repr=False, compare=False)
 
@@ -280,8 +350,6 @@ class HttpBackend(Backend):
             pool.shutdown(cancel_futures=True)
 
     def _send_once(self, request: BackendRequest) -> BackendResponse:
-        import requests
-
         if request.kind == EMBED:
             url = self.base_url.rstrip("/") + "/embeddings"
             body: dict = {"model": request.model, "input": tokenize(request.text)}
@@ -300,20 +368,15 @@ class HttpBackend(Backend):
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        try:
-            with self._slots:
-                resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
-        except requests.Timeout as exc:
-            raise TransportError(f"request to {url} timed out") from exc
-        except requests.RequestException as exc:
-            raise TransportError(f"request to {url} failed: {exc}") from exc
+        with self._slots:
+            resp = self.session.post(url, json=body, headers=headers, timeout=self.timeout_s)
         if resp.status_code != 200:
             raise TransportError(
                 f"{url} returned HTTP {resp.status_code}", status=resp.status_code
             )
         try:
             payload = resp.json()
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BackendError("response body is not JSON") from exc
         if request.kind == COMPLETE:
             return BackendResponse(text=parse_chat_text(payload))

@@ -210,6 +210,13 @@ class TestConfig:
             ("backend.max_retries=11", False),
             ("backend.concurrency=64", True),
             ("backend.concurrency=65", False),
+            ("backend.base_url=https://api.example.com/v1", True),
+            ("backend.base_url=http://[::1]:8000/v1", True),
+            ("backend.base_url=http://localhost:99999/v1", False),
+            ("backend.base_url=ftp://localhost/v1", False),
+            ("backend.base_url=http:///v1", False),
+            ("backend.expand_temperature=0", True),
+            ("backend.expand_temperature=NaN", False),
         ],
     )
     def test_type_rules(self, override, accepted):
@@ -1027,10 +1034,15 @@ class TestCliErrorSurface:
             # socket.settimeout overflows on these, deep in a backend call.
             (["--set", "backend.timeout_s=1e300"], "backend.timeout_s"),
             (["--set", "backend.timeout_s=Infinity"], "backend.timeout_s"),
+            # No HTTP client can post to it; each call would back off and fail.
+            (["--set", "backend.base_url=localhost:8000/v1"], "backend.base_url"),
+            # A JSON body cannot carry it.
+            (["--set", "backend.expand_temperature=Infinity"], "backend.expand_temperature"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
              "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64",
-             "timeout-1e300", "timeout-infinity"],
+             "timeout-1e300", "timeout-infinity", "base-url-without-scheme",
+             "temperature-infinity"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)

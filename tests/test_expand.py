@@ -349,8 +349,13 @@ class TestExpandCorpus:
 
         seeds = [_seed(TaskKind.ADS_GENERATION, 0)]
         plan = _plan(instruction_rewrites=1, response_generations=1, response_rewrites=1)
-        with pytest.raises(ForgeError, match="all 3 teacher calls failed"):
+        with pytest.raises(ForgeError) as exc:
             expand_corpus(Dead(), seeds, plan)
+        # The error names the first failure in ``failures`` order.
+        assert str(exc.value) == (
+            "all 3 teacher calls failed "
+            f"(first: seed {seeds[0].id}, {INSTRUCTION_REWRITE} 0: down)"
+        )
 
     def test_posts_in_flight_stay_within_the_backend_concurrency(self):
         """expand runs twice as many chains as the backend has slots, and

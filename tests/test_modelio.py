@@ -3,14 +3,18 @@ import os
 import subprocess
 import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
+import time
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-import requests
 
 import ecomforge
 from ecomforge import modelio
+from ecomforge.core import TaskKind
+from ecomforge.expand import ExpansionPlan, expand_corpus
+from ecomforge.formulate import INSTRUCTION_REWRITE, InstructionPair
 from ecomforge.modelio import (
     COMPLETE,
     Backend,
@@ -266,36 +270,68 @@ class TestFixtureReplay:
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
-    """Serves a scripted sequence of (status, payload) responses."""
+    """Serves a scripted sequence of (status, payload) responses over
+    HTTP/1.1 keep-alive; a bytes payload is sent as it is, and a None entry
+    closes the connection without an answer. A reply waits the next of
+    ``delays`` first, if any is left. With ``drop_idle`` the server closes
+    each connection after its response without saying so, as a server
+    closes a keep-alive connection that sat idle."""
 
+    protocol_version = "HTTP/1.1"
+    # Headers and body go out in two writes; Nagle's algorithm would hold
+    # the body back for the client's delayed ACK.
+    disable_nagle_algorithm = True
     script = []
     seen = []
+    delays = []
+    connections = []
+    drop_idle = False
+
+    def handle(self):
+        type(self).connections.append(self.client_address)
+        super().handle()
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         type(self).seen.append((self.path, body))
-        status, payload = self.script.pop(0) if self.script else (500, {})
-        data = json.dumps(payload).encode()
+        reply = self.script.pop(0) if self.script else (500, {})
+        if self.delays:
+            time.sleep(self.delays.pop(0))
+        if reply is None:
+            self.close_connection = True  # hang up without an answer
+            return
+        status, payload = reply
+        data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
+        self.close_connection = self.drop_idle
 
     def log_message(self, *args):
         pass
+
+
+class _QuietServer(ThreadingHTTPServer):
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out closed the connection first
 
 
 @pytest.fixture
 def canned_server():
     _CannedHandler.script = []
     _CannedHandler.seen = []
-    server = HTTPServer(("127.0.0.1", 0), _CannedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    _CannedHandler.delays = []
+    _CannedHandler.connections = []
+    _CannedHandler.drop_idle = False
+    server = _QuietServer(("127.0.0.1", 0), _CannedHandler)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield server, _CannedHandler
     server.shutdown()
+    server.server_close()
     thread.join(timeout=2)
 
 
@@ -349,27 +385,25 @@ class TestHttpBackend:
     def test_timeout_is_retried_as_transport_error(self, canned_server):
         server, handler = canned_server
         fixture = json.loads((FIXTURES / "chat_completion.json").read_text())
-        handler.script.append((200, fixture["response"]))
         request = _complete_request("hello", model="gpt-3.5-turbo")
-        timeouts = []
-
-        def post_timing_out_once(*args, **kwargs):
-            if not timeouts:
-                timeouts.append(args[0])
-                raise requests.Timeout("read timed out")
-            return requests.Session.post(backend.session, *args, **kwargs)
-
-        backend = self._backend(server, policy=RetryPolicy(max_retries=0, base_delay=0.0))
-        backend.session.post = post_timing_out_once
-        with pytest.raises(TransportError, match="timed out") as exc:
+        # The server reads a request well within the timeout, so the slow
+        # reply is always the first request's.
+        handler.delays.append(1.0)
+        handler.script.append((200, fixture["response"]))
+        backend = self._backend(
+            server, timeout_s=0.25, policy=RetryPolicy(max_retries=0, base_delay=0.0)
+        )
+        with pytest.raises(TransportError, match="^request to .* timed out$") as exc:
             backend.complete(request)
-        assert exc.value.status is None and handler.seen == []
+        assert exc.value.status is None and len(handler.seen) == 1
 
-        timeouts.clear()
-        backend = self._backend(server, policy=RetryPolicy(max_retries=1, base_delay=0.0))
-        backend.session.post = post_timing_out_once
+        handler.delays.append(1.0)
+        handler.script[:] = [(200, fixture["response"])] * 2
+        backend = self._backend(
+            server, timeout_s=0.25, policy=RetryPolicy(max_retries=1, base_delay=0.0)
+        )
         assert backend.complete(request) == fixture["expected_text"]
-        assert len(timeouts) == 1 and len(handler.seen) == 1
+        assert len(handler.seen) == 3
 
     def test_embeddings_endpoint_and_tokenization(self, canned_server):
         server, handler = canned_server
@@ -392,23 +426,87 @@ class TestHttpBackend:
         with pytest.raises(TransportError, match="request to .* (timed out|failed)"):
             backend.complete(_complete_request("x", model="m"))
 
-    def test_requests_is_imported_only_by_an_http_backend(self):
-        # A fresh interpreter: this process has imported requests already.
+    def test_posts_reuse_at_most_concurrency_connections(self, canned_server):
+        server, handler = canned_server
+        handler.script.extend(
+            [(200, {"choices": [{"message": {"content": "ok"}}]})] * 50
+        )
+        backend = self._backend(server, concurrency=2)
+        calls = [_complete_request(f"call {i}", model="m") for i in range(50)]
+        # Four callers contend for the backend's two slots.
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(backend.complete, calls)) == ["ok"] * 50
+        assert len(handler.seen) == 50
+        assert 1 <= len(handler.connections) <= 2
+
+    def test_a_dropped_idle_connection_is_reopened_once(self, canned_server):
+        server, handler = canned_server
+        handler.drop_idle = True
+        handler.script.extend(
+            [(200, {"choices": [{"message": {"content": "ok"}}]})] * 5
+        )
+        # No retries: the session alone must resend on a new connection.
+        backend = self._backend(server, policy=RetryPolicy(max_retries=0, base_delay=0.0))
+        for i in range(5):
+            assert backend.complete(_complete_request(f"call {i}", model="m")) == "ok"
+        # One request per call reached the server, each on its own connection.
+        assert [body["messages"][0]["content"] for _, body in handler.seen] == [
+            f"call {i}" for i in range(5)
+        ]
+        assert len(handler.connections) == 5
+
+    def test_a_new_connection_is_not_resent(self, canned_server):
+        server, handler = canned_server
+        handler.script.append(None)
+        backend = self._backend(server, policy=RetryPolicy(max_retries=0, base_delay=0.0))
+        with pytest.raises(TransportError, match="^request to .* failed: ") as exc:
+            backend.complete(_complete_request("x", model="m"))
+        assert exc.value.status is None and len(handler.seen) == 1
+
+    @pytest.mark.parametrize(
+        "body",
+        [b"not json", b'{"choices": "\xff"}', b"[" * 100_000 + b"]" * 100_000],
+        ids=["text", "latin-1", "nested-too-deeply"],
+    )
+    def test_a_body_that_is_not_json_is_a_backend_error(self, canned_server, body):
+        server, handler = canned_server
+        handler.script.append((200, body))
+        with pytest.raises(BackendError, match="^response body is not JSON$") as exc:
+            self._backend(server).complete(_complete_request("x", model="m"))
+        assert not isinstance(exc.value, TransportError) and len(handler.seen) == 1
+
+        # In expand it is one failed call, not a crash.
+        handler.script[:] = [(200, body), (200, {"choices": [{"message": {"content": "ok"}}]})]
+        seed = InstructionPair(
+            id="s0", task=TaskKind.PRODUCT_CLASSIFICATION, instruction="Classify this",
+            input="oak desk", output="home and living",
+        )
+        plan = ExpansionPlan(
+            instruction_rewrites=2, response_generations=0, response_rewrites=0,
+            rng_seed=0, concurrency=1, temperature=0.7, max_tokens=16,
+        )
+        result = expand_corpus(self._backend(server), [seed], plan)
+        assert [p.id for p in result.pairs] == ["s0", "s0-ir1"]
+        assert [(f.strategy, f.index, f.reason) for f in result.failures] == [
+            (INSTRUCTION_REWRITE, 0, "response body is not JSON")
+        ]
+
+    def test_no_http_client_is_imported_before_a_post(self):
+        # A fresh interpreter: this process has imported http.client already.
         script = (
             "import sys\n"
             "import ecomforge.cli\n"
-            "print('requests' in sys.modules)\n"
-            "from ecomforge.modelio import HttpBackend\n"
-            "session = HttpBackend(base_url='http://127.0.0.1:9', model='m').session\n"
-            "import requests\n"
-            "print(type(session) is requests.Session)\n"
+            "from ecomforge.modelio import HttpBackend, HttpSession\n"
+            "backend = HttpBackend(base_url='http://127.0.0.1:9', model='m')\n"
+            "print(type(backend.session) is HttpSession)\n"
+            "print(sorted({'requests', 'http.client'} & set(sys.modules)))\n"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(ecomforge.__file__).parent.parent)}
         done = subprocess.run(
             [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split() == ["False", "True"]
+        assert done.stdout.split("\n")[:2] == ["True", "[]"]
 
 
 class _Response:
