@@ -1,25 +1,40 @@
 """Deduplication, task balancing, JSONL emission, and held-out prompt packs.
 
 Near-duplicate detection uses token 3-gram Jaccard similarity over the
-normalized instruction+input+output text. Candidates come from an exact
-prefix-filter index over 3-grams ordered by ascending document frequency,
-so it keeps the earliest pair of each group and the same survivors as an
-all-pairs comparison without making most of the comparisons. Rows are
-written and read by ``ingest.write_rows`` and ``ingest.read_rows``.
+normalized instruction+input+output text. Tokens are interned and each
+distinct 3-gram gets an int id; a pair's grams are held as one sorted
+``array('i')`` of ranks, rarest gram first. Exact duplicates are found by a
+hash per token stream, compared token by token only when two hashes
+collide. Near duplicates are found by ``NearDupIndex``: a prefix index over
+the rank arrays, a positional filter on the overlap counted while probing,
+and verification by overlap count, so it keeps the earliest pair of each
+group and the same survivors as an all-pairs comparison. Rows are written
+and read by ``ingest.write_rows`` and ``ingest.read_rows``.
 """
 from __future__ import annotations
 
 import hashlib
+import sys
+from array import array
 from collections import defaultdict
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import count, product
+from math import ceil
 from pathlib import Path
 
-from .core import ForgeError, TaskKind, tokenize
+import numpy as np
+
+from .core import ForgeError, MemoTable, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
 from .ingest import optional_string, read_rows, sample, string_field, write_rows
 
 NGRAM_ORDER = 3
+# A candidate's overlap count once the positional filter has ruled it out:
+# adding any remaining overlap leaves it below every bound.
+_PRUNED = -(1 << 62)
+# Pairs ranked per numpy sort: bounds the temporary arrays at paper scale.
+_RANK_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -30,86 +45,202 @@ class Manifest:
 
 
 def pair_tokens(pair: InstructionPair) -> tuple[str, ...]:
-    """Normalized token stream of instruction+input+output, the dedup basis."""
-    return tuple(tokenize(f"{pair.instruction} {pair.input} {pair.output}"))
+    """Normalized token stream of instruction+input+output, the dedup basis.
+    Tokens are interned, so one string object serves every equal token."""
+    return tuple(map(sys.intern, tokenize(f"{pair.instruction} {pair.input} {pair.output}")))
 
 
-def ngram_set(tokens: tuple[str, ...], n: int = NGRAM_ORDER) -> frozenset[tuple[str, ...]]:
-    """Token n-grams; sequences shorter than n contribute themselves whole."""
-    if not tokens:
-        return frozenset()
-    if len(tokens) < n:
-        return frozenset({tokens})
-    return frozenset(tokens[i : i + n] for i in range(len(tokens) - n + 1))
+def _digest(tokens: tuple[str, ...]) -> int:
+    """The exact-duplicate key of a token stream; equal streams share it."""
+    return hash(tokens)
 
 
-def jaccard(a: frozenset, b: frozenset) -> float:
-    if not a and not b:
-        return 1.0
-    union = len(a | b)
-    return len(a & b) / union
+class NearDupIndex:
+    """Sets of gram ranks, queried for members at Jaccard >= ``threshold``.
+
+    A set is a sorted ``array('i')`` of ranks in one global order, rarest
+    gram first. Two sets at Jaccard >= t have |a∩b| >= ceil(t/(1+t)·(|a|+|b|))
+    and share a rank within each one's first ``size - ceil(t * size) + 1``
+    (the prefix filter, Bayardo et al., WWW 2007), so only prefixes are
+    indexed and probed. Probing counts each candidate's prefix overlap and
+    drops it once that count plus the shorter of the two remainders cannot
+    reach the bound (the positional filter, Xiao et al., WWW 2008). The
+    rest are counted out by a merge that stops when the bound is out of
+    reach, and decided by the float test ``inter / union >= threshold``.
+    An empty set matches nothing.
+    """
+
+    def __init__(self, threshold: float):
+        if threshold <= 0:
+            raise ValueError("threshold must be > 0")
+        self.threshold = threshold
+        # The bounds use a threshold a hair below the real one, so rounding
+        # in them or in the final float test can only lengthen a prefix or
+        # lower a required overlap: they prune, and never decide.
+        t = threshold * (1 - 1e-9)
+        # Past t = 1 the length goes negative; no pair can match there.
+        self._prefix_len = MemoTable(lambda size: max(size - ceil(t * size) + 1, 0))
+        self._need = MemoTable(lambda total: ceil(t / (1 + t) * total))  # by |a| + |b|
+        self._sets: list[array] = []
+        # rank -> flat (entry, grams from this one on, entry size) triples
+        self._postings: dict[int, array] = {}
+
+    def add(self, ranks: array) -> int:
+        """Index ``ranks`` as the next entry and return its number."""
+        entry, size = len(self._sets), len(ranks)
+        self._sets.append(ranks)
+        for j, g in enumerate(ranks[: self._prefix_len[size]]):
+            posting = self._postings.get(g)
+            if posting is None:
+                posting = self._postings[g] = array("i")
+            posting.extend((entry, size - j, size))
+        return entry
+
+    def query(self, ranks: array) -> Iterator[int]:
+        """Entries at Jaccard >= threshold with ``ranks``, by first shared prefix rank."""
+        size = len(ranks)
+        prefix = self._prefix_len[size]
+        need, postings = self._need, self._postings
+        counts: dict[int, int] = {}
+        count_of = counts.get
+        for i, g in enumerate(ranks[:prefix]):
+            posting = postings.get(g)
+            if posting is None:
+                continue
+            left = size - i
+            triples = iter(posting)
+            for entry, rest, other in zip(triples, triples, triples):
+                found = count_of(entry, 0)
+                # Found so far, this gram, and at most the shorter remainder.
+                if found + (left if left < rest else rest) >= need[size + other]:
+                    counts[entry] = found + 1
+                elif found:
+                    counts[entry] = _PRUNED
+                # A first hit that fails leaves no count: each later hit
+                # has less left on both sides, so it fails too.
+        for entry, found in counts.items():
+            if found > 0 and self._matches(ranks, prefix, self._sets[entry], found):
+                yield entry
+
+    def _matches(self, a: array, a_prefix: int, b: array, found: int) -> bool:
+        """Whether ``a`` and ``b``, which share ``found`` grams of their
+        prefixes, are at Jaccard >= threshold. The shared grams not yet
+        found all rank after the end of the prefix that ends first, so at
+        most the grams after it can be added; a merge that stops once either
+        array holds more grams the other lacks than the bound allows counts
+        the rest."""
+        la, lb = len(a), len(b)
+        need = self._need[la + lb]
+        b_prefix = self._prefix_len[lb]
+        unseen = la - a_prefix if a[a_prefix - 1] < b[b_prefix - 1] else lb - b_prefix
+        if found + unseen < need:
+            return False
+        spare_a, spare_b = la - need, lb - need
+        i = j = inter = 0
+        while i < la and j < lb:
+            x, y = a[i], b[j]
+            if x == y:
+                inter += 1
+                i += 1
+                j += 1
+            elif x < y:
+                i += 1
+                spare_a -= 1
+                if spare_a < 0:
+                    return False
+            else:
+                j += 1
+                spare_b -= 1
+                if spare_b < 0:
+                    return False
+        return inter / (la + lb - inter) >= self.threshold
+
+
+def _grams(tokens: tuple[str, ...]):
+    """Token n-grams; a stream shorter than n is one gram, itself whole."""
+    if len(tokens) < NGRAM_ORDER:
+        return (tokens,) if tokens else ()
+    return zip(*(tokens[k:] for k in range(NGRAM_ORDER)))
+
+
+def _same_stream(earlier: InstructionPair, pair: InstructionPair, tokens: tuple[str, ...]) -> bool:
+    """Whether ``earlier`` has ``pair``'s token stream ``tokens``; equal text
+    settles it without tokenizing ``earlier`` again."""
+    fields = (earlier.instruction, earlier.input, earlier.output)
+    return fields == (pair.instruction, pair.input, pair.output) or pair_tokens(earlier) == tokens
+
+
+def _distinct_streams(pairs: list[InstructionPair]) -> tuple[list[InstructionPair], list[array], int]:
+    """The pairs whose token stream no earlier pair has, each one's gram ids
+    (one int per distinct gram, in first-appearance order overall), and the
+    number of distinct grams."""
+    gram_ids: defaultdict[tuple[str, ...], int] = defaultdict(count().__next__)
+    first: dict[int, int] = {}  # digest -> the first pair with it
+    collided: dict[int, list[int]] = {}  # digest -> later distinct streams with it
+    distinct: list[InstructionPair] = []
+    grams: list[array] = []
+    for i, pair in enumerate(pairs):
+        tokens = pair_tokens(pair)
+        digest = _digest(tokens)
+        earliest = first.setdefault(digest, i)
+        if earliest != i:
+            same = (earliest, *collided.get(digest, ()))
+            if any(_same_stream(pairs[k], pair, tokens) for k in same):
+                continue
+            collided.setdefault(digest, []).append(i)
+        distinct.append(pair)
+        grams.append(array("i", set(map(gram_ids.__getitem__, _grams(tokens)))))
+    return distinct, grams, len(gram_ids)
+
+
+def _flat(arrays: list[array]) -> np.ndarray:
+    return np.frombuffer(b"".join(arrays), dtype=np.intc)
+
+
+def _rank_in_place(grams: list[array], n_grams: int) -> None:
+    """Turn each gram-id array into its sorted array of ranks: ascending
+    document frequency, ties in id order."""
+    starts = range(0, len(grams), _RANK_CHUNK)
+    df = np.zeros(n_grams, dtype=np.int64)
+    for start in starts:
+        df += np.bincount(_flat(grams[start : start + _RANK_CHUNK]), minlength=n_grams)
+    rank = np.empty(n_grams, dtype=np.intc)
+    rank[np.argsort(df, kind="stable")] = np.arange(n_grams, dtype=np.intc)
+    for start in starts:
+        chunk = grams[start : start + _RANK_CHUNK]
+        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        # Each pair's ranks lifted by n_grams times its place in the chunk,
+        # so one sort orders every pair's ranks and keeps the pairs apart.
+        lift = np.repeat(np.arange(len(chunk), dtype=np.int64) * n_grams, sizes)
+        ranks = rank[_flat(chunk)] + lift
+        data = (np.sort(ranks) - lift).astype(np.intc).tobytes()
+        ends = (np.cumsum(sizes) * rank.itemsize).tolist()
+        for k, (lo, hi) in enumerate(zip([0, *ends], ends), start):
+            grams[k] = array("i", data[lo:hi])
 
 
 def dedup(pairs: list[InstructionPair], threshold: float) -> list[InstructionPair]:
     """Remove exact duplicates, then near-duplicates at or above the Jaccard
     threshold, keeping earliest occurrences. Stable order; idempotent.
 
-    Candidates come from a prefix-filter index (Bayardo et al., WWW 2007):
-    with grams ranked rarest first, two sets at Jaccard >= t share a gram
-    within each one's first ``size - ceil(t * size) + 1`` ranked grams. Only
-    those prefixes are indexed and probed, and every candidate is verified
-    exactly, so the survivors are those of an all-pairs comparison.
+    A pair whose token stream an earlier pair has is dropped: that earlier
+    pair survived or matched a survivor, and so would this one. The rest
+    are queried, in order, against a ``NearDupIndex`` of the survivors, so
+    the result is that of an all-pairs comparison.
     """
     if not pairs:
         raise ValueError("pairs must be nonempty")
     if threshold <= 0:
         # Every pair matches the first one, even with no gram in common.
         return pairs[:1]
-    tokens = [pair_tokens(pair) for pair in pairs]
-    # Grams become ints shared by every set, so each distinct gram is held
-    # once; set sizes and Jaccard values are those of the gram sets.
-    gram_ids: dict[tuple[str, ...], int] = {}
-    grams = [
-        frozenset([gram_ids.setdefault(g, len(gram_ids)) for g in ngram_set(toks)])
-        for toks in tokens
-    ]
-    # Document frequency per gram id, then overwritten by its rank: rarest
-    # first, ties in order of first appearance.
-    rank = [0] * len(gram_ids)
-    for pair_grams in grams:
-        for g in pair_grams:
-            rank[g] += 1
-    for r, g in enumerate(sorted(range(len(rank)), key=rank.__getitem__)):
-        rank[g] = r
+    distinct, grams, n_grams = _distinct_streams(pairs)
+    _rank_in_place(grams, n_grams)
+    index = NearDupIndex(threshold)
     survivors: list[InstructionPair] = []
-    seen_exact: set[tuple[str, ...]] = set()
-    kept_grams: list[frozenset] = []
-    index: dict[int, list[int]] = defaultdict(list)
-    for pair, toks, pair_grams in zip(pairs, tokens, grams):
-        if toks in seen_exact:
-            continue
-        size = len(pair_grams)
-        # int() floors, so a t*size that rounds up past an integer cannot
-        # shorten the prefix below the exact ceil bound.
-        prefix = sorted(pair_grams, key=rank.__getitem__)[: size - int(threshold * size) + 1]
-        candidates = {k for g in prefix for k in index.get(g, ())}
-        duplicate = False
-        for k in candidates:
-            other = kept_grams[k]
-            # |a∩b|/|a∪b| can reach t only if min/max set sizes do.
-            lo, hi = min(size, len(other)), max(size, len(other))
-            if hi and lo / hi < threshold:
-                continue
-            if jaccard(pair_grams, other) >= threshold:
-                duplicate = True
-                break
-        if duplicate:
-            continue
-        seen_exact.add(toks)
-        for g in prefix:
-            index[g].append(len(kept_grams))
-        kept_grams.append(pair_grams)
-        survivors.append(pair)
+    for pair, ranks in zip(distinct, grams):
+        if next(index.query(ranks), None) is None:
+            index.add(ranks)
+            survivors.append(pair)
     return survivors
 
 

@@ -10,6 +10,7 @@ order, then strategy order, then variant index.
 """
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -23,7 +24,7 @@ from .formulate import (
     InstructionPair,
     Provenance,
 )
-from .modelio import Backend, BackendError, BackendRequest, COMPLETE, stable_hash
+from .modelio import Backend, BackendError, BackendRequest, COMPLETE, TransportError, stable_hash
 
 INSTRUCTION_REWRITE_PROMPT = (
     "Rewrite the following instruction while maintaining semantic consistency:"
@@ -80,15 +81,36 @@ def expand_corpus(
     successful rewrite (or on the seed instruction when fewer rewrites
     succeeded), then its response rewrites. Failed calls are collected,
     every seed's rewrites first, then per seed the generations before the
-    response rewrites. Raises ForgeError, naming the first failure, only when
-    every teacher call failed.
+    response rewrites. Raises ForgeError, naming the first failure, when
+    every teacher call failed, or when the first ``2 * plan.concurrency``
+    calls to finish all got no response (``TransportError.status`` None)
+    and none answered: then no chain starts another call. Any answer, an
+    HTTP error status included, turns that early stop off for the run.
     """
     if not seeds:
         raise ValueError("seeds must be nonempty")
     teacher = backend.model
+    limit = 2 * plan.concurrency
+    lock = threading.Lock()
+    silent: list[ExpansionFailure] = []  # calls with no response, while none answered
+    answered = unreachable = False
+
+    def heard(exc: BackendError | None, failure: ExpansionFailure | None = None) -> None:
+        """Note how a call ended: ``exc`` is None when it was answered."""
+        nonlocal answered, unreachable
+        with lock:
+            if answered:
+                return
+            if isinstance(exc, TransportError) and exc.status is None:
+                silent.append(failure)
+                unreachable = len(silent) >= limit
+            else:
+                answered = True
 
     def call(pair, strategy, j, prompt, failures) -> str | None:
         """The teacher's cleaned text, or None after adding the failure."""
+        if unreachable:
+            return None
         request = BackendRequest(
             kind=COMPLETE,
             text=prompt,
@@ -101,7 +123,9 @@ def expand_corpus(
             text = backend.complete(request)
         except BackendError as exc:
             failures.append(ExpansionFailure(pair.id, strategy, j, str(exc)))
+            heard(exc, failures[-1])
             return None
+        heard(None)
         if not text:
             failures.append(
                 ExpansionFailure(pair.id, strategy, j, "teacher returned empty text after cleaning")
@@ -148,6 +172,12 @@ def expand_corpus(
     # from a retry while the rest keep every slot busy.
     with ThreadPoolExecutor(max_workers=2 * plan.concurrency) as pool:
         variants, rewrite_failures, response_failures, calls = zip(*pool.map(expand_seed, seeds))
+    if unreachable:
+        first = silent[0]
+        raise ForgeError(
+            f"teacher endpoint unreachable: the first {limit} calls got no response "
+            f"(first: seed {first.seed_id}, {first.strategy} {first.index}: {first.reason})"
+        )
     failures = [f for seed_failures in rewrite_failures + response_failures for f in seed_failures]
     total_calls = sum(calls)
     if total_calls > 0 and len(failures) == total_calls:

@@ -117,20 +117,22 @@ def oracle_rouge_l(candidate, reference, beta=1.2):
     return 100.0 * (1 + beta**2) * p * r / (r + beta**2 * p)
 
 
+def oracle_ngrams(tokens, n=3):
+    """The set of token n-grams; a sequence shorter than n is one gram,
+    itself whole, and an empty one has none."""
+    tokens = tuple(tokens)
+    if not tokens:
+        return set()
+    if len(tokens) < n:
+        return {tokens}
+    return {tokens[i : i + n] for i in range(len(tokens) - n + 1)}
+
+
 def oracle_jaccard(tokens_a, tokens_b, n=3):
     """Pairwise n-gram set Jaccard similarity; short sequences contribute
     themselves whole, matching the documented convention."""
     _guard_tokens(tokens_a, tokens_b)
-
-    def grams(tokens):
-        tokens = tuple(tokens)
-        if not tokens:
-            return set()
-        if len(tokens) < n:
-            return {tokens}
-        return {tokens[i : i + n] for i in range(len(tokens) - n + 1)}
-
-    ga, gb = grams(tokens_a), grams(tokens_b)
+    ga, gb = oracle_ngrams(tokens_a, n), oracle_ngrams(tokens_b, n)
     if not ga and not gb:
         return 1.0
     inter = sum(1 for g in ga if g in gb)

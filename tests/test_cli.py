@@ -483,6 +483,35 @@ class TestExpandCommand:
         assert main(["expand", "--backend", "mock", "--set", f"paths.out_dir={out}"]) == EXIT_OK
         assert (out / "expanded.jsonl").read_bytes() == first
 
+    def test_unreachable_endpoint_is_one_error_line(self, tmp_path, monkeypatch, capsys):
+        class Refusing:
+            posts = 0
+
+            def post(self, url, **kwargs):
+                Refusing.posts += 1
+                raise TransportError(f"request to {url} failed: connection refused")
+
+        monkeypatch.setattr(
+            "ecomforge.cli.make_backend",
+            lambda config, kind: HttpBackend(
+                base_url="http://stub", model="teacher", session=Refusing(),
+                policy=RetryPolicy(max_retries=0), concurrency=2,
+            ),
+        )
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        capsys.readouterr()
+        code = _run(tmp_path, "expand", "--backend", "http", "--set", "backend.concurrency=2")
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: teacher endpoint unreachable: the first 4 calls got no response "
+            r"\(first: seed \S+, \S+ \d: request to http://stub/chat/completions failed: "
+            r"connection refused\)\n",
+            err,
+        )
+        assert Refusing.posts <= 4 + 3
+        assert not (tmp_path / "out" / "expanded.jsonl").exists()
+
     def test_line_separator_in_an_id_survives_formulate_and_expand(self, tmp_path):
         # seeds.jsonl holds the id's U+2028 raw; str.splitlines would break
         # the row there and expand would refuse the file formulate wrote.

@@ -1,10 +1,15 @@
 import json
+import math
 import os
 import random
+from array import array
 from collections import Counter
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ecomforge import curate
 from ecomforge.core import ForgeError, TaskKind
 from ecomforge.curate import (
     RECOMMENDATION,
@@ -14,15 +19,14 @@ from ecomforge.curate import (
     dedup,
     emit_jsonl,
     emit_pack,
-    jaccard,
     load_jsonl,
-    ngram_set,
+    NearDupIndex,
     pair_tokens,
 )
 from ecomforge.formulate import InstructionPair, Provenance
 from ecomforge.ingest import MalformedLine, write_rows
 
-from oracles import oracle_jaccard
+from oracles import oracle_jaccard, oracle_ngrams
 
 
 def _pair(i, task=TaskKind.ADS_GENERATION, instruction=None, output=None):
@@ -53,6 +57,75 @@ def _oracle_dedup(pairs, threshold):
     return expected
 
 
+# 0, 1, k/m with m up to 12, and k/m whose float product with m lands a
+# hair off k: there a prefix or overlap bound computed carelessly would
+# cut off a match (0.56 = 14/25 is the pinned case below).
+PROPERTY_THRESHOLDS = sorted(
+    {0.0, 1.0, 7 / 25, 14 / 25, 15 / 22, 13 / 23, 15 / 26}
+    | {k / m for m in range(2, 13) for k in range(1, m)}
+)
+
+
+# Streams over four words, where near duplicates abound, and runs of one
+# sequence of distinct words, whose Jaccard values are ratios of run overlaps.
+_RUN_WORDS = [f"u{i}" for i in range(60)]
+STREAMS = st.one_of(
+    st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=1, max_size=26),
+    st.builds(lambda start, n: _RUN_WORDS[start : start + n], st.integers(0, 30), st.integers(1, 30)),
+)
+
+
+def test_property_thresholds_cross_integers():
+    near = [
+        (t, size)
+        for t in PROPERTY_THRESHOLDS
+        for size in range(1, 30)
+        if t * size != round(t * size) and abs(t * size - round(t * size)) < 1e-9
+    ]
+    assert len(near) >= 5
+
+
+def _stream_pair(pair_id, words):
+    """A pair whose token stream is ``words`` (no punctuation), even empty."""
+    return InstructionPair(
+        id=pair_id,
+        task=TaskKind.GENERAL_QA,
+        instruction=" ".join(words[:1]) or " ",
+        input=" ".join(words[1:-1]),
+        output=" ".join(words[1:][-1:]) or " ",
+    )
+
+
+def _random_clone_pairs(seed):
+    """Edit-perturbed clones over a small vocabulary, so many pairs sit just
+    above or below a threshold against an earlier one."""
+    rng = random.Random(seed)
+    vocab = [f"w{i}" for i in range(8)]
+    texts: list[list[str]] = []
+    for _ in range(60):
+        if texts and rng.random() < 0.6:
+            words = list(rng.choice(texts))
+            for _ in range(rng.randint(0, 3)):
+                at = rng.randint(0, len(words))
+                if rng.random() < 0.5 and words:
+                    del words[min(at, len(words) - 1)]
+                else:
+                    words.insert(at, rng.choice(vocab))
+        else:
+            words = [rng.choice(vocab) for _ in range(rng.randint(1, 20))]
+        texts.append(words or [rng.choice(vocab)])
+    return [
+        InstructionPair(
+            id=f"r{i:03d}",
+            task=TaskKind.GENERAL_QA,
+            instruction=words[0],
+            input=" ".join(words[1:-1]),
+            output=words[-1],
+        )
+        for i, words in enumerate(texts)
+    ]
+
+
 class TestDedup:
     def test_exact_duplicates_collapse(self):
         a = _pair(0)
@@ -65,6 +138,11 @@ class TestDedup:
         b = _pair(1, instruction="Write a short ad about the red lamp tonight")
         survivors = dedup([a, b], threshold=1.0)
         assert survivors == [a, b]
+
+    def test_threshold_above_one_drops_only_exact_duplicates(self):
+        a = _pair(0, instruction="Write a short ad about the red lamp today")
+        b = InstructionPair(id="same", task=a.task, instruction=a.instruction, input=a.input, output=a.output)
+        assert dedup([a, b, _pair(1)], threshold=1.5) == [a, _pair(1)]
 
     def test_near_duplicates_detected(self):
         base = "Write a compelling short advertisement about the glowing salt lamp"
@@ -103,34 +181,18 @@ class TestDedup:
     @pytest.mark.parametrize("threshold", [0, 0.3, 0.5, 0.56, 0.7, 0.9, 1.0])
     @pytest.mark.parametrize("seed", range(8))
     def test_random_clone_corpus_matches_oracle(self, seed, threshold):
-        # Edit-perturbed clones over a small vocabulary, so many pairs sit just
-        # above or below the threshold against an earlier one.
-        rng = random.Random(seed)
-        vocab = [f"w{i}" for i in range(8)]
-        texts: list[list[str]] = []
-        for _ in range(60):
-            if texts and rng.random() < 0.6:
-                words = list(rng.choice(texts))
-                for _ in range(rng.randint(0, 3)):
-                    at = rng.randint(0, len(words))
-                    if rng.random() < 0.5 and words:
-                        del words[min(at, len(words) - 1)]
-                    else:
-                        words.insert(at, rng.choice(vocab))
-            else:
-                words = [rng.choice(vocab) for _ in range(rng.randint(1, 20))]
-            texts.append(words or [rng.choice(vocab)])
-        pairs = [
-            InstructionPair(
-                id=f"r{i:03d}",
-                task=TaskKind.GENERAL_QA,
-                instruction=words[0],
-                input=" ".join(words[1:-1]),
-                output=words[-1],
-            )
-            for i, words in enumerate(texts)
-        ]
+        pairs = _random_clone_pairs(seed)
         assert dedup(pairs, threshold) == _oracle_dedup(pairs, threshold)
+
+    @pytest.mark.parametrize("threshold", PROPERTY_THRESHOLDS)
+    def test_every_two_runs_match_oracle(self, threshold):
+        # Runs of distinct words give every small overlap ratio, among them
+        # the float edges: at t = 0.4 sizes 3 and 4 sharing 2 grams sit at
+        # J = 0.4, where t/(1+t) * 7 computes to just above 2.
+        runs = [_RUN_WORDS[start : start + n] for start in range(2) for n in range(1, 10)]
+        for x, y in product(runs, repeat=2):
+            pairs = [_stream_pair("x", x), _stream_pair("y", y)]
+            assert dedup(pairs, threshold) == _oracle_dedup(pairs, threshold)
 
     def test_rounded_up_threshold_product_keeps_match(self):
         # J = 14/25 reaches 0.56 exactly, but 0.56 * 25 rounds up past 14. A
@@ -152,8 +214,8 @@ class TestDedup:
             output=" ".join(words[15:]),
         )
         assert 0.56 * 25 > 14
-        assert len(ngram_set(pair_tokens(short))) == 14
-        assert len(ngram_set(pair_tokens(long))) == 25
+        assert len(oracle_ngrams(pair_tokens(short))) == 14
+        assert len(oracle_ngrams(pair_tokens(long))) == 25
         assert oracle_jaccard(pair_tokens(short), pair_tokens(long)) == 0.56
         assert dedup([short, long], 0.56) == [short]
 
@@ -163,6 +225,9 @@ class TestDedup:
         assert dedup(once, 0.9) == once
 
     def test_jaccard_convention_matches_oracle(self):
+        # A pair is dropped at a threshold equal to its Jaccard with the
+        # earlier one, and kept at the next float up unless the two streams
+        # are equal. Empty streams are equal, so they collapse.
         cases = [
             ([], []),
             (["a"], []),
@@ -171,8 +236,53 @@ class TestDedup:
             (["x"] * 5, ["x"] * 5 + ["y"]),
         ]
         for ta, tb in cases:
-            got = jaccard(ngram_set(tuple(ta)), ngram_set(tuple(tb)))
-            assert got == pytest.approx(oracle_jaccard(ta, tb))
+            a, b = _stream_pair("a", ta), _stream_pair("b", tb)
+            j = oracle_jaccard(ta, tb)
+            if j > 0:
+                assert dedup([a, b], j) == [a]
+            assert dedup([a, b], math.nextafter(j, 2)) == ([a] if ta == tb else [a, b])
+
+    @pytest.mark.parametrize("threshold", [0.7, 1.5])
+    def test_every_digest_colliding_keeps_survivors(self, monkeypatch, threshold):
+        # Streams equal only after tokenizing ("Lamp  RED" vs "lamp red"),
+        # equal text, and unequal streams all share one digest; the exact
+        # comparison must still tell them apart. Above 1 no pair is a near
+        # duplicate, so only that comparison drops case1 and case2.
+        pairs = _random_clone_pairs(3) + [
+            _stream_pair("case0", ["Lamp  RED", "now"]),
+            _stream_pair("case1", ["lamp red", "now"]),
+            _stream_pair("case2", ["lamp red", "now"]),
+        ]
+        expected = _oracle_dedup(pairs, threshold)
+        assert dedup(pairs, threshold) == expected
+        monkeypatch.setattr(curate, "_digest", lambda tokens: 0)
+        assert dedup(pairs, threshold) == expected
+        assert [p.id for p in expected if p.id.startswith("case")] == ["case0"]
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(STREAMS, min_size=1, max_size=14), st.sampled_from(PROPERTY_THRESHOLDS))
+    def test_matches_oracle_on_tiny_vocabulary(self, streams, threshold):
+        pairs = [_stream_pair(f"s{i:02d}", words) for i, words in enumerate(streams)]
+        assert dedup(pairs, threshold) == _oracle_dedup(pairs, threshold)
+
+
+class TestNearDupIndex:
+    def test_query_yields_every_match(self):
+        index = NearDupIndex(0.5)
+        sets = [[0, 1, 2, 3], [0, 1, 2, 4], [5, 6, 7, 8], [0, 1, 2, 3, 9]]
+        assert [index.add(array("i", ranks)) for ranks in sets] == [0, 1, 2, 3]
+        assert sorted(index.query(array("i", [0, 1, 2, 3]))) == [0, 1, 3]
+        assert list(index.query(array("i", [6, 7, 8, 10]))) == [2]
+        assert list(index.query(array("i", [11, 12]))) == []
+
+    def test_empty_set_matches_nothing(self):
+        index = NearDupIndex(0.5)
+        index.add(array("i"))
+        assert list(index.query(array("i"))) == []
+
+    def test_threshold_must_be_positive(self):
+        with pytest.raises(ValueError):
+            NearDupIndex(0)
 
 
 class TestBalance:

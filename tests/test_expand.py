@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 import threading
 import time
 from collections import Counter
@@ -56,6 +58,26 @@ class FailingBackend(MockBackend):
         if "FAIL" in request.text:
             raise TransportError("injected", status=500)
         return super().send(request)
+
+
+class Counting(MockBackend):
+    """Mock that answers its first ``answered`` calls and then raises
+    ``error``, after ``pause_s``; it counts the calls it gets."""
+
+    def __init__(self, error, answered=0, pause_s=0.0):
+        super().__init__()
+        self.error, self.answered, self.pause_s = error, answered, pause_s
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def send(self, request):
+        with self.lock:
+            self.calls += 1
+            answer = self.calls <= self.answered
+        if answer:
+            return super().send(request)
+        time.sleep(self.pause_s)
+        raise self.error
 
 
 class Probe(MockBackend):
@@ -356,6 +378,54 @@ class TestExpandCorpus:
             "all 3 teacher calls failed "
             f"(first: seed {seeds[0].id}, {INSTRUCTION_REWRITE} 0: down)"
         )
+
+    def test_unreachable_endpoint_stops_after_the_first_calls(self):
+        backend = Counting(TransportError("connection refused"))
+        seeds = [_seed(task, i) for i in range(10) for task in TaskKind]
+        with pytest.raises(ForgeError) as exc:
+            expand_corpus(backend, seeds, _plan(concurrency=2))
+        assert re.fullmatch(
+            r"teacher endpoint unreachable: the first 4 calls got no response "
+            r"\(first: seed \S+, \S+ \d: connection refused\)",
+            str(exc.value),
+        )
+        # The fourth refusal stops new calls; at most the other three chains
+        # of the pool's four were already in one.
+        assert 4 <= backend.calls <= 4 + 3
+
+    def test_unreachable_stop_under_thread_switching(self):
+        # Sixteen chains on two cores, switching threads every microsecond:
+        # the refusals are counted under one lock, so every run stops at
+        # the sixteenth and starts at most the fifteen in flight after it.
+        seeds = [_seed(task, i) for i in range(20) for task in TaskKind]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                backend = Counting(TransportError("connection refused"))
+                with pytest.raises(ForgeError, match="^teacher endpoint unreachable: the first 16 "):
+                    expand_corpus(backend, seeds, _plan(concurrency=8))
+                assert 16 <= backend.calls <= 16 + 15
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_http_status_keeps_every_call(self):
+        backend = Counting(TransportError("HTTP 503", status=503))
+        seeds = [_seed(task, i) for i in range(2) for task in TaskKind]
+        total = sum(4 if seed.task in LABEL_TASKS else 6 for seed in seeds)
+        with pytest.raises(ForgeError, match=rf"^all {total} teacher calls failed "):
+            expand_corpus(backend, seeds, _plan(concurrency=2))
+        assert backend.calls == total
+
+    def test_an_answer_turns_the_early_stop_off(self):
+        # The first call sent is answered at once and the rest refused after
+        # a pause, so the answer is the first call to finish.
+        backend = Counting(TransportError("connection refused"), answered=1, pause_s=0.005)
+        seeds = [_seed(task, i) for i in range(2) for task in TaskKind]
+        total = sum(4 if seed.task in LABEL_TASKS else 6 for seed in seeds)
+        result = expand_corpus(backend, seeds, _plan(concurrency=2))
+        assert backend.calls == total
+        assert len(result.failures) == total - 1
 
     def test_posts_in_flight_stay_within_the_backend_concurrency(self):
         """expand runs twice as many chains as the backend has slots, and

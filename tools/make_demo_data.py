@@ -1,12 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled synthetic demo fixture.
+"""Regenerate the bundled synthetic demo fixture, or write larger inputs.
 
-Produces 500 product interaction rows and 100 platform Q&A pairs under
-src/ecomforge/data/. Fully deterministic; the committed files are the output
-of this script with the default seed.
+With no flags, writes 500 product interaction rows and 100 platform Q&A
+pairs under src/ecomforge/data/: the committed files are this output.
+``--out``, ``--records``, ``--qa`` and ``--seed`` write other sizes
+elsewhere; the Q&A questions stay distinct up to ``MAX_DISTINCT_QA`` rows,
+and the first 100 are always the bundled ones. Fully deterministic.
+
+    python tools/make_demo_data.py --out inputs --records 60000 --qa 10000 --seed 7
 """
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from pathlib import Path
@@ -77,6 +82,13 @@ QA_FEATURES = [
     "targeted offers", "storefront banners", "review responses",
     "deposit schedules", "currency conversion",
 ]
+# Past the first len(QA_TOPICS) * len(QA_FEATURES) rows, each question and
+# its answer name a shop category and a situation as well.
+QA_SITUATIONS = [
+    "as a new seller", "before the holiday rush", "on the mobile app",
+    "for international orders", "during a sitewide sale", "while on vacation",
+    "with a second shop", "as a shop team member",
+]
 
 
 def make_records(rng: random.Random, n: int = 500) -> list[dict]:
@@ -135,17 +147,51 @@ def make_qa(rng: random.Random, n: int = 100) -> list[dict]:
     return pairs
 
 
-def main() -> None:
-    rng = random.Random(20240101)
-    OUT_DIR.mkdir(parents=True, exist_ok=True)
-    records = make_records(rng)
-    qa = make_qa(rng)
-    with open(OUT_DIR / "demo_records.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    with open(OUT_DIR / "demo_qa.jsonl", "w", encoding="utf-8") as fh:
-        for pair in qa:
-            fh.write(json.dumps(pair, ensure_ascii=False) + "\n")
+PLAIN_QA = len(QA_TOPICS) * len(QA_FEATURES)
+MAX_DISTINCT_QA = PLAIN_QA * (1 + len(PRODUCTS) * len(QA_SITUATIONS))
+
+
+def make_distinct_qa(rng: random.Random, n: int) -> list[dict]:
+    """``n`` Q&A pairs with distinct questions: ``make_qa``'s first 100,
+    then the same questions for each shop category and situation in turn."""
+    if n > MAX_DISTINCT_QA:
+        raise ValueError(f"at most {MAX_DISTINCT_QA} distinct Q&A pairs, asked for {n}")
+    pairs = make_qa(rng, min(n, PLAIN_QA))
+    categories = list(PRODUCTS)
+    for i in range(PLAIN_QA, n):
+        question_tpl, answer_tpl = QA_TOPICS[i % len(QA_TOPICS)]
+        feature = QA_FEATURES[(i // len(QA_TOPICS)) % len(QA_FEATURES)]
+        category, situation = divmod(i // PLAIN_QA - 1, len(QA_SITUATIONS))
+        where = f"{QA_SITUATIONS[situation]} with {categories[category]} listings"
+        pairs.append(
+            {
+                "id": f"qa-{i:03d}",
+                "question": f"{question_tpl.format(feature=feature)[:-1]} {where}?",
+                "answer": f"{answer_tpl.format(feature=feature)} The same holds {where}.",
+            }
+        )
+    return pairs
+
+
+def write_jsonl(rows: list[dict], path: Path) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=OUT_DIR, help="directory for the two files")
+    parser.add_argument("--records", type=int, default=500, help="interaction rows")
+    parser.add_argument("--qa", type=int, default=PLAIN_QA, help=f"Q&A pairs, at most {MAX_DISTINCT_QA}")
+    parser.add_argument("--seed", type=int, default=20240101, help="random seed")
+    args = parser.parse_args(argv)
+    rng = random.Random(args.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    records = make_records(rng, args.records)
+    qa = make_distinct_qa(rng, args.qa)
+    write_jsonl(records, args.out / "demo_records.jsonl")
+    write_jsonl(qa, args.out / "demo_qa.jsonl")
     actions = {a: sum(1 for r in records if r["action"] == a) for a in ACTIONS}
     with_query = sum(1 for r in records if r["query"])
     with_desc = sum(1 for r in records if r["description"])
