@@ -17,6 +17,7 @@ usage errors included.
 from __future__ import annotations
 
 import argparse
+import fcntl
 import functools
 import hashlib
 import json
@@ -73,44 +74,33 @@ def make_backend(config: PipelineConfig, kind: str) -> Backend:
 
 
 class OutDirLock:
-    """One command instance per out_dir; guards against concurrent clobbering.
-
-    The lock file holds the owner's pid. A lock whose pid no longer names a
-    process was left by a run that died, and is taken over.
-    """
+    """One command instance per out_dir: an exclusive ``flock`` on
+    ``.forge.lock``, which the kernel drops when its holder exits, however it
+    exits. The holder unlinks the file before it lets go, so a run that wins
+    the lock on a file already unlinked opens the path again."""
 
     def __init__(self, out_dir: Path):
         self.path = out_dir / ".forge.lock"
 
     def __enter__(self):
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        for attempt in range(2):
+        while True:
+            fd = os.open(self.path, os.O_CREAT | os.O_WRONLY)
             try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                break
-            except FileExistsError:
-                if attempt or not self._owner_exited():
-                    raise ForgeError(
-                        f"lock {self.path} exists; another run is active (or remove it)"
-                    ) from None
-                self.path.unlink(missing_ok=True)
-        with os.fdopen(fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return self
-
-    def _owner_exited(self) -> bool:
-        """True only when the lock names a pid that no process has. An
-        unreadable lock may be one its owner has not finished writing."""
-        try:
-            os.kill(int(self.path.read_text(encoding="utf-8")), 0)
-        except ProcessLookupError:
-            return True
-        except (OSError, ValueError, OverflowError):
-            pass
-        return False
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                if os.path.samestat(os.fstat(fd), os.stat(self.path)):
+                    self.fd = fd
+                    return self
+            except BlockingIOError:
+                os.close(fd)
+                raise ForgeError(f"another run holds {self.path}") from None
+            except FileNotFoundError:
+                pass
+            os.close(fd)
 
     def __exit__(self, *exc_info):
         self.path.unlink(missing_ok=True)
+        os.close(self.fd)
         return False
 
 

@@ -111,10 +111,14 @@ class PipelineConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def _filled(value) -> bool:
+    return isinstance(value, str) and value.strip() != ""
+
+
 def _check_types(default, value, where: str = "") -> None:
     """Refuse a value whose type is not its default's. A float setting also
     takes an int, a setting whose default is null takes a string, and a list
-    setting is a non-empty list of strings."""
+    setting is a non-empty list of strings. No string, listed or not, is blank."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ForgeError(f"{where} must be a JSON object")
@@ -122,10 +126,10 @@ def _check_types(default, value, where: str = "") -> None:
             _check_types(sub, value[key], f"{where}.{key}" if where else key)
         return
     if isinstance(default, list):
-        ok = isinstance(value, list) and len(value) > 0 and all(isinstance(v, str) for v in value)
-        kind = "a non-empty list of strings"
+        ok = isinstance(value, list) and len(value) > 0 and all(map(_filled, value))
+        kind = "a non-empty list of strings, none blank"
     elif default is None:
-        ok, kind = value is None or isinstance(value, str), "a string or null"
+        ok, kind = value is None or _filled(value), "a non-blank string or null"
     elif isinstance(default, float):
         ok = isinstance(value, (int, float)) and not isinstance(value, bool)
         kind = "a number"
@@ -133,7 +137,7 @@ def _check_types(default, value, where: str = "") -> None:
         ok = isinstance(value, int) and not isinstance(value, bool)
         kind = "an integer"
     else:
-        ok, kind = isinstance(value, str), "a string"
+        ok, kind = _filled(value), "a non-blank string"
     if not ok:
         try:
             shown = json.dumps(value)

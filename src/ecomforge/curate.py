@@ -294,7 +294,11 @@ def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
 
 
 def load_jsonl(path: str | Path) -> list[InstructionPair]:
-    return read_rows(path, _pair_from_obj)
+    """The pairs of a JSONL file, which must hold at least one row."""
+    pairs = read_rows(path, _pair_from_obj)
+    if not pairs:
+        raise ForgeError(f"{path}: no rows")
+    return pairs
 
 
 # ---------------------------------------------------------------------------

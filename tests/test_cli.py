@@ -1,10 +1,14 @@
 import argparse
+import fcntl
 import hashlib
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
+import time
 import unicodedata
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from ecomforge.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     STAGES,
+    OutDirLock,
     build_parser,
     demo_data_path,
     main,
@@ -205,6 +210,14 @@ class TestConfig:
             ('pipeline.heldout_intents=["a gift", 3]', False),
             ("paths.data_in=null", True),
             ("paths.data_in=[]", False),
+            ("paths.data_in=records.jsonl", True),
+            ("paths.data_in=", False),
+            ("paths.qa_in= ", False),
+            ("paths.out_dir=", False),
+            ("backend.model=", False),
+            ("backend.api_key_env=\t", False),
+            ('pipeline.heldout_intents=[""]', False),
+            ('pipeline.heldout_scenarios=["Christmas", " "]', False),
             ('backend={"model": "m"}', True),
             ("backend.max_retries=10", True),
             ("backend.max_retries=11", False),
@@ -670,13 +683,12 @@ class TestEvaluateCommand:
         gen_dir = tmp_path / "gens"
         _write_ads_generation(gen_dir)
         out = tmp_path / "out"
-        out.mkdir(parents=True)
-        (out / ".forge.lock").write_text(str(os.getpid()))
-        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
-        assert code == EXIT_ERROR
-        assert not (out / "report.json").exists()
-        assert _run(tmp_path, "evaluate", "--replay", "builtin") == EXIT_ERROR
-        assert not (out / "replay_report.json").exists()
+        with OutDirLock(out):
+            code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
+            assert code == EXIT_ERROR
+            assert not (out / "report.json").exists()
+            assert _run(tmp_path, "evaluate", "--replay", "builtin") == EXIT_ERROR
+            assert not (out / "replay_report.json").exists()
 
     def test_zero_metric_reports_all_values_without_gm(self, tmp_path, capsys):
         gen_dir = tmp_path / "gens"
@@ -993,11 +1005,9 @@ class TestHumanEvalCommand:
             encoding="utf-8",
         )
         out = tmp_path / "out"
-        out.mkdir()
-        (out / ".forge.lock").write_text(str(os.getpid()))
-        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
-        assert not (out / "human_eval.json").exists()
-        (out / ".forge.lock").unlink()
+        with OutDirLock(out):
+            assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
+            assert not (out / "human_eval.json").exists()
         assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_OK
         assert set(_stage_records(out)["human-eval"]["outputs"]) == {"human_eval.json"}
         assert not (out / ".forge.lock").exists()
@@ -1067,11 +1077,18 @@ class TestCliErrorSurface:
             (["--set", "backend.base_url=localhost:8000/v1"], "backend.base_url"),
             # A JSON body cannot carry it.
             (["--set", "backend.expand_temperature=Infinity"], "backend.expand_temperature"),
+            # A blank path would read the bundled demo data, or write every
+            # artifact to the current directory; a blank intent is a prompt "".
+            (["--set", "paths.data_in="], "paths.data_in"),
+            (["--set", "paths.qa_in="], "paths.qa_in"),
+            (["--set", "paths.out_dir="], "paths.out_dir"),
+            (["--set", 'pipeline.heldout_intents=[""]'], "pipeline.heldout_intents"),
         ],
         ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
              "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64",
              "timeout-1e300", "timeout-infinity", "base-url-without-scheme",
-             "temperature-infinity"],
+             "temperature-infinity", "blank-data-in", "blank-qa-in", "blank-out-dir",
+             "blank-intent"],
     )
     def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
         monkeypatch.chdir(tmp_path)
@@ -1093,6 +1110,23 @@ class TestCliErrorSurface:
         code = _run(tmp_path, "expand", "--backend", "mock")
         assert code == EXIT_ERROR
         assert "seeds.jsonl:1" in capsys.readouterr().err
+
+    def test_empty_seeds_file_is_refused_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir(parents=True)
+        (out / "seeds.jsonl").write_text("\n", encoding="utf-8")
+        assert _run(tmp_path, "expand", "--backend", "mock") == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {out / 'seeds.jsonl'}: no rows\n"
+        assert not (out / "expanded.jsonl").exists()
+
+    def test_empty_expanded_file_is_refused_naming_it(self, tmp_path, capsys):
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        out = tmp_path / "out"
+        (out / "expanded.jsonl").write_bytes(b"")
+        capsys.readouterr()
+        assert _run(tmp_path, "curate") == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {out / 'expanded.jsonl'}: no rows\n"
+        assert not (out / "dataset.jsonl").exists()
 
     def test_hand_made_expanded_with_bad_row_is_clean_error(self, tmp_path, capsys):
         assert _run(tmp_path, "formulate") == EXIT_OK
@@ -1382,19 +1416,105 @@ class TestManifestAndLock:
         assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
         assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
 
-    def test_lockfile_blocks_concurrent_runs(self, tmp_path):
+    def test_lockfile_blocks_concurrent_runs(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        # A second open of the lock file conflicts, in this process too.
+        with OutDirLock(out):
+            assert _run(tmp_path, "formulate") == EXIT_ERROR
+            assert capsys.readouterr().err == f"error: another run holds {out / '.forge.lock'}\n"
+            assert [p.name for p in out.iterdir()] == [".forge.lock"]
+
+    def test_lock_of_a_killed_holder_does_not_block(self, tmp_path):
+        out = tmp_path / "out"
+        script = (
+            "import sys, time\n"
+            "from pathlib import Path\n"
+            "from ecomforge.cli import OutDirLock\n"
+            "OutDirLock(Path(sys.argv[1])).__enter__()\n"
+            "print('held', flush=True)\n"
+            "time.sleep(120)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(evalsuite.__file__).parent.parent))
+        with subprocess.Popen(
+            [sys.executable, "-c", script, str(out)], env=env, stdout=subprocess.PIPE, text=True
+        ) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                assert _run(tmp_path, "formulate") == EXIT_ERROR
+            finally:
+                holder.kill()
+        assert holder.returncode == -signal.SIGKILL
+        # The killed holder could not unlink its lock file; nothing holds it.
+        assert (out / ".forge.lock").exists()
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert not (out / ".forge.lock").exists()
+
+    @pytest.mark.parametrize("replaced", [False, True], ids=["unlinked", "replaced"])
+    def test_lock_won_on_a_file_no_longer_at_the_path_is_taken_again(
+        self, tmp_path, monkeypatch, replaced
+    ):
+        # Between this run's open and its flock, another run takes the lock
+        # and lets it go, unlinking the file this run has open; a third may
+        # then have made a new file at the path.
+        out = tmp_path / "out"
+        flock = fcntl.flock
+
+        def flock_after_another_run(fd, operation):
+            monkeypatch.setattr(fcntl, "flock", flock)
+            with OutDirLock(out):
+                pass
+            if replaced:
+                (out / ".forge.lock").write_text("")
+            flock(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_another_run)
+        with OutDirLock(out):
+            with pytest.raises(ForgeError, match="another run holds"):
+                OutDirLock(out).__enter__()
+        assert not (out / ".forge.lock").exists()
+
+    def test_leftover_lock_naming_a_live_pid_does_not_block(self, tmp_path):
         out = tmp_path / "out"
         out.mkdir(parents=True)
-        (out / ".forge.lock").write_text(str(os.getpid()))
-        assert _run(tmp_path, "formulate") == EXIT_ERROR
+        (out / ".forge.lock").write_text(str(os.getppid()))
+        assert _run(tmp_path, "formulate") == EXIT_OK
+        assert not (out / ".forge.lock").exists()
 
-    def test_stale_lock_of_exited_process_is_taken_over(self, tmp_path):
+    def test_threads_racing_for_a_stale_lock_hold_it_one_at_a_time(self, tmp_path):
+        # Each round starts from the lock file of an exited process; eight
+        # threads, each with its own OutDirLock, then race for it.
         child = subprocess.Popen([sys.executable, "-c", "pass"])
         assert child.wait(timeout=60) == 0
         out = tmp_path / "out"
-        out.mkdir(parents=True)
-        (out / ".forge.lock").write_text(str(child.pid))
-        assert _run(tmp_path, "formulate") == EXIT_OK
+        out.mkdir()
+        guard = threading.Lock()
+        holders, most = 0, 0
+
+        def contend(start, wins):
+            nonlocal holders, most
+            start.wait()
+            try:
+                with OutDirLock(out):
+                    with guard:
+                        holders += 1
+                        most = max(most, holders)
+                    time.sleep(0.001)
+                    with guard:
+                        holders -= 1
+                wins.append(1)
+            except ForgeError:
+                pass
+
+        for _ in range(50):
+            (out / ".forge.lock").write_text(str(child.pid))
+            start, wins = threading.Barrier(8), []
+            threads = [threading.Thread(target=contend, args=(start, wins)) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert wins
+        assert most == 1
         assert not (out / ".forge.lock").exists()
 
     def test_lock_released_after_run(self, tmp_path):

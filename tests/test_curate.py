@@ -349,6 +349,9 @@ class TestEmitJsonl:
         manifest = emit_jsonl([], path)
         assert manifest.count == 0
         assert path.read_bytes() == b""
+        with pytest.raises(ForgeError) as excinfo:
+            load_jsonl(path)
+        assert str(excinfo.value) == f"{path}: no rows"
 
     def test_rehash_oracle(self, tmp_path):
         import hashlib
