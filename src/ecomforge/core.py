@@ -1,8 +1,9 @@
 """Shared domain types, the product taxonomy, and text normalization.
 
 Everything here is pure; the only state is two tables that memoize Unicode
-category lookups. The rest of the toolkit builds on these primitives, and
-raises ``ForgeError`` for everything it refuses.
+category lookups, and a fixed ASCII copy of one of them. The rest of the
+toolkit builds on these primitives, and raises ``ForgeError`` for
+everything it refuses.
 """
 from __future__ import annotations
 
@@ -110,9 +111,11 @@ def _clean_code_point(cp: int) -> int:
     return 0x20 if selector or unicodedata.category(chr(cp)) in _STRIP_CATEGORIES else cp
 
 
-# clean_text's str.translate table (code point -> code point), and whether a
-# character is punctuation (tokenize, normalize_label).
+# clean_text's str.translate table (code point -> code point), the same map
+# over ASCII as a bytes.translate table, and whether a character is
+# punctuation (tokenize, normalize_label).
 _CLEAN = MemoTable(_clean_code_point)
+_CLEAN_ASCII = bytes(map(_clean_code_point, range(128))) + bytes(range(128, 256))
 _PUNCT = MemoTable(lambda ch: unicodedata.category(ch).startswith("P"))
 
 
@@ -123,7 +126,14 @@ def clean_text(raw: str) -> str:
     separators (they are replaced by a space, not deleted), so "a\\u200bb"
     becomes "a b" rather than "ab". Whitespace runs collapse to single
     spaces; the result is stripped. Idempotent.
+
+    ASCII text, the common case, is mapped as bytes through
+    ``_CLEAN_ASCII``, the code point map taken over the 128 ASCII code points
+    when the module loads; any other text goes through ``_CLEAN``. Both give
+    the same string.
     """
+    if raw.isascii():
+        return " ".join(raw.encode().translate(_CLEAN_ASCII).decode().split())
     return " ".join(raw.translate(_CLEAN).split())
 
 

@@ -9,6 +9,13 @@ action) is read by the same loop and differs only in that a bad row is
 skipped and listed as a diagnostic, and the load goes on. A whole-file JSON
 input (config, replay rows, run manifest) is read by ``read_json``, which
 refuses it with one error naming the file.
+
+``read_rows`` has one fast path: a line that starts with ``{`` is handed
+whole to the C scanner (``JSONDecoder.scan_once``), and its object is kept
+only when it ends exactly where the line does. Every other line (padded,
+BOM-prefixed, blank, not an object, two values long, or failing that scan)
+is read by ``json.loads``, which words every error, so the fast path
+changes no row and no reason.
 """
 from __future__ import annotations
 
@@ -113,9 +120,14 @@ def load_interactions(path: str | Path) -> tuple[list[ScreenedRow], list[Malform
     return records, diagnostics
 
 
+_CANONICAL = json.JSONEncoder(
+    default=vars, sort_keys=True, ensure_ascii=False, separators=(",", ":")
+)
+
+
 def canonical_json(obj) -> str:
     """One row as canonical JSON; a dataclass row is written as its fields."""
-    return json.dumps(obj, default=vars, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+    return _CANONICAL.encode(obj)
 
 
 def write_rows(path: str | Path, rows) -> bytes:
@@ -123,6 +135,22 @@ def write_rows(path: str | Path, rows) -> bytes:
     data = "".join(canonical_json(row) + "\n" for row in rows).encode("utf-8")
     write_atomic(path, data)
     return data
+
+
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _whole_object(line: str) -> dict | None:
+    """The JSON object that is exactly ``line``, by the C scanner, or None
+    when the line does not start with ``{``, fails to scan, or holds more
+    than one value: ``json.loads`` then reads it, and words any error."""
+    if line[:1] != "{":
+        return None
+    try:
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    return obj if end == len(line) else None
 
 
 def read_rows(path: str | Path, parse, skip=None) -> list:
@@ -136,11 +164,13 @@ def read_rows(path: str | Path, parse, skip=None) -> list:
     for line_no, raw in _lines(Path(path)):
         try:
             line = raw.decode("utf-8")
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise ValueError("row is not a JSON object")
+            obj = _whole_object(line)
+            if obj is None:
+                if not line.strip():
+                    continue
+                obj = json.loads(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("row is not a JSON object")
             rows.append(parse(obj))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             reason = f"row has no {exc.args[0]!r} key" if isinstance(exc, KeyError) else str(exc)

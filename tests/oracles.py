@@ -7,7 +7,10 @@ is fine; inputs are guarded small.
 """
 from __future__ import annotations
 
+import json
 import math
+import re
+import unicodedata
 from collections import Counter
 from functools import lru_cache
 
@@ -243,3 +246,42 @@ def oracle_fd_gradient(W0, A, B, x, y, eps=1e-5):
         for i in range(len(B))
     ]
     return grad_A, grad_B
+
+
+def oracle_clean_text(raw):
+    """Text cleaning from its definition: each character of a stripped
+    Unicode category (So, Sk, C*) or a variation selector becomes a space,
+    then whitespace runs collapse to one space and the ends are trimmed."""
+    strip = {"So", "Sk", "Cc", "Cf", "Co", "Cs"}
+    out = []
+    for c in raw:
+        selector = "\ufe00" <= c <= "\ufe0f" or "\U000e0100" <= c <= "\U000e01ef"
+        out.append(" " if selector or unicodedata.category(c) in strip else c)
+    return " ".join("".join(out).split())
+
+
+def oracle_read_rows(data, parse):
+    """A JSONL read from its definition, one ``json.loads`` per line: lines end
+    only at \\r\\n, \\n or \\r; a line that is empty or all whitespace is no
+    row; a line that is not UTF-8, not JSON, nested too deeply or not an
+    object is bad, and so is one that ``parse`` rejects with KeyError,
+    TypeError or ValueError. Returns the parsed rows and the (line number,
+    reason) of each bad line, in file order."""
+    lines = re.split(rb"\r\n|\n|\r", data)
+    if lines[-1] == b"":
+        lines.pop()
+    rows, bad = [], []
+    for number, raw in enumerate(lines, 1):
+        try:
+            text = raw.decode("utf-8")
+            if text == "" or text.isspace():
+                continue
+            value = json.loads(text)
+            if type(value) is not dict:
+                raise ValueError("row is not a JSON object")
+            rows.append(parse(value))
+        except KeyError as exc:
+            bad.append((number, f"row has no {exc.args[0]!r} key"))
+        except (TypeError, ValueError, RecursionError) as exc:
+            bad.append((number, str(exc)))
+    return rows, bad

@@ -20,7 +20,9 @@ from ecomforge.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     STAGES,
+    _HASH_CHUNK,
     OutDirLock,
+    _sha256_file,
     build_parser,
     demo_data_path,
     main,
@@ -1521,6 +1523,38 @@ class TestManifestAndLock:
         _run(tmp_path, "formulate")
         assert not (tmp_path / "out" / ".forge.lock").exists()
 
+    # One command per recorded stage; each must be refused before it reads
+    # an input, so none of them needs one.
+    STAGE_ARGV = {
+        "formulate": ["formulate"],
+        "expand": ["expand", "--backend", "mock"],
+        "curate": ["curate"],
+        "evaluate": ["evaluate", "--backend", "mock", "--generations", "."],
+        "replay": ["evaluate", "--replay", "builtin"],
+        "lora-verify": ["lora-verify"],
+        "human-eval": ["human-eval", "--ratings", "ratings.jsonl"],
+    }
+
+    @pytest.mark.parametrize("stage", sorted(STAGES))
+    def test_out_dir_naming_a_file_is_refused_naming_the_setting(self, tmp_path, capsys, stage):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert _run(tmp_path, *self.STAGE_ARGV[stage]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: paths.out_dir {out} is not a directory\n")
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
+
+    def test_out_dir_under_a_file_is_refused_naming_the_setting(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("", encoding="utf-8")
+        out = tmp_path / "file" / "out"
+        assert main(["formulate", "--set", f"paths.out_dir={out}"]) == EXIT_ERROR
+        assert capsys.readouterr() == ("", f"error: paths.out_dir {out} is not a directory\n")
+
+    def test_file_hash_spans_several_chunks(self, tmp_path):
+        data = bytes(range(256)) * (3 * _HASH_CHUNK // 256) + b"tail"
+        path = tmp_path / "big.bin"
+        path.write_bytes(data)
+        assert _sha256_file(path) == hashlib.sha256(data).hexdigest()
+
 
 def _formulate_and_expand(tmp_path):
     for argv in (["formulate"], ["expand", "--backend", "mock"]):
@@ -1771,3 +1805,21 @@ class TestArtifactRows:
         assert len(failures) == 1 and failures[0].reason.endswith("refusé")
         written = write_rows(tmp_path / "failures.jsonl", failures)
         assert written == (out / "diagnostics.jsonl").read_bytes()
+
+    def test_crlf_and_space_padded_inputs_write_the_same_artifacts(self, tmp_path):
+        # No padded line takes read_rows's fast path: json.loads reads each.
+        padded = {}
+        for key, name in (("data_in", "demo_records.jsonl"), ("qa_in", "demo_qa.jsonl")):
+            path = tmp_path / name
+            lines = demo_data_path(name).read_bytes().splitlines()
+            path.write_bytes(b"".join(b"  " + line + b"  \r\n" for line in lines))
+            padded[key] = str(path)
+        written = []
+        for run, config in (("demo", None), ("padded", {"paths": padded})):
+            run_dir = tmp_path / run
+            run_dir.mkdir()
+            for argv in (["formulate"], ["expand", "--backend", "mock"], ["curate"]):
+                assert _run(run_dir, *argv, config=config) == EXIT_OK
+            names = ("seeds.jsonl", "expanded.jsonl", "dataset.jsonl")
+            written.append({name: (run_dir / "out" / name).read_bytes() for name in names})
+        assert written[0] == written[1]

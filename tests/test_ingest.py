@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ecomforge.core import Action, ForgeError, ProductRecord
 from ecomforge.ingest import (
@@ -17,6 +17,8 @@ from ecomforge.ingest import (
     split_generic,
     write_rows,
 )
+
+from oracles import oracle_read_rows
 
 # Characters at which str.splitlines breaks a line but JSONL does not;
 # canonical_json writes them raw inside strings.
@@ -68,6 +70,44 @@ CLEAN_ROWS = [
         id="u2028-in-a-string",
     ),
 ]
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(alphabet=st.sampled_from("ab \u2028\x85\"\\"), max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+_OBJECTS = st.dictionaries(
+    st.sampled_from(["id", "t", "\u2028", "\x85"]), _JSON_VALUES, max_size=3
+)
+_PADS = st.sampled_from([b"", b" ", b"\t", b"\xef\xbb\xbf", "\u00a0".encode(), b"\x1c", b"x"])
+
+
+@st.composite
+def _jsonl_line(draw):
+    """A line near what a JSONL writer makes: an object, canonical or spaced,
+    maybe padded or cut short, or a line from the fixed cases, or raw bytes."""
+    obj = draw(_OBJECTS)
+    text = canonical_json(obj) if draw(st.booleans()) else json.dumps(obj)
+    line = text.encode()
+    shape = draw(st.sampled_from(["whole", "padded", "cut", "fixed", "bytes"]))
+    if shape == "padded":
+        line = draw(_PADS) + line + draw(_PADS)
+    elif shape == "cut":
+        line = line[: draw(st.integers(0, len(line)))]
+    elif shape == "fixed":
+        line = draw(st.sampled_from([v for v in ORACLE_LINES.values() if len(v) < 1000]))
+    elif shape == "bytes":
+        line = draw(st.binary(max_size=12))
+    return line
+
+
+_JSONL_LINES = _jsonl_line()
 
 
 def _parse_id(obj):
@@ -242,6 +282,89 @@ class TestReadRows:
         assert skipped == [(2, str(info.value).removeprefix(f"{p}:2: "))]
         assert skipped[0][1].startswith(reason)
         assert rows == ["rec-000", "rec-002"]
+
+
+def _parse_any(obj):
+    """Every object is a row, save one whose "id" ``_parse_id`` refuses."""
+    if "id" in obj:
+        _parse_id(obj)
+    return obj
+
+
+def _assert_read_as_the_oracle_reads(path, data, parse):
+    """``read_rows`` on ``data`` gives the oracle's rows and skips, and
+    without ``skip`` refuses the file at the oracle's first bad line."""
+    path.write_bytes(data)
+    rows, bad = oracle_read_rows(data, parse)
+    skipped = []
+    assert read_rows(path, parse, lambda *pair: skipped.append(pair)) == rows
+    assert skipped == bad
+    if not bad:
+        assert read_rows(path, parse) == rows
+        return
+    with pytest.raises(ForgeError) as info:
+        read_rows(path, parse)
+    assert str(info.value) == f"{path}:{bad[0][0]}: {bad[0][1]}"
+
+
+LINE_ENDS = [b"\n", b"\r\n", b"\r"]
+DEEP = b"[" * 200_000 + b"]" * 200_000
+
+# One line each: the C scanner's fast path must keep what it reads whole and
+# leave every other line, read or refused, to json.loads.
+ORACLE_LINES = {
+    "canonical": canonical_json({"id": "a", "n": [1, 2.5, None], "t": "x"}).encode(),
+    "spaced-json": b'{"id": "a", "n": {"m": true}}',
+    "space-padded": b'  {"id": "a"}  ',
+    "tab-padded": b'\t{"id": "a"}\t',
+    "trailing-space": b'{"id": "a"} ',
+    "bom": b'\xef\xbb\xbf{"id": "a"}',
+    "two-objects-spaced": b"{} {}",
+    "two-objects-comma": b"{},{}",
+    "object-then-junk": b'{"id": "a"}x',
+    "truncated": b'{"id": "a", "n": [1',
+    "missing-value": b'{"id":}',
+    "empty-object": b"{}",
+    "non-object-list": b'["a"]',
+    "non-object-string": b'"a"',
+    "non-object-number": b"7",
+    "deep-object": b'{"a":' + DEEP + b"}",
+    "deep-list": DEEP,
+    "invalid-utf8": b'{"id": "\xff"}',
+    "u2028-and-u0085-in-strings": '{"id": "a\u2028b", "t": "c\x85d"}'.encode(),
+    "key-order-and-huge-float": b'{"z": 1, "a": -0.0, "m": 1e400}',
+    "parse-key-error": b'{"title": "x"}',
+    "parse-type-error": b'{"id": 7}',
+    "parse-value-error": b'{"id": ""}',
+    "empty": b"",
+    "ascii-whitespace": b" \t \x0b\x0c",
+    "file-separator": b"\x1c",
+    "nbsp": "\u00a0".encode(),
+    "u2028-only": "\u2028".encode(),
+}
+
+
+class TestReadRowsOracle:
+    @pytest.mark.parametrize("end", LINE_ENDS, ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("raw", list(ORACLE_LINES.values()), ids=list(ORACLE_LINES))
+    def test_line_between_good_rows(self, tmp_path, raw, end):
+        data = end.join([_line(0).encode(), raw, _line(2).encode(), b""])
+        _assert_read_as_the_oracle_reads(tmp_path / "rows.jsonl", data, _parse_any)
+
+    def test_every_line_in_one_file(self, tmp_path):
+        data = b"\r\n".join(ORACLE_LINES.values())
+        _assert_read_as_the_oracle_reads(tmp_path / "rows.jsonl", data, _parse_any)
+
+    @settings(
+        derandomize=True,
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.lists(st.tuples(_JSONL_LINES, st.sampled_from(LINE_ENDS)), max_size=8))
+    def test_matches_the_per_line_oracle(self, tmp_path, lines):
+        data = b"".join(line + end for line, end in lines)
+        _assert_read_as_the_oracle_reads(tmp_path / "rows.jsonl", data, _parse_any)
 
 
 class TestFilterByAction:
