@@ -209,8 +209,9 @@ def optional_string(row: dict, key: str) -> str | None:
 
 def write_atomic(path: str | Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` in one step: write a temp file in the
-    same directory, then ``os.replace`` it over the target. A crash or failed
-    write leaves the previous file whole and removes the temp file."""
+    same directory, then ``os.replace`` it over the target, and fsync the
+    directory so that the rename, too, outlives a power loss. A crash or
+    failed write leaves the previous file whole and removes the temp file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -222,6 +223,11 @@ def write_atomic(path: str | Path, data: bytes) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def filter_by_action(records: list) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 import time
 import weakref
@@ -82,7 +83,8 @@ class BackendResponse:
         ]
         if len(present) != 1:
             raise ValueError("response must carry exactly one payload")
-        if self.token_logprobs is not None and any(lp > 0 for lp in self.token_logprobs):
+        # Written so that NaN, which no comparison holds for, is refused too.
+        if self.token_logprobs is not None and any(not lp <= 0 for lp in self.token_logprobs):
             raise ValueError("logprobs must be <= 0")
 
 
@@ -182,11 +184,24 @@ def parse_chat_text(payload: dict) -> str:
     return content
 
 
+def _finite_floats(values, field: str) -> tuple[float, ...]:
+    """``values`` as floats, refused with a BackendError naming ``field`` when
+    one is NaN, infinite or an int past the float range: ``float()`` takes
+    the JSON tokens ``NaN`` and ``Infinity`` and the string ``"nan"``."""
+    try:
+        floats = tuple(map(float, values))
+        if all(map(math.isfinite, floats)):
+            return floats
+    except OverflowError:
+        pass
+    raise BackendError(f"non-finite value in {field}")
+
+
 def parse_chat_logprobs(payload: dict) -> tuple[float, ...]:
-    """Extract choices[0].logprobs.content[*].logprob."""
+    """Extract choices[0].logprobs.content[*].logprob, each finite and <= 0."""
     try:
         entries = payload["choices"][0]["logprobs"]["content"]
-        values = tuple(float(e["logprob"]) for e in entries)
+        values = _finite_floats((e["logprob"] for e in entries), "logprobs")
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise BackendError(f"missing logprobs: {exc}") from exc
     if any(v > 0 for v in values):
@@ -197,7 +212,7 @@ def parse_chat_logprobs(payload: dict) -> tuple[float, ...]:
 def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
     """Extract data[*].embedding from an embeddings response, each placed at
     its item's ``index``, not at its place in the list. The indices must be
-    0 to len(data) - 1, each once."""
+    0 to len(data) - 1, each once, and every value finite."""
     try:
         items = payload["data"]
         placed: dict[int, tuple[float, ...]] = {}
@@ -207,7 +222,7 @@ def parse_embeddings(payload: dict) -> tuple[tuple[float, ...], ...]:
                 raise BackendError(f"embedding index {json.dumps(index)} out of range")
             if index in placed:
                 raise BackendError(f"embedding index {index} repeated")
-            placed[index] = tuple(float(x) for x in item["embedding"])
+            placed[index] = _finite_floats(item["embedding"], f"embedding {index}")
     except (KeyError, TypeError, ValueError) as exc:
         raise BackendError(f"missing embeddings: {exc}") from exc
     return tuple(placed[i] for i in range(len(items)))

@@ -2,6 +2,7 @@ import argparse
 import fcntl
 import hashlib
 import json
+import math
 import os
 import re
 import signal
@@ -11,6 +12,7 @@ import threading
 import time
 import unicodedata
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import pytest
 
@@ -95,6 +97,46 @@ def _write_generations(gen_dir, wrong_labels=False):
             "".join(json.dumps({"id": i, "generation": g}) + "\n" for i, g in entries),
             encoding="utf-8",
         )
+
+
+def _stub_scorer(monkeypatch, embeddings=lambda items, n: items, logprobs=lambda values: values):
+    """Make ``make_backend`` give an HttpBackend over a stub session. A chat
+    post gets ``logprobs(values)`` from the mock backend's logprob values; an
+    embeddings post gets the data list ``embeddings(items, post number)``
+    makes from the mock's items, one per input token in index order."""
+    mock = MockBackend()
+
+    class Response:
+        status_code = 200
+
+        def __init__(self, payload):
+            self.payload = payload
+
+        def json(self):
+            return self.payload
+
+    class StubSession:
+        embed_posts = 0
+
+        def post(self, url, json, **kwargs):
+            if url.endswith("/embeddings"):
+                vectors = mock.embed_tokens(" ".join(json["input"]))
+                items = [{"index": i, "embedding": v} for i, v in enumerate(vectors)]
+                data = embeddings(items, self.embed_posts)
+                self.embed_posts += 1
+                return Response({"data": data})
+            values = mock.score_logprobs(json["messages"][-1]["content"])
+            content = [{"logprob": lp} for lp in logprobs(values)]
+            return Response({"choices": [{"logprobs": {"content": content}}]})
+
+    session = StubSession()
+    monkeypatch.setattr(
+        "ecomforge.cli.make_backend",
+        lambda config, kind: HttpBackend(
+            base_url="http://stub", model=mock.model, session=session,
+            policy=RetryPolicy(max_retries=0),
+        ),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -402,23 +444,6 @@ class TestFormulate:
                 record = full_parse(rows[sample.sample_id])
                 assert sample.references == tuple(getattr(record, f) for f in fields)
 
-    def test_missing_input_path(self, tmp_path):
-        code = _run(tmp_path, "formulate", config={"paths": {"data_in": str(tmp_path / "nope.jsonl")}})
-        assert code == EXIT_ERROR
-
-    @pytest.mark.parametrize(
-        "key, demo", [("data_in", "demo_records.jsonl"), ("qa_in", "demo_qa.jsonl")]
-    )
-    def test_repeated_id_names_file_and_id(self, tmp_path, capsys, key, demo):
-        lines = demo_data_path(demo).read_text(encoding="utf-8").splitlines()
-        rows = tmp_path / "rows.jsonl"
-        rows.write_text("\n".join([lines[0], *lines]) + "\n", encoding="utf-8")
-        assert _run(tmp_path, "formulate", config={"paths": {key: str(rows)}}) == EXIT_ERROR
-        repeated = json.loads(lines[0])["id"]
-        assert capsys.readouterr().err == (
-            f"error: {rows}: duplicate id {repeated!r}; train/test disjointness would break\n"
-        )
-
     def test_demo_heldout_packs_keep_their_bytes(self, tmp_path):
         assert _run(tmp_path, "formulate") == EXIT_OK
         pinned = {
@@ -433,27 +458,6 @@ class TestFormulate:
             data = (tmp_path / "out" / name).read_bytes()
             assert hashlib.sha256(data).hexdigest() == digest
             assert data.count(b"\n") == rows
-
-    @pytest.mark.parametrize(
-        "key, rows",
-        [
-            ("data_in", "no_action"),
-            ("data_in", "empty"),
-            ("qa_in", "empty"),
-        ],
-        ids=["records-all-no-action", "records-empty", "qa-empty"],
-    )
-    def test_empty_split_names_the_file(self, tmp_path, capsys, key, rows):
-        path = tmp_path / "rows.jsonl"
-        text = ""
-        if rows == "no_action":
-            demo = demo_data_path("demo_records.jsonl").read_text(encoding="utf-8")
-            lines = [json.loads(line) | {"action": "no_action"} for line in demo.splitlines()]
-            text = "".join(json.dumps(row) + "\n" for row in lines)
-        path.write_text(text, encoding="utf-8")
-        assert _run(tmp_path, "formulate", config={"paths": {key: str(path)}}) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {path}: no rows to split\n"
-        assert not list((tmp_path / "out").iterdir())
 
     def test_rerun_hash_oracle(self, tmp_path):
         _run(tmp_path, "formulate")
@@ -482,16 +486,7 @@ class TestFormulate:
         assert _run(tmp_path, "check-manifest") == EXIT_OK
         assert "formulate/ingest.errors.jsonl: OK" in capsys.readouterr().out
 
-    def test_heldout_set_larger_than_test_split_writes_nothing(self, tmp_path, capsys):
-        assert _run(tmp_path, "formulate", "--set", "pipeline.heldout_set_size=1000") == EXIT_ERROR
-        assert "test split too small" in capsys.readouterr().err
-        assert not list((tmp_path / "out").iterdir())
-
-
 class TestExpandCommand:
-    def test_requires_seeds(self, tmp_path):
-        assert _run(tmp_path, "expand", "--backend", "mock") == EXIT_ERROR
-
     def test_mock_deterministic_bytes(self, pipeline_dir, tmp_path):
         out = pipeline_dir / "out"
         first = (out / "expanded.jsonl").read_bytes()
@@ -527,9 +522,10 @@ class TestExpandCommand:
         assert Refusing.posts <= 4 + 3
         assert not (tmp_path / "out" / "expanded.jsonl").exists()
 
-    def test_line_separator_in_an_id_survives_formulate_and_expand(self, tmp_path):
+    def test_line_separator_in_an_id_survives_formulate_expand_and_curate(self, tmp_path):
         # seeds.jsonl holds the id's U+2028 raw; str.splitlines would break
-        # the row there and expand would refuse the file formulate wrote.
+        # the row there, and expand and curate would refuse the files that
+        # formulate and expand wrote.
         lines = demo_data_path("demo_records.jsonl").read_bytes().splitlines()
         rows = [json.loads(line) for line in lines]
         for row in rows[:200]:
@@ -544,6 +540,10 @@ class TestExpandCommand:
         expanded = load_jsonl(tmp_path / "out" / "expanded.jsonl")
         assert {p.id for p in seeds} <= {p.id for p in expanded}
         assert any("\u2028x" in p.id for p in seeds)
+        assert _run(tmp_path, "curate", config=config) == EXIT_OK
+        dataset = tmp_path / "out" / "dataset.jsonl"
+        assert "\u2028x".encode() in dataset.read_bytes()
+        assert {p.id for p in load_jsonl(dataset)} <= {p.id for p in expanded}
 
     def test_count_matches_closed_form(self, pipeline_dir):
         out = pipeline_dir / "out"
@@ -660,27 +660,6 @@ class TestEvaluateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["GM"] is None and report["missing_tasks"]
 
-    def test_misaligned_id_names_offender(self, pipeline_dir, tmp_path, capsys):
-        out = pipeline_dir / "out"
-        gen_dir = tmp_path / "gens"
-        gen_dir.mkdir()
-        (gen_dir / "ads_generation.jsonl").write_text(
-            json.dumps({"id": "rec-9999", "generation": "text"}) + "\n", encoding="utf-8"
-        )
-        code = main(["evaluate", "--backend", "mock", "--generations", str(gen_dir),
-                     "--set", f"paths.out_dir={out}"])
-        assert code == EXIT_ERROR
-        assert "rec-9999" in capsys.readouterr().err
-
-    def test_duplicate_generation_id_is_refused(self, tmp_path, capsys):
-        gen_dir = tmp_path / "gens"
-        sample_id = _write_ads_generation(gen_dir)
-        path = gen_dir / "ads_generation.jsonl"
-        path.write_text(path.read_text() * 2, encoding="utf-8")
-        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
-        assert code == EXIT_ERROR
-        assert f"{path}:2: duplicate id {sample_id!r}" in capsys.readouterr().err
-
     def test_live_lock_blocks_evaluate(self, tmp_path):
         gen_dir = tmp_path / "gens"
         _write_ads_generation(gen_dir)
@@ -706,159 +685,11 @@ class TestEvaluateCommand:
         assert (out / "report.txt").read_text().splitlines()[-1].endswith(" -")
         assert set(_stage_records(out)["evaluate"]["outputs"]) == {"report.json", "report.txt"}
 
-    def test_replay_of_zero_metric_row_is_refused(self, tmp_path, capsys):
-        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
-        row["metrics"]["P_pt"] = 0.0
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps([row]), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == "error: replay row 0: GM undefined by P_pt\n"
-        assert not (tmp_path / "out" / "replay_report.json").exists()
-
-    @pytest.mark.parametrize(
-        "changes, named",
-        [
-            ({"BL_At": 0}, "BL_At"),
-            ({"PPL": 1}, "PPL"),
-            ({"PPL": 0.5, "RL_Ad": -2.0, "BE_qa": 0.0}, "RL_Ad, PPL, BE_qa"),
-        ],
-        ids=["zero-bleu", "ppl-one", "three-metrics"],
-    )
-    def test_replay_row_names_the_metrics_that_undefine_gm(
-        self, tmp_path, capsys, changes, named
-    ):
-        rows = json.loads(demo_data_path("reference_runs.json").read_text())[:2]
-        rows[1]["metrics"].update(changes)
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps(rows), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: replay row 1: GM undefined by {named}\n"
-        assert not (tmp_path / "out" / "replay_report.json").exists()
-
-    @pytest.mark.parametrize("root", ["5", "[]", '{"name": "run"}'], ids=["int", "empty", "object"])
-    def test_replay_root_that_is_not_a_list_of_runs_is_refused(self, tmp_path, capsys, root):
-        replay = tmp_path / "rows.json"
-        replay.write_text(root, encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {replay} must hold a non-empty JSON list of runs\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    @pytest.mark.parametrize("name", [5, "", None], ids=["int", "empty", "null"])
-    def test_replay_row_name_that_is_not_a_non_empty_string_is_refused(
-        self, tmp_path, capsys, name
-    ):
-        rows = json.loads(demo_data_path("reference_runs.json").read_text())[:2]
-        rows[1]["name"] = name
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps(rows), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: replay row 1: name must be a non-empty string\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_replay_rows_with_the_same_name_are_refused(self, tmp_path, capsys):
-        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps([row, row]), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: replay row 1: duplicate name {row['name']!r}\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_replay_file_that_is_not_json_is_named_in_the_error(self, tmp_path, capsys):
-        replay = tmp_path / "rows.json"
-        replay.write_text("not json", encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == f"error: {replay}: Expecting value: line 1 column 1 (char 0)\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    @pytest.mark.parametrize("generation", ["", "   "], ids=["empty", "whitespace"])
-    def test_empty_generation_names_task_and_sample(self, tmp_path, capsys, generation):
-        gen_dir = tmp_path / "gens"
-        _write_generations(gen_dir)
-        path = gen_dir / "title_rewriting.jsonl"
-        rows = [json.loads(line) for line in path.read_text().splitlines()]
-        rows[2]["generation"] = generation
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
-        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
-        assert code == EXIT_ERROR
-        sample_id = rows[2]["id"]
-        expected = f"error: title_rewriting: sample {sample_id!r} has an empty generation\n"
-        assert capsys.readouterr().err == expected
-        assert list((tmp_path / "out").iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "answer, message",
-        [
-            (TransportError("scorer refused", status=500), "error: scorer refused"),
-            (BackendResponse(text="not logprobs"), "error: backend returned no logprobs payload"),
-        ],
-        ids=["transport-error", "malformed-response"],
-    )
-    def test_failing_scorer_call_is_clean_error(
-        self, tmp_path, monkeypatch, capsys, answer, message
-    ):
-        class ScorerFails(MockBackend):
-            def send(self, request):
-                if request.kind != LOGPROBS:
-                    return super().send(request)
-                if isinstance(answer, Exception):
-                    raise answer
-                return answer
-
-        monkeypatch.setattr("ecomforge.cli.make_backend", lambda config, kind: ScorerFails())
-        gen_dir = tmp_path / "gens"
-        _write_generations(gen_dir)
-        code = _run(tmp_path, "evaluate", "--backend", "http", "--generations", str(gen_dir))
-        assert code == EXIT_ERROR
-        assert capsys.readouterr().err == message + "\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
     def _evaluate_over_stub_session(self, tmp_path, monkeypatch, answer):
-        """Run ``evaluate --backend http`` on the demo generations against a
-        stub session: chat posts get the mock backend's logprobs, and an
-        embeddings post gets the data list ``answer(items, post number)``
-        makes from the mock's items, one per input token in index order.
-        Each Q&A generation is another sample's answer."""
-        mock = MockBackend()
-
-        class Response:
-            status_code = 200
-
-            def __init__(self, payload):
-                self.payload = payload
-
-            def json(self):
-                return self.payload
-
-        class StubSession:
-            embed_posts = 0
-
-            def post(self, url, json, **kwargs):
-                if url.endswith("/embeddings"):
-                    vectors = mock.embed_tokens(" ".join(json["input"]))
-                    items = [{"index": i, "embedding": v} for i, v in enumerate(vectors)]
-                    data = answer(items, self.embed_posts)
-                    self.embed_posts += 1
-                    return Response({"data": data})
-                text = json["messages"][-1]["content"]
-                content = [{"logprob": lp} for lp in mock.score_logprobs(text)]
-                return Response({"choices": [{"logprobs": {"content": content}}]})
-
-        session = StubSession()
-        monkeypatch.setattr(
-            "ecomforge.cli.make_backend",
-            lambda config, kind: HttpBackend(
-                base_url="http://stub", model=mock.model, session=session,
-                policy=RetryPolicy(max_retries=0),
-            ),
-        )
+        """Run ``evaluate --backend http`` on the demo generations against
+        _stub_scorer, its embeddings posts answered by ``answer``. Each Q&A
+        generation is another sample's answer."""
+        _stub_scorer(monkeypatch, embeddings=answer)
         gen_dir = tmp_path / "gens"
         _write_generations(gen_dir)
         # Each Q&A sample gets the next one's answer: BE_qa then depends on
@@ -911,9 +742,14 @@ class TestEvaluateCommand:
                 if n else items,
                 "embedding width 8 differs from the first chunk's 16",
             ),
+            (
+                lambda items, n: [*items[:2], {**items[2], "embedding": [math.nan] * 16},
+                                  *items[3:]],
+                "non-finite value in embedding 2",
+            ),
         ],
         ids=["short", "long", "missing-index", "repeated-index", "index-out-of-range",
-             "string-index", "width-across-chunks"],
+             "string-index", "width-across-chunks", "nan-value"],
     )
     def test_embeddings_answer_out_of_contract_is_one_error_line(
         self, tmp_path, monkeypatch, capsys, answer, message
@@ -925,28 +761,6 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert re.fullmatch(f"error: {message}\n", err), err
         assert list((tmp_path / "out").iterdir()) == []
-
-    def test_needs_generations_or_replay(self, tmp_path):
-        assert _run(tmp_path, "evaluate") == EXIT_ERROR
-
-    def test_generations_with_replay_is_refused_before_anything_is_written(
-        self, tmp_path, capsys
-    ):
-        code = _run(tmp_path, "evaluate", "--replay", "builtin",
-                    "--generations", str(tmp_path / "no-such-dir"))
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "out" / "replay_report.json").exists()
-        assert not (tmp_path / "out" / "run_manifest.json").exists()
-
-    def test_missing_generations_dir_is_clean_error(self, tmp_path, capsys):
-        missing = tmp_path / "no-such-dir"
-        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(missing))
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
-        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestLoraVerifyCommand:
@@ -1017,298 +831,530 @@ class TestHumanEvalCommand:
         assert _run(tmp_path, "check-manifest") == EXIT_OK
         assert "human-eval/human_eval.json: OK" in capsys.readouterr().out
 
-    def test_empty_ratings_file_is_refused(self, tmp_path, capsys):
-        ratings = tmp_path / "ratings.jsonl"
-        ratings.write_text("\n", encoding="utf-8")
-        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == f"error: {ratings} holds no ratings\n"
-        assert list((tmp_path / "out").iterdir()) == []
 
-    def test_duplicate_is_hard_error(self, tmp_path):
-        ratings = tmp_path / "ratings.jsonl"
-        row = json.dumps(
-            {"annotator": "a", "sample_id": "s", "task": "ads_generation", "rate": "A"}
-        )
-        ratings.write_text(row + "\n" + row + "\n", encoding="utf-8")
-        assert _run(tmp_path, "human-eval", "--ratings", str(ratings)) == EXIT_ERROR
+# ---------------------------------------------------------------------------
+# The CLI's refusal contract as one table: each row is one in-process `forge`
+# run on the inputs its prepare writes, and test_refusal checks every row the
+# same way. A new refusal, or a new crafted input the CLI must take, is a row.
 
+
+class Row(NamedTuple):
+    """One `forge` run and all that it must leave.
+
+    ``prepare(tmp_path, monkeypatch)`` writes the row's inputs, or runs
+    earlier stages, in ``tmp_path``, the run's current directory, and returns
+    the argv. The out dir is ``out`` there, unless the argv sets
+    ``paths.out_dir`` itself. ``stderr`` is all of stderr, or a pattern that
+    the one ``error:`` line matches in full. ``made`` lists each path,
+    relative to ``tmp_path``, that the run adds; it changes and removes
+    nothing that prepare left. ``files`` holds the bytes of files it writes."""
+
+    id: str
+    prepare: Callable
+    code: int
+    stderr: str | re.Pattern
+    made: tuple[str, ...] = ()
+    stdout: str = ""
+    files: dict = {}
+
+
+# The run made the out dir and left it empty.
+OUT = ("out",)
+
+
+def _argv(*argv):
+    """A prepare that writes nothing."""
+    return lambda tmp, monkeypatch: list(argv)
+
+
+def _with_file(name, data, *argv):
+    """A prepare that writes ``data``, str or bytes, to ``name``."""
+
+    def prepare(tmp, monkeypatch):
+        path = tmp / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data if isinstance(data, bytes) else data.encode("utf-8"))
+        return list(argv)
+
+    return prepare
+
+
+def _run_ok(*argv):
+    assert main([*argv, "--set", "paths.out_dir=out"]) == EXIT_OK
+
+
+def _tree(root):
+    """Each path under ``root``, relative, with its bytes; None for a directory."""
+    return {
+        p.relative_to(root).as_posix(): None if p.is_dir() else p.read_bytes()
+        for p in root.rglob("*")
+    }
+
+
+def _demo_rows(name, edit):
+    """The rows of a demo file as JSONL text, each edited by ``edit(i, row)``."""
+    lines = demo_data_path(name).read_text(encoding="utf-8").splitlines()
+    return "".join(json.dumps(edit(i, json.loads(line))) + "\n" for i, line in enumerate(lines))
+
+
+def _repeated_first_line(key, demo):
+    lines = demo_data_path(demo).read_text(encoding="utf-8").splitlines()
+    text = "\n".join([lines[0], *lines]) + "\n"
+    return _with_file("rows.jsonl", text, "formulate", "--set", f"paths.{key}=rows.jsonl")
+
+
+def _qa_file(row):
+    """formulate on a Q&A file of one demo pair, then ``row``."""
+    good = demo_data_path("demo_qa.jsonl").read_text(encoding="utf-8").splitlines()[0]
+    text = f"{good}\n{row}\n"
+    return _with_file("rows.jsonl", text, "formulate", "--set", "paths.qa_in=rows.jsonl")
+
+
+def _empty_expanded(tmp, monkeypatch):
+    _run_ok("formulate")
+    (tmp / "out" / "expanded.jsonl").write_bytes(b"")
+    return ["curate"]
+
+
+def _expanded_without_provenance(tmp, monkeypatch):
+    _run_ok("formulate")
+    rows = [json.loads(line) for line in (tmp / "out" / "seeds.jsonl").read_text().splitlines()]
+    del rows[1]["provenance"]
+    text = "".join(json.dumps(row) + "\n" for row in rows)
+    (tmp / "out" / "expanded.jsonl").write_text(text, encoding="utf-8")
+    return ["curate"]
+
+
+def _unrecorded_pack_with_a_list_id(tmp, monkeypatch):
+    _run_ok("formulate")
+    _run_ok("expand", "--backend", "mock")
+    out = tmp / "out"
+    records = _stage_records(out)
+    del records["formulate"]
+    (out / "run_manifest.json").write_text(json.dumps({"stages": records}), encoding="utf-8")
+    (out / "heldout_recommendation.jsonl").write_text('{"id": ["x"]}\n', encoding="utf-8")
+    return ["curate"]
+
+
+EVALUATE_MOCK = ["evaluate", "--backend", "mock", "--generations", "gens"]
+EVALUATE_HTTP = ["evaluate", "--backend", "http", "--generations", "gens"]
+# An ads_generation sample of the demo test split.
+ADS_ID = "rec-0441"
+
+
+def _ads_generations(text):
+    return _with_file("gens/ads_generation.jsonl", text, *EVALUATE_MOCK)
+
+
+def _blank_generation(generation):
+    """A prepare: _write_generations, then the third title_rewriting
+    generation, sample rec-0054's, is ``generation``."""
+
+    def prepare(tmp, monkeypatch):
+        _write_generations(tmp / "gens")
+        path = tmp / "gens" / "title_rewriting.jsonl"
+        rows = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        rows[2]["generation"] = generation
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        return EVALUATE_MOCK
+
+    return prepare
+
+
+def _failing_scorer(answer):
+    """A prepare: _write_generations, and a mock backend whose every
+    logprobs call raises ``answer``, or returns it."""
+
+    class ScorerFails(MockBackend):
+        def send(self, request):
+            if request.kind != LOGPROBS:
+                return super().send(request)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+    def prepare(tmp, monkeypatch):
+        monkeypatch.setattr("ecomforge.cli.make_backend", lambda config, kind: ScorerFails())
+        _write_generations(tmp / "gens")
+        return EVALUATE_HTTP
+
+    return prepare
+
+
+def _first_logprob(value):
+    """A prepare: _write_generations, and an HTTP scorer that answers
+    ``value`` for the first logprob of every text."""
+
+    def prepare(tmp, monkeypatch):
+        _stub_scorer(monkeypatch, logprobs=lambda values: [value, *values[1:]])
+        _write_generations(tmp / "gens")
+        return EVALUATE_HTTP
+
+    return prepare
+
+
+def _runs(count=1, **fields):
+    """The first ``count`` bundled reference runs as JSON text, the last of
+    them given the ``name`` and metric values in ``fields``."""
+    runs = json.loads(demo_data_path("reference_runs.json").read_text(encoding="utf-8"))[:count]
+    for key, value in fields.items():
+        (runs[-1] if key == "name" else runs[-1]["metrics"])[key] = value
+    return json.dumps(runs)
+
+
+def _replay_refused(id, text, message):
+    """A row: evaluate replays ``text`` and is refused with ``message``."""
+    prepare = _with_file("rows.json", text, "evaluate", "--replay", "rows.json")
+    return Row(id, prepare, EXIT_ERROR, f"error: {message}\n", made=OUT)
+
+
+def _rating(**fields):
+    row = {"annotator": "a", "sample_id": "s1", "task": "ads_generation", "rate": "A"}
+    return json.dumps(row | fields)
+
+
+def _ratings_file(text):
+    return _with_file("ratings.jsonl", text, "human-eval", "--ratings", "ratings.jsonl")
+
+
+DEEP_500 = "[" * 500 + "]" * 500
+
+# Settings refused at load, before any stage runs: (id, setting, message).
+REFUSED_SETTINGS = [
+    ("str-count", 'pipeline.seed_per_task="x"',
+     'pipeline.seed_per_task must be an integer, got "x"'),
+    ("int-list", "pipeline.heldout_scenarios=5",
+     "pipeline.heldout_scenarios must be a non-empty list of strings, none blank, got 5"),
+    ("int-path", "paths.out_dir=5", "paths.out_dir must be a non-blank string, got 5"),
+    ("null-ratio", "pipeline.split_ratio=null", "pipeline.split_ratio must be a number, got null"),
+    ("float-count", "pipeline.heldout_set_size=1.5",
+     "pipeline.heldout_set_size must be an integer, got 1.5"),
+    ("indivisible-target", "pipeline.target_total=7",
+     "pipeline.target_total must be divisible by 5, one share per task"),
+    ("negative-seed", "rng_seed=-1", "rng_seed must be >= 0"),
+    ("retries-above-10", "backend.max_retries=11", "backend.max_retries must be in [0, 10]"),
+    # No expand pool of that many threads is made.
+    ("concurrency-above-64", "backend.concurrency=1000000",
+     "backend.concurrency must be in [1, 64]"),
+    # socket.settimeout overflows on these, deep in a backend call.
+    ("timeout-1e300", "backend.timeout_s=1e300", "backend.timeout_s must be in (0, 3600]"),
+    ("timeout-infinity", "backend.timeout_s=Infinity", "backend.timeout_s must be in (0, 3600]"),
+    # No HTTP client can post to it; each call would back off and fail.
+    ("base-url-without-scheme", "backend.base_url=localhost:8000/v1",
+     "backend.base_url must be an http:// or https:// URL"),
+    # A JSON body cannot carry it.
+    ("temperature-infinity", "backend.expand_temperature=Infinity",
+     "backend.expand_temperature must be finite and >= 0"),
+    # A blank path would read the bundled demo data, or write every artifact
+    # to the current directory; a blank intent is a prompt "".
+    ("blank-data-in", "paths.data_in=", 'paths.data_in must be a non-blank string or null, got ""'),
+    ("blank-qa-in", "paths.qa_in=", 'paths.qa_in must be a non-blank string or null, got ""'),
+    ("blank-out-dir", "paths.out_dir=", 'paths.out_dir must be a non-blank string, got ""'),
+    ("blank-intent", 'pipeline.heldout_intents=[""]',
+     'pipeline.heldout_intents must be a non-empty list of strings, none blank, got [""]'),
+]
+
+# One command per recorded stage; each must be refused before it reads an
+# input, so none of them needs one.
+STAGE_ARGV = {
+    "formulate": ["formulate"],
+    "expand": ["expand", "--backend", "mock"],
+    "curate": ["curate"],
+    "evaluate": ["evaluate", "--backend", "mock", "--generations", "."],
+    "replay": ["evaluate", "--replay", "builtin"],
+    "lora-verify": ["lora-verify"],
+    "human-eval": ["human-eval", "--ratings", "ratings.jsonl"],
+}
+
+# Files that are not a run manifest, by id.
+MALFORMED_MANIFESTS = {
+    "list": "[]",
+    "stages-list": '{"stages": []}',
+    "not-json": "not json",
+    "outputs-list": '{"stages": {"formulate": {"outputs": []}}}',
+    "nested-200000-deep": DEEP_JSON,
+    **{
+        f"{key}-{name_id}": json.dumps({"stages": {"formulate": {key: {name: "0"}}}})
+        for key in ("inputs", "outputs")
+        for name_id, name in {
+            "empty": "", "dot": ".", "dot-dot": "..", "parent": "../x",
+            "subdir": "sub/seeds.jsonl", "absolute": "/etc/hostname",
+            "unregistered": "x.jsonl", "newline": "x\nexpand: OK",
+        }.items()
+    },
+    "unregistered-stage": '{"stages": {"other": {"outputs": {}}}}',
+    "unicode-with-newline": json.dumps(
+        {"stages": {"formulate": {"unicode": "13.0.0\nexpand/seeds.jsonl: OK"}}}
+    ),
+    "unicode-number": '{"stages": {"formulate": {"unicode": 13}}}',
+}
+
+REFUSALS = [
+    # Usage errors: one line, no usage block.
+    Row("usage-missing-required-option", _argv("human-eval"), EXIT_ERROR,
+        "error: the following arguments are required: --ratings\n"),
+    Row("usage-unknown-command", _argv("bogus"), EXIT_ERROR,
+        re.compile(r"error: argument command: invalid choice: 'bogus' \(choose from .*\)")),
+    Row("usage-unknown-option", _argv("formulate", "--nope"), EXIT_ERROR,
+        "error: unrecognized arguments: --nope\n"),
+    # Settings and config files, refused at load: nothing is written.
+    *(
+        Row(f"setting-{id}", _argv("formulate", "--set", setting), EXIT_ERROR,
+            f"error: {message}\n")
+        for id, setting, message in REFUSED_SETTINGS
+    ),
+    Row("setting-indivisible-target-for-curate",
+        _argv("curate", "--set", "pipeline.target_total=101"), EXIT_ERROR,
+        "error: pipeline.target_total must be divisible by 5, one share per task\n"),
+    Row("setting-nested-too-deeply-to-parse",
+        _argv("formulate", "--set", "pipeline.x=" + "[" * 5000 + "]" * 5000), EXIT_ERROR,
+        "error: --set pipeline.x: value is nested too deeply to parse\n"),
+    Row("config-int-section",
+        _with_file("config.json", '{"backend": 5}', "formulate", "--config", "config.json"),
+        EXIT_ERROR, "error: backend must be a JSON object\n"),
+    # Each --set merges into the config read so far; a 500-deep list in the
+    # file must not cost a recursion per level there.
+    Row("config-value-nested-500-deep",
+        _with_file("config.json", f'{{"pipeline": {{"heldout_intents": {DEEP_500}}}}}',
+                   "formulate", "--config", "config.json"),
+        EXIT_ERROR, "error: pipeline.heldout_intents must be a non-empty list of strings, "
+        f"none blank, got {DEEP_500}\n"),
+    Row("config-root-not-an-object",
+        _with_file("config.json", "[1]", "lora-verify", "--config", "config.json"),
+        EXIT_ERROR, "error: config.json: config root must be a JSON object\n"),
+    Row("config-nested-200000-deep",
+        _with_file("config.json", DEEP_JSON, "formulate", "--config", "config.json"),
+        EXIT_ERROR, re.compile(r"error: config\.json: maximum recursion depth exceeded.*")),
+    Row("config-not-utf8",
+        _with_file("config.json", b"\xff{}", "formulate", "--config", "config.json"),
+        EXIT_ERROR, "error: config.json: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"),
+    # An out dir that cannot be one.
+    *(
+        Row(f"out-dir-is-a-file-{stage}", _with_file("out", "not a directory\n", *argv),
+            EXIT_ERROR, "error: paths.out_dir out is not a directory\n")
+        for stage, argv in sorted(STAGE_ARGV.items())
+    ),
+    Row("out-dir-under-a-file",
+        _with_file("file", "", "formulate", "--set", "paths.out_dir=file/out"),
+        EXIT_ERROR, "error: paths.out_dir file/out is not a directory\n"),
+    # A malformed run manifest, refused before any write.
+    *(
+        Row(f"manifest-{id}-{command}", _with_file("out/run_manifest.json", text, command),
+            EXIT_ERROR, "error: out/run_manifest.json is not a run manifest\n")
+        for id, text in MALFORMED_MANIFESTS.items()
+        for command in ("formulate", "check-manifest")
+    ),
+    # formulate's inputs.
+    Row("formulate-missing-records-file",
+        _argv("formulate", "--set", "paths.data_in=nope.jsonl"), EXIT_ERROR,
+        "error: cannot read nope.jsonl: [Errno 2] No such file or directory: 'nope.jsonl'\n",
+        made=OUT),
+    Row("formulate-repeated-record-id", _repeated_first_line("data_in", "demo_records.jsonl"),
+        EXIT_ERROR,
+        "error: rows.jsonl: duplicate id 'rec-0000'; train/test disjointness would break\n",
+        made=OUT),
+    Row("formulate-repeated-qa-id", _repeated_first_line("qa_in", "demo_qa.jsonl"), EXIT_ERROR,
+        "error: rows.jsonl: duplicate id 'qa-000'; train/test disjointness would break\n",
+        made=OUT),
+    Row("formulate-records-all-no-action",
+        _with_file("rows.jsonl",
+                   _demo_rows("demo_records.jsonl", lambda i, row: row | {"action": "no_action"}),
+                   "formulate", "--set", "paths.data_in=rows.jsonl"),
+        EXIT_ERROR, "error: rows.jsonl: no rows to split\n", made=OUT),
+    *(
+        Row(f"formulate-{kind}-empty",
+            _with_file("rows.jsonl", "", "formulate", "--set", f"paths.{key}=rows.jsonl"),
+            EXIT_ERROR, "error: rows.jsonl: no rows to split\n", made=OUT)
+        for kind, key in (("records", "data_in"), ("qa", "qa_in"))
+    ),
+    Row("formulate-heldout-set-larger-than-test-split",
+        _argv("formulate", "--set", "pipeline.heldout_set_size=1000"), EXIT_ERROR,
+        "error: test split too small for 2 held-out sets of 1000\n", made=OUT),
+    *(
+        Row(f"formulate-qa-{id}", _qa_file(row), EXIT_ERROR,
+            f"error: rows.jsonl:2: {message}\n", made=OUT)
+        for id, row, message in [
+            ("no-key", '{"id": "q-x", "question": "Fits?"}', "row has no 'answer' key"),
+            ("not-object", "[1]", "row is not a JSON object"),
+            ("not-json", "not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("null-answer", '{"id": "q-x", "question": "Fits?", "answer": null}',
+             "'answer' must be a string, got null"),
+            ("emoji-only-question", '{"id": "q-x", "question": "🛍️", "answer": "Yes."}',
+             "Q&A pair 'q-x': empty question"),
+            ("empty-id", '{"id": "", "question": "Fits?", "answer": "Yes."}',
+             "Q&A pair '': empty id"),
+            ("int-id", '{"id": 7, "question": "Fits?", "answer": "Yes."}',
+             "'id' must be a string, got 7"),
+        ]
+    ),
+    # A records file whose sixth row has a number for a title: formulate
+    # skips that row, lists it in ingest.errors.jsonl and exits 2.
+    Row("formulate-records-number-title",
+        _with_file("records.jsonl",
+                   _demo_rows("demo_records.jsonl",
+                              lambda i, row: row | {"title": 7} if i == 5 else row),
+                   "formulate", "--set", "paths.data_in=records.jsonl"),
+        EXIT_PARTIAL, "",
+        made=(*OUT, *(f"out/{name}" for name in (
+            "heldout_recommendation.jsonl", "heldout_scenario_ads.jsonl", "ingest.errors.jsonl",
+            "run_manifest.json", "seeds.jsonl",
+        ))),
+        stdout="formulate: 300 seed pairs -> out/seeds.jsonl\n"
+        + "".join(f"  {task.value}: 60\n" for task in TaskKind)
+        + "  held-out packs: 6 scenario ads, 4 recommendation\n"
+        "  1 malformed input lines (see ingest.errors.jsonl)\n",
+        files={"out/ingest.errors.jsonl":
+               b'{"line":6,"reason":"\'title\' must be a string or null, got 7"}\n'}),
+    # expand's and curate's inputs.
+    Row("expand-without-seeds", _argv("expand", "--backend", "mock"), EXIT_ERROR,
+        "error: out/seeds.jsonl not found; run `forge formulate` first\n", made=OUT),
+    Row("expand-seeds-not-json",
+        _with_file("out/seeds.jsonl", "not json\n", "expand", "--backend", "mock"),
+        EXIT_ERROR, "error: out/seeds.jsonl:1: Expecting value: line 1 column 1 (char 0)\n"),
+    Row("expand-seeds-empty", _with_file("out/seeds.jsonl", "\n", "expand", "--backend", "mock"),
+        EXIT_ERROR, "error: out/seeds.jsonl: no rows\n"),
+    Row("curate-expanded-empty", _empty_expanded, EXIT_ERROR,
+        "error: out/expanded.jsonl: no rows\n"),
+    Row("curate-expanded-row-without-provenance", _expanded_without_provenance, EXIT_ERROR,
+        "error: out/expanded.jsonl:2: row has no 'provenance' key\n"),
+    Row("curate-unrecorded-pack-with-a-list-id", _unrecorded_pack_with_a_list_id, EXIT_ERROR,
+        "error: out/heldout_recommendation.jsonl:1: 'id' must be a string, got [\"x\"]\n"),
+    # evaluate on generations, and its scorer's answers.
+    Row("evaluate-without-generations-or-replay", _argv("evaluate"), EXIT_ERROR,
+        "error: evaluate needs one of --generations DIR and --replay FILE\n"),
+    Row("evaluate-generations-with-replay",
+        _argv("evaluate", "--replay", "builtin", "--generations", "no-such-dir"), EXIT_ERROR,
+        "error: evaluate needs one of --generations DIR and --replay FILE\n"),
+    Row("evaluate-missing-generations-dir",
+        _argv("evaluate", "--backend", "mock", "--generations", "no-such-dir"), EXIT_ERROR,
+        "error: generations directory no-such-dir not found\n"),
+    Row("evaluate-id-not-in-test-split",
+        _ads_generations('{"id": "rec-9999", "generation": "text"}\n'), EXIT_ERROR,
+        "error: ads_generation: id 'rec-9999' not in the test split\n", made=OUT),
+    Row("evaluate-duplicate-generation-id",
+        _ads_generations(f'{{"id": "{ADS_ID}", "generation": "Oak lamp"}}\n' * 2), EXIT_ERROR,
+        f"error: gens/ads_generation.jsonl:2: duplicate id '{ADS_ID}'\n", made=OUT),
+    Row("evaluate-null-generation",
+        _ads_generations(f'{{"id": "{ADS_ID}", "generation": null}}\n'), EXIT_ERROR,
+        "error: gens/ads_generation.jsonl:1: 'generation' must be a string, got null\n",
+        made=OUT),
+    Row("evaluate-row-without-generation", _ads_generations('{"id": "x"}\n'), EXIT_ERROR,
+        "error: gens/ads_generation.jsonl:1: row has no 'generation' key\n", made=OUT),
+    *(
+        Row(f"evaluate-{id}-generation", _blank_generation(generation), EXIT_ERROR,
+            "error: title_rewriting: sample 'rec-0054' has an empty generation\n", made=OUT)
+        for id, generation in (("empty", ""), ("whitespace", "   "))
+    ),
+    Row("evaluate-scorer-transport-error",
+        _failing_scorer(TransportError("scorer refused", status=500)), EXIT_ERROR,
+        "error: scorer refused\n", made=OUT),
+    Row("evaluate-scorer-malformed-response",
+        _failing_scorer(BackendResponse(text="not logprobs")), EXIT_ERROR,
+        "error: backend returned no logprobs payload\n", made=OUT),
+    *(
+        Row(f"evaluate-scorer-logprob-{id}", _first_logprob(value), EXIT_ERROR,
+            "error: non-finite value in logprobs\n", made=OUT)
+        for id, value in (("nan", math.nan), ("past-the-float-range", -10**400))
+    ),
+    # evaluate --replay.
+    _replay_refused("replay-not-json", "not json",
+                    "rows.json: Expecting value: line 1 column 1 (char 0)"),
+    Row("replay-nested-200000-deep",
+        _with_file("rows.json", DEEP_JSON, "evaluate", "--replay", "rows.json"), EXIT_ERROR,
+        re.compile(r"error: rows\.json: maximum recursion depth exceeded.*"), made=OUT),
+    *(
+        _replay_refused(f"replay-root-{id}", root,
+                        "rows.json must hold a non-empty JSON list of runs")
+        for id, root in (("int", "5"), ("empty", "[]"), ("object", '{"name": "run"}'))
+    ),
+    _replay_refused("replay-missing-metric", '[{"name": "x", "metrics": {"BL_At": 1.0}}]',
+                    "replay row 0: missing or bad field ('RL_At')"),
+    *(
+        _replay_refused(f"replay-name-{id}", _runs(2, name=name),
+                        "replay row 1: name must be a non-empty string")
+        for id, name in (("int", 5), ("empty", ""), ("null", None))
+    ),
+    _replay_refused("replay-duplicate-name", _runs(2, name="GPT-3.5"),
+                    "replay row 1: duplicate name 'GPT-3.5'"),
+    _replay_refused("replay-zero-metric", _runs(P_pt=0.0), "replay row 0: GM undefined by P_pt"),
+    *(
+        _replay_refused(f"replay-gm-undefined-{id}", _runs(2, **metrics),
+                        f"replay row 1: GM undefined by {named}")
+        for id, metrics, named in [
+            ("zero-bleu", {"BL_At": 0}, "BL_At"),
+            ("ppl-one", {"PPL": 1}, "PPL"),
+            ("three-metrics", {"PPL": 0.5, "RL_Ad": -2.0, "BE_qa": 0.0}, "RL_Ad, PPL, BE_qa"),
+        ]
+    ),
+    *(
+        _replay_refused(f"replay-{id}", _runs(BL_At=value),
+                        f"replay row 0: BL_At must be a finite number, got {shown}")
+        for id, value, shown in [
+            ("nan-string", "NaN", '"NaN"'),
+            ("nan-token", math.nan, "NaN"),
+            ("infinity-token", -math.inf, "-Infinity"),
+            ("bool", True, "true"),
+            ("int-past-the-float-range", 10**400, "1" + "0" * 400),
+        ]
+    ),
+    # human-eval's ratings.
+    Row("ratings-missing-file", _argv("human-eval", "--ratings", "nope.jsonl"), EXIT_ERROR,
+        "error: [Errno 2] No such file or directory: 'nope.jsonl'\n", made=OUT),
+    *(
+        Row(f"ratings-{id}", _ratings_file(text), EXIT_ERROR,
+            "error: ratings.jsonl holds no ratings\n", made=OUT)
+        for id, text in (("empty-file", ""), ("blank-line", "\n"))
+    ),
+    Row("ratings-duplicate", _ratings_file(f"{_rating()}\n{_rating()}\n"), EXIT_ERROR,
+        "error: duplicate rating for ('a', 's1')\n", made=OUT),
+    *(
+        Row(f"ratings-{id}", _ratings_file(f"{_rating(sample_id='s0')}\n{row}\n"), EXIT_ERROR,
+            f"error: ratings.jsonl:2: {message}\n", made=OUT)
+        for id, row, message in [
+            ("no-key", '{"annotator": "a", "task": "ads_generation", "rate": "A"}',
+             "row has no 'sample_id' key"),
+            ("not-object", "[1]", "row is not a JSON object"),
+            ("not-json", "not json", "Expecting value: line 1 column 1 (char 0)"),
+            ("bad-rate", _rating(rate="E"), "rate must be one of ('A', 'B', 'C', 'D'), got 'E'"),
+            ("null-annotator", _rating(annotator=None), "'annotator' must be a string, got null"),
+            ("list-sample-id", _rating(sample_id=["s1"]),
+             "'sample_id' must be a string, got [\"s1\"]"),
+            ("empty-annotator", _rating(annotator=""), "annotator and sample_id must be non-empty"),
+            ("empty-sample-id", _rating(sample_id=""), "annotator and sample_id must be non-empty"),
+        ]
+    ),
+]
+
+
+@pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.id)
+def test_refusal(row, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    command, *rest = row.prepare(tmp_path, monkeypatch)
+    before = _tree(tmp_path)
+    capsys.readouterr()
+    # The row's own --set paths.out_dir, if any, comes later and wins.
+    code = main([command, "--set", "paths.out_dir=out", *rest])
+    stdout, stderr = capsys.readouterr()
+    assert "Traceback" not in stderr
+    if code == EXIT_ERROR:
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, stderr
+    if isinstance(row.stderr, str):
+        assert stderr == row.stderr
+    else:
+        assert row.stderr.fullmatch(stderr[:-1]), stderr
+    assert (code, stdout) == (row.code, row.stdout)
+    after = _tree(tmp_path)
+    assert sorted(after.keys() - before.keys()) == sorted(row.made)
+    assert {name: after.get(name) for name in before} == before
+    for name, data in row.files.items():
+        assert after[name] == data
 
 class TestCliErrorSurface:
-    @pytest.mark.parametrize(
-        "argv",
-        [["human-eval"], ["bogus"], ["formulate", "--nope"]],
-        ids=["missing-required-option", "unknown-command", "unknown-option"],
-    )
-    def test_usage_error_is_one_error_line_and_exit_1(self, capsys, argv):
-        assert main(argv) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "usage:" not in err
-
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["--help"])
         assert info.value.code == 0 and capsys.readouterr().out.startswith("usage: forge")
-
-    def test_non_divisible_target_is_clean_error(self, pipeline_dir, capsys):
-        out = pipeline_dir / "out"
-        code = main(["curate", "--set", f"paths.out_dir={out}",
-                     "--set", "pipeline.target_total=101"])
-        assert code == EXIT_ERROR
-        assert "divisible" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "args, key",
-        [
-            (["--set", 'pipeline.seed_per_task="x"'], "pipeline.seed_per_task"),
-            (["--set", "pipeline.heldout_scenarios=5"], "pipeline.heldout_scenarios"),
-            (["--set", "paths.out_dir=5"], "paths.out_dir"),
-            (["--set", "pipeline.split_ratio=null"], "pipeline.split_ratio"),
-            (["--set", "pipeline.heldout_set_size=1.5"], "pipeline.heldout_set_size"),
-            (["--config", "backend-5.json"], "backend"),
-            (["--set", "pipeline.target_total=7"], "pipeline.target_total"),
-            (["--set", "rng_seed=-1"], "rng_seed"),
-            (["--set", "backend.max_retries=11"], "backend.max_retries"),
-            # Refused at load, so no expand pool of that many threads exists.
-            (["--set", "backend.concurrency=1000000"], "backend.concurrency"),
-            # socket.settimeout overflows on these, deep in a backend call.
-            (["--set", "backend.timeout_s=1e300"], "backend.timeout_s"),
-            (["--set", "backend.timeout_s=Infinity"], "backend.timeout_s"),
-            # No HTTP client can post to it; each call would back off and fail.
-            (["--set", "backend.base_url=localhost:8000/v1"], "backend.base_url"),
-            # A JSON body cannot carry it.
-            (["--set", "backend.expand_temperature=Infinity"], "backend.expand_temperature"),
-            # A blank path would read the bundled demo data, or write every
-            # artifact to the current directory; a blank intent is a prompt "".
-            (["--set", "paths.data_in="], "paths.data_in"),
-            (["--set", "paths.qa_in="], "paths.qa_in"),
-            (["--set", "paths.out_dir="], "paths.out_dir"),
-            (["--set", 'pipeline.heldout_intents=[""]'], "pipeline.heldout_intents"),
-        ],
-        ids=["str-count", "int-list", "int-path", "null-ratio", "float-count", "int-section",
-             "indivisible-target", "negative-seed", "retries-above-10", "concurrency-above-64",
-             "timeout-1e300", "timeout-infinity", "base-url-without-scheme",
-             "temperature-infinity", "blank-data-in", "blank-qa-in", "blank-out-dir",
-             "blank-intent"],
-    )
-    def test_bad_config_value_is_refused_at_load(self, tmp_path, monkeypatch, capsys, args, key):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "backend-5.json").write_text('{"backend": 5}', encoding="utf-8")
-        assert main(["formulate", "--set", "paths.out_dir=out", *args]) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must ") and err.count("\n") == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["backend-5.json"]
-
-    def test_missing_ratings_file_is_clean_error(self, tmp_path, capsys):
-        code = _run(tmp_path, "human-eval", "--ratings", str(tmp_path / "nope.jsonl"))
-        assert code == EXIT_ERROR
-        assert "error:" in capsys.readouterr().err
-
-    def test_corrupt_seeds_file_is_clean_error(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir(parents=True)
-        (out / "seeds.jsonl").write_text("not json\n", encoding="utf-8")
-        code = _run(tmp_path, "expand", "--backend", "mock")
-        assert code == EXIT_ERROR
-        assert "seeds.jsonl:1" in capsys.readouterr().err
-
-    def test_empty_seeds_file_is_refused_naming_it(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        out.mkdir(parents=True)
-        (out / "seeds.jsonl").write_text("\n", encoding="utf-8")
-        assert _run(tmp_path, "expand", "--backend", "mock") == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {out / 'seeds.jsonl'}: no rows\n"
-        assert not (out / "expanded.jsonl").exists()
-
-    def test_empty_expanded_file_is_refused_naming_it(self, tmp_path, capsys):
-        assert _run(tmp_path, "formulate") == EXIT_OK
-        out = tmp_path / "out"
-        (out / "expanded.jsonl").write_bytes(b"")
-        capsys.readouterr()
-        assert _run(tmp_path, "curate") == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {out / 'expanded.jsonl'}: no rows\n"
-        assert not (out / "dataset.jsonl").exists()
-
-    def test_hand_made_expanded_with_bad_row_is_clean_error(self, tmp_path, capsys):
-        assert _run(tmp_path, "formulate") == EXIT_OK
-        out = tmp_path / "out"
-        rows = [json.loads(line) for line in (out / "seeds.jsonl").read_text().splitlines()]
-        del rows[1]["provenance"]
-        (out / "expanded.jsonl").write_text(
-            "".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8"
-        )
-        capsys.readouterr()
-        assert _run(tmp_path, "curate") == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "expanded.jsonl:2: row has no 'provenance' key" in err
-
-    def test_unrecorded_pack_with_a_non_string_id_is_clean_error(self, tmp_path, capsys):
-        out = _formulate_and_expand(tmp_path)
-        records = _stage_records(out)
-        del records["formulate"]
-        (out / "run_manifest.json").write_text(json.dumps({"stages": records}), encoding="utf-8")
-        pack = out / "heldout_recommendation.jsonl"
-        pack.write_text(json.dumps({"id": ["x"]}) + "\n", encoding="utf-8")
-        capsys.readouterr()
-        assert _run(tmp_path, "curate") == EXIT_ERROR
-        assert capsys.readouterr().err == f"error: {pack}:1: 'id' must be a string, got [\"x\"]\n"
-
-    def test_replay_row_missing_metric_is_clean_error(self, tmp_path, capsys):
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps([{"name": "x", "metrics": {"BL_At": 1.0}}]))
-        code = _run(tmp_path, "evaluate", "--replay", str(replay))
-        assert code == EXIT_ERROR
-        assert "replay row 0" in capsys.readouterr().err
-
-    def test_null_generation_is_refused(self, tmp_path, capsys):
-        gen_dir = tmp_path / "gens"
-        sample_id = _write_ads_generation(gen_dir)
-        path = gen_dir / "ads_generation.jsonl"
-        path.write_text(json.dumps({"id": sample_id, "generation": None}) + "\n", encoding="utf-8")
-        code = _run(tmp_path, "evaluate", "--backend", "mock", "--generations", str(gen_dir))
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == f"error: {path}:1: 'generation' must be a string, got null\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    @pytest.mark.parametrize(
-        "value, shown",
-        [('"NaN"', '"NaN"'), ("NaN", "NaN"), ("-Infinity", "-Infinity"), ("true", "true")],
-        ids=["nan-string", "nan-token", "infinity-token", "bool"],
-    )
-    def test_replay_row_with_non_finite_value_is_refused(self, tmp_path, capsys, value, shown):
-        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
-        row["metrics"]["BL_At"] = "PLACEHOLDER"
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps([row]).replace('"PLACEHOLDER"', value), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: replay row 0: BL_At must be a finite number, got {shown}\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_replay_row_with_int_past_the_float_range_is_refused(self, tmp_path, capsys):
-        huge = "1" + "0" * 400
-        row = json.loads(demo_data_path("reference_runs.json").read_text())[0]
-        row["metrics"]["BL_At"] = "PLACEHOLDER"
-        replay = tmp_path / "rows.json"
-        replay.write_text(json.dumps([row]).replace('"PLACEHOLDER"', huge), encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: replay row 0: BL_At must be a finite number, got {huge}\n"
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_config_root_not_an_object_names_the_file(self, tmp_path, capsys):
-        assert _run(tmp_path, "lora-verify", config=[1]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        path = tmp_path / "config.json"
-        assert captured.err == f"error: {path}: config root must be a JSON object\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_bad_generation_row_is_clean_error(self, pipeline_dir, tmp_path, capsys):
-        out = pipeline_dir / "out"
-        gen_dir = tmp_path / "gens"
-        gen_dir.mkdir()
-        (gen_dir / "ads_generation.jsonl").write_text('{"id": "x"}\n', encoding="utf-8")
-        code = main(["evaluate", "--backend", "mock", "--generations", str(gen_dir),
-                     "--set", f"paths.out_dir={out}"])
-        assert code == EXIT_ERROR
-        assert "row has no 'generation' key" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "command, row, message",
-        [
-            ("formulate", '{"id": "q-x", "question": "Fits?"}', "row has no 'answer' key"),
-            ("formulate", "[1]", "row is not a JSON object"),
-            ("formulate", "not json", "Expecting value"),
-            ("human-eval", '{"annotator": "a", "task": "ads_generation", "rate": "A"}',
-             "row has no 'sample_id' key"),
-            ("human-eval", "[1]", "row is not a JSON object"),
-            ("human-eval", "not json", "Expecting value"),
-            ("human-eval", '{"annotator": "a", "sample_id": "s1", "task": "ads_generation", '
-             '"rate": "E"}', "rate must be one of"),
-            ("formulate", '{"id": "q-x", "question": "Fits?", "answer": null}',
-             "'answer' must be a string, got null"),
-            ("formulate", '{"id": "q-x", "question": "🛍️", "answer": "Yes."}',
-             "Q&A pair 'q-x': empty question"),
-            ("formulate", '{"id": "", "question": "Fits?", "answer": "Yes."}',
-             "Q&A pair '': empty id"),
-            ("formulate", '{"id": 7, "question": "Fits?", "answer": "Yes."}',
-             "'id' must be a string, got 7"),
-            ("human-eval", '{"annotator": null, "sample_id": "s1", "task": "ads_generation", '
-             '"rate": "A"}', "'annotator' must be a string, got null"),
-            ("human-eval", '{"annotator": "a", "sample_id": ["s1"], "task": "ads_generation", '
-             '"rate": "A"}', "'sample_id' must be a string, got [\"s1\"]"),
-            ("human-eval", '{"annotator": "", "sample_id": "s1", "task": "ads_generation", '
-             '"rate": "A"}', "annotator and sample_id must be non-empty"),
-            ("human-eval", '{"annotator": "a", "sample_id": "", "task": "ads_generation", '
-             '"rate": "A"}', "annotator and sample_id must be non-empty"),
-        ],
-        ids=["qa-no-key", "qa-not-object", "qa-not-json",
-             "rating-no-key", "rating-not-object", "rating-not-json", "rating-bad-rate",
-             "qa-null-answer", "qa-emoji-only-question", "qa-empty-id", "qa-int-id",
-             "rating-null-annotator", "rating-list-sample-id",
-             "rating-empty-annotator", "rating-empty-sample-id"],
-    )
-    def test_malformed_qa_or_rating_row_is_clean_error(
-        self, tmp_path, capsys, command, row, message
-    ):
-        rows = tmp_path / "rows.jsonl"
-        if command == "formulate":
-            good = demo_data_path("demo_qa.jsonl").read_text(encoding="utf-8").splitlines()[0]
-            argv, config = ["formulate"], {"paths": {"qa_in": str(rows)}}
-        else:
-            good = json.dumps(
-                {"annotator": "a", "sample_id": "s0", "task": "ads_generation", "rate": "A"}
-            )
-            argv, config = ["human-eval", "--ratings", str(rows)], None
-        rows.write_text(good + "\n" + row + "\n", encoding="utf-8")
-        assert _run(tmp_path, *argv, config=config) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert f"rows.jsonl:2: {message}" in err
-
-
-    @pytest.mark.parametrize(
-        "content", [DEEP_JSON.encode(), b"\xff{}"], ids=["nested-200000-deep", "not-utf8"]
-    )
-    def test_unparseable_config_file_is_named_in_the_error(self, tmp_path, capsys, content):
-        path = tmp_path / "config.json"
-        path.write_bytes(content)
-        code = main(["formulate", "--config", str(path), "--set", f"paths.out_dir={tmp_path}/out"])
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
-        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
-
-    def test_deeply_nested_replay_file_is_named_in_the_error(self, tmp_path, capsys):
-        replay = tmp_path / "rows.json"
-        replay.write_text(DEEP_JSON, encoding="utf-8")
-        assert _run(tmp_path, "evaluate", "--replay", str(replay)) == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {replay}: ") and err.count("\n") == 1
-        assert list((tmp_path / "out").iterdir()) == []
-
-    def test_deeply_nested_override_names_its_key(self, tmp_path, capsys):
-        deep = "[" * 5000 + "]" * 5000
-        assert _run(tmp_path, "formulate", "--set", f"pipeline.x={deep}") == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err == "error: --set pipeline.x: value is nested too deeply to parse\n"
-        assert not (tmp_path / "out").exists()
-
-    def test_nested_config_value_then_override_is_one_line_error(self, tmp_path, capsys):
-        # Each --set merges into the config read so far; a 500-deep list in
-        # the file must not cost a recursion per level there.
-        deep = json.loads("[" * 500 + "]" * 500)
-        code = _run(tmp_path, "formulate", config={"pipeline": {"heldout_intents": deep}})
-        assert code == EXIT_ERROR
-        err = capsys.readouterr().err
-        assert err.startswith("error: pipeline.heldout_intents must be a non-empty list of strings")
-        assert err.count("\n") == 1
 
     def test_value_too_deep_to_show_is_refused(self):
         deep: list = []
@@ -1351,73 +1397,6 @@ class TestManifestAndLock:
         assert _run(tmp_path, "check-manifest") == EXIT_ERROR
         assert f"{stage}/{names[0]}: HASH MISMATCH" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
-    @pytest.mark.parametrize(
-        "manifest",
-        [
-            "[]",
-            '{"stages": []}',
-            "not json",
-            '{"stages": {"formulate": {"outputs": []}}}',
-            DEEP_JSON,
-        ],
-        ids=["list", "stages-list", "not-json", "outputs-list", "nested-200000-deep"],
-    )
-    def test_malformed_run_manifest_is_refused_before_any_write(
-        self, tmp_path, capsys, command, manifest
-    ):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
-        assert _run(tmp_path, command) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
-        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
-        assert (out / "run_manifest.json").read_text(encoding="utf-8") == manifest
-
-    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
-    @pytest.mark.parametrize("key", ["inputs", "outputs"])
-    @pytest.mark.parametrize(
-        "name",
-        ["", ".", "..", "../x", "sub/seeds.jsonl", "/etc/hostname", "x.jsonl", "x\nexpand: OK"],
-        ids=["empty", "dot", "dot-dot", "parent", "subdir", "absolute", "unregistered", "newline"],
-    )
-    def test_run_manifest_naming_a_path_that_is_not_a_file_name_is_refused(
-        self, tmp_path, capsys, command, key, name
-    ):
-        out = tmp_path / "out"
-        out.mkdir()
-        manifest = json.dumps({"stages": {"formulate": {key: {name: "0"}}}})
-        (out / "run_manifest.json").write_text(manifest, encoding="utf-8")
-        assert _run(tmp_path, command) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
-        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
-
-    @pytest.mark.parametrize("command", ["formulate", "check-manifest"])
-    @pytest.mark.parametrize(
-        "record",
-        [
-            {"other": {"outputs": {}}},
-            {"formulate": {"unicode": "13.0.0\nexpand/seeds.jsonl: OK"}},
-            {"formulate": {"unicode": 13}},
-        ],
-        ids=["unregistered-stage", "unicode-with-newline", "unicode-number"],
-    )
-    def test_run_manifest_with_an_unregistered_stage_or_unprintable_unicode_is_refused(
-        self, tmp_path, capsys, command, record
-    ):
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / "run_manifest.json").write_text(json.dumps({"stages": record}), encoding="utf-8")
-        assert _run(tmp_path, command) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: {out / 'run_manifest.json'} is not a run manifest\n"
-        assert [p.name for p in out.iterdir()] == ["run_manifest.json"]
-
     def test_lockfile_blocks_concurrent_runs(self, tmp_path, capsys):
         out = tmp_path / "out"
         # A second open of the lock file conflicts, in this process too.
@@ -1426,7 +1405,7 @@ class TestManifestAndLock:
             assert capsys.readouterr().err == f"error: another run holds {out / '.forge.lock'}\n"
             assert [p.name for p in out.iterdir()] == [".forge.lock"]
 
-    def test_lock_of_a_killed_holder_does_not_block(self, tmp_path):
+    def test_lock_of_a_killed_holder_does_not_block(self, tmp_path, capsys):
         out = tmp_path / "out"
         script = (
             "import sys, time\n"
@@ -1443,6 +1422,8 @@ class TestManifestAndLock:
             try:
                 assert holder.stdout.readline() == "held\n"
                 assert _run(tmp_path, "formulate") == EXIT_ERROR
+                err = capsys.readouterr().err
+                assert err == f"error: another run holds {out / '.forge.lock'}\n"
             finally:
                 holder.kill()
         assert holder.returncode == -signal.SIGKILL
@@ -1522,32 +1503,6 @@ class TestManifestAndLock:
     def test_lock_released_after_run(self, tmp_path):
         _run(tmp_path, "formulate")
         assert not (tmp_path / "out" / ".forge.lock").exists()
-
-    # One command per recorded stage; each must be refused before it reads
-    # an input, so none of them needs one.
-    STAGE_ARGV = {
-        "formulate": ["formulate"],
-        "expand": ["expand", "--backend", "mock"],
-        "curate": ["curate"],
-        "evaluate": ["evaluate", "--backend", "mock", "--generations", "."],
-        "replay": ["evaluate", "--replay", "builtin"],
-        "lora-verify": ["lora-verify"],
-        "human-eval": ["human-eval", "--ratings", "ratings.jsonl"],
-    }
-
-    @pytest.mark.parametrize("stage", sorted(STAGES))
-    def test_out_dir_naming_a_file_is_refused_naming_the_setting(self, tmp_path, capsys, stage):
-        out = tmp_path / "out"
-        out.write_text("not a directory\n", encoding="utf-8")
-        assert _run(tmp_path, *self.STAGE_ARGV[stage]) == EXIT_ERROR
-        assert capsys.readouterr() == ("", f"error: paths.out_dir {out} is not a directory\n")
-        assert out.read_text(encoding="utf-8") == "not a directory\n"
-
-    def test_out_dir_under_a_file_is_refused_naming_the_setting(self, tmp_path, capsys):
-        (tmp_path / "file").write_text("", encoding="utf-8")
-        out = tmp_path / "file" / "out"
-        assert main(["formulate", "--set", f"paths.out_dir={out}"]) == EXIT_ERROR
-        assert capsys.readouterr() == ("", f"error: paths.out_dir {out} is not a directory\n")
 
     def test_file_hash_spans_several_chunks(self, tmp_path):
         data = bytes(range(256)) * (3 * _HASH_CHUNK // 256) + b"tail"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +16,7 @@ from ecomforge.ingest import (
     string_field,
     sample,
     split_generic,
+    write_atomic,
     write_rows,
 )
 
@@ -473,3 +475,30 @@ class TestSample:
             for seed, salt in ((1, "a"), (2, "a"), (1, "b"))
         }
         assert len(chosen) == 3
+
+
+class TestWriteAtomic:
+    def test_file_then_rename_then_directory_are_synced(self, tmp_path, monkeypatch):
+        # Each fsync is listed by the inode it syncs; the temp file keeps its
+        # inode through the rename.
+        events, fsync, replace = [], os.fsync, os.replace
+
+        def recording_fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            fsync(fd)
+
+        def recording_replace(src, dst):
+            events.append(("replace", dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        path = tmp_path / "report.json"
+        write_atomic(path, b"{}\n")
+        assert events == [
+            ("fsync", path.stat().st_ino),
+            ("replace", path),
+            ("fsync", tmp_path.stat().st_ino),
+        ]
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert path.read_bytes() == b"{}\n"

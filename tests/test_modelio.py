@@ -63,6 +63,8 @@ class TestRequestResponseTypes:
             BackendResponse(text="ok", token_logprobs=(-1.0,))
         with pytest.raises(ValueError):
             BackendResponse(token_logprobs=(0.5,))
+        with pytest.raises(ValueError):
+            BackendResponse(token_logprobs=(-0.5, float("nan")))
 
 
 class TestMockBackend:
@@ -267,6 +269,30 @@ class TestFixtureReplay:
         payload = {"choices": [{"logprobs": {"content": [{"logprob": 0.25}]}}]}
         with pytest.raises(BackendError, match="logprob > 0 in response"):
             parse_chat_logprobs(payload)
+
+    # float() takes each of these; none is a score.
+    NON_FINITE = pytest.mark.parametrize(
+        "token", ["NaN", "-Infinity", '"nan"', "1" + "0" * 400],
+        ids=["nan-token", "minus-infinity", "nan-string", "int-past-float-range"],
+    )
+
+    @NON_FINITE
+    def test_non_finite_logprob_rejected(self, token):
+        payload = json.loads(
+            '{"choices": [{"logprobs": {"content": [{"logprob": -0.5}, {"logprob": %s}]}}]}'
+            % token
+        )
+        with pytest.raises(BackendError, match="^non-finite value in logprobs$"):
+            parse_chat_logprobs(payload)
+
+    @NON_FINITE
+    def test_non_finite_embedding_value_rejected(self, token):
+        payload = json.loads(
+            '{"data": [{"index": 1, "embedding": [0.5, %s]}, {"index": 0, "embedding": [0.5]}]}'
+            % token
+        )
+        with pytest.raises(BackendError, match="^non-finite value in embedding 1$"):
+            parse_embeddings(payload)
 
 
 class _CannedHandler(BaseHTTPRequestHandler):
