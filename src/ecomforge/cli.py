@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import fcntl
 import functools
-import hashlib
 import json
 import math
 import os
@@ -105,23 +104,6 @@ class OutDirLock:
         self.path.unlink(missing_ok=True)
         os.close(self.fd)
         return False
-
-
-# Below glibc malloc's 128 KiB mmap threshold. A larger read buffer is
-# mmapped, and freeing it raises that threshold for the rest of the process,
-# so later large allocations come from the heap and stay resident: 1 MiB
-# reads raised teacher-http's peak RSS by about 0.6 MB.
-_HASH_CHUNK = 1 << 16
-
-
-def _sha256_file(path: Path) -> str:
-    """The sha256 of a file, read ``_HASH_CHUNK`` bytes at a time: a paper-scale
-    ``expanded.jsonl`` is 87 MB, which ``read_bytes`` would hold at once."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        while chunk := fh.read(_HASH_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def _write_json(path: Path, obj) -> None:
@@ -213,7 +195,7 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
     started, cpu_started = time.perf_counter(), time.process_time()
     with OutDirLock(out_dir):
         stages = _read_stages(out_dir)
-        sha256 = functools.cache(_sha256_file)
+        sha256 = functools.cache(ingest.sha256_file)
         verdict_of = functools.cache(lambda producer: _verdict(out_dir, stages[producer], sha256))
         input_hashes = {}
         for name in inputs:
@@ -235,7 +217,7 @@ def _run_stage(config: PipelineConfig, stage: str, body) -> int:
             "unicode": unicodedata.unidata_version,
             "python": ".".join(map(str, sys.version_info[:3])),
             "inputs": input_hashes,
-            "outputs": {name: _sha256_file(out_dir / name) for name in outputs},
+            "outputs": {name: ingest.sha256_file(out_dir / name) for name in outputs},
             "seconds": round(time.perf_counter() - started, 3),
             "cpu_s": round(time.process_time() - cpu_started, 3),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
@@ -512,7 +494,7 @@ def cmd_check_manifest(config: PipelineConfig) -> int:
     out_dir = config.out_dir
     if not (out_dir / "run_manifest.json").exists():
         raise ForgeError(f"{out_dir / 'run_manifest.json'} not found")
-    sha256 = functools.cache(_sha256_file)
+    sha256 = functools.cache(ingest.sha256_file)
     bad = False
     for stage, record in sorted(_read_stages(out_dir).items()):
         verdict = _verdict(out_dir, record, sha256)

@@ -13,7 +13,6 @@ and read by ``ingest.write_rows`` and ``ingest.read_rows``.
 """
 from __future__ import annotations
 
-import hashlib
 import sys
 from array import array
 from collections import defaultdict
@@ -27,14 +26,16 @@ import numpy as np
 
 from .core import ForgeError, MemoTable, TaskKind, tokenize
 from .formulate import InstructionPair, Provenance
-from .ingest import optional_string, read_rows, sample, string_field, write_rows
+from .ingest import CHUNK, optional_string, read_rows, sample, string_field, write_rows
 
 NGRAM_ORDER = 3
 # A candidate's overlap count once the positional filter has ruled it out:
 # adding any remaining overlap leaves it below every bound.
 _PRUNED = -(1 << 62)
-# Pairs ranked per numpy sort: bounds the temporary arrays at paper scale.
-_RANK_CHUNK = 4096
+# Gram ids ranked per numpy sort. Its int64 temporaries then stay under
+# glibc's 128 KiB mmap threshold (see ingest.CHUNK), so they reuse heap
+# pages that are already resident instead of mapping fresh ones.
+_RANK_CHUNK = CHUNK // 8
 
 
 @dataclass(frozen=True)
@@ -197,17 +198,33 @@ def _flat(arrays: list[array]) -> np.ndarray:
     return np.frombuffer(b"".join(arrays), dtype=np.intc)
 
 
+def _chunks(grams: list[array]) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive runs of ``grams`` that hold at most
+    ``_RANK_CHUNK`` ids in all; an array longer than that is a run alone."""
+    bounds, start, total = [], 0, 0
+    for k, ids in enumerate(grams):
+        if total + len(ids) > _RANK_CHUNK and k > start:
+            bounds.append((start, k))
+            start, total = k, 0
+        total += len(ids)
+    if start < len(grams):
+        bounds.append((start, len(grams)))
+    return bounds
+
+
 def _rank_in_place(grams: list[array], n_grams: int) -> None:
     """Turn each gram-id array into its sorted array of ranks: ascending
     document frequency, ties in id order."""
-    starts = range(0, len(grams), _RANK_CHUNK)
+    bounds = _chunks(grams)
     df = np.zeros(n_grams, dtype=np.int64)
-    for start in starts:
-        df += np.bincount(_flat(grams[start : start + _RANK_CHUNK]), minlength=n_grams)
+    for start, stop in bounds:
+        # Counted in place: a bincount makes an n_grams-long int64 array per
+        # chunk, 462 KB at paper scale, over the mmap threshold.
+        np.add.at(df, _flat(grams[start:stop]), 1)
     rank = np.empty(n_grams, dtype=np.intc)
     rank[np.argsort(df, kind="stable")] = np.arange(n_grams, dtype=np.intc)
-    for start in starts:
-        chunk = grams[start : start + _RANK_CHUNK]
+    for start, stop in bounds:
+        chunk = grams[start:stop]
         sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
         # Each pair's ranks lifted by n_grams times its place in the chunk,
         # so one sort orders every pair's ranks and keeps the pairs apart.
@@ -282,15 +299,13 @@ def emit_jsonl(pairs: list[InstructionPair], path: str | Path) -> Manifest:
     """Write canonical JSONL and return a manifest with per-task counts and
     the file's content hash. emit -> load -> emit is byte-identical."""
     try:
-        data = write_rows(path, pairs)
+        sha256 = write_rows(path, pairs)
     except OSError as exc:
         raise ForgeError(f"cannot write {path}: {exc}") from exc
     per_task = {task.value: 0 for task in TaskKind}
     for pair in pairs:
         per_task[pair.task.value] += 1
-    return Manifest(
-        count=len(pairs), per_task=per_task, sha256=hashlib.sha256(data).hexdigest()
-    )
+    return Manifest(count=len(pairs), per_task=per_task, sha256=sha256)
 
 
 def load_jsonl(path: str | Path) -> list[InstructionPair]:

@@ -451,15 +451,24 @@ def human_eval_report(ratings: list[HumanRating]) -> HumanEvalReport:
 
 
 def load_ratings(path) -> list[HumanRating]:
-    return read_rows(
-        path,
-        lambda obj: HumanRating(
+    """The ratings of a JSONL file. A row that repeats an earlier row's
+    (annotator, sample_id) is bad, and refused with its path:line."""
+    seen: set[tuple[str, str]] = set()
+
+    def parse(obj: dict) -> HumanRating:
+        rating = HumanRating(
             annotator=string_field(obj, "annotator"),
             sample_id=string_field(obj, "sample_id"),
             task=TaskKind(obj["task"]),
             rate=string_field(obj, "rate"),
-        ),
-    )
+        )
+        key = (rating.annotator, rating.sample_id)
+        if key in seen:
+            raise ValueError(f"duplicate rating for {key}")
+        seen.add(key)
+        return rating
+
+    return read_rows(path, parse)
 
 
 # ---------------------------------------------------------------------------

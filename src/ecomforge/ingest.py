@@ -16,6 +16,12 @@ only when it ends exactly where the line does. Every other line (padded,
 BOM-prefixed, blank, not an object, two values long, or failing that scan)
 is read by ``json.loads``, which words every error, so the fast path
 changes no row and no reason.
+
+No file is held whole. ``read_rows`` reads ``CHUNK`` bytes at a time,
+``write_rows`` hands ``write_atomic`` blocks of half that and hashes them as
+they go, and ``sha256_file`` hashes in ``CHUNK`` reads, so a stage holds its
+rows but never a copy of the file they come from or go to. ``CHUNK`` stays
+under glibc malloc's 128 KiB mmap threshold, for the reason its comment gives.
 """
 from __future__ import annotations
 
@@ -24,6 +30,7 @@ import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -31,6 +38,12 @@ from typing import NamedTuple
 from .core import Action, ForgeError, ProductRecord, clean_text, is_taxonomy_label
 
 _ACTIONS = {a.value: a for a in Action}
+
+# Below glibc malloc's 128 KiB mmap threshold (M_MMAP_THRESHOLD). A larger
+# buffer is mmapped, and freeing it raises that threshold for the rest of
+# the process, so later large allocations come from the heap and stay
+# resident: 1 MiB hash reads raised teacher-http's peak RSS by about 0.6 MB.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -94,12 +107,33 @@ def build_record(row: ScreenedRow) -> ProductRecord:
     )
 
 
+def _split_lines(fh):
+    """The lines of ``fh``, read ``CHUNK`` bytes at a time, without their ends."""
+    rest: list[bytes] = []  # the pieces of the line the last chunk left open
+    while chunk := fh.read(CHUNK):
+        rest.append(chunk)
+        if b"\n" not in chunk and b"\r" not in chunk:
+            continue  # a line longer than a chunk is joined once, when it ends
+        lines = b"".join(rest).splitlines()
+        # The last line may go on in the next chunk, and a final \r may be
+        # the first half of a \r\n: both are read again with what follows.
+        if chunk.endswith(b"\n"):
+            rest = []
+        else:
+            rest = [lines.pop() + b"\r" if chunk.endswith(b"\r") else lines.pop()]
+        yield from lines
+    yield from b"".join(rest).splitlines()
+
+
 def _lines(path: Path):
-    """``(line number, bytes)`` of each line of ``path``. Only \\n, \\r and
+    """``(line number, bytes)`` of each line of ``path``, exactly those of
+    ``enumerate(path.read_bytes().splitlines(), 1)``. Only \\n, \\r and
     \\r\\n end a line: ``str.splitlines`` also breaks at U+2028, U+0085 and
     other separators that ``canonical_json`` writes raw inside strings. Each
-    line is decoded on its own, so a bad byte is that line's fault."""
-    return enumerate(path.read_bytes().splitlines(), 1)
+    line is decoded on its own, so a bad byte is that line's fault. The file
+    is closed when the lines run out or the generator is closed."""
+    with open(path, "rb") as fh:
+        yield from enumerate(_split_lines(fh), 1)
 
 
 def load_interactions(path: str | Path) -> tuple[list[ScreenedRow], list[MalformedLine]]:
@@ -130,11 +164,35 @@ def canonical_json(obj) -> str:
     return _CANONICAL.encode(obj)
 
 
-def write_rows(path: str | Path, rows) -> bytes:
-    """Replace ``path`` with one canonical line per row; returns the bytes."""
-    data = "".join(canonical_json(row) + "\n" for row in rows).encode("utf-8")
-    write_atomic(path, data)
-    return data
+# Bytes of rows per block handed to write_atomic: half of CHUNK, since a
+# block is joined while its lines are still held. A block ends at the row
+# that reaches this size, so it holds at most one row more.
+_WRITE_BLOCK = CHUNK // 2
+
+
+def write_rows(path: str | Path, rows) -> str:
+    """Replace ``path`` with one canonical line per row, written in blocks of
+    about ``_WRITE_BLOCK`` bytes; returns the sha256 of the bytes written.
+    If ``rows`` raises, the previous file is left as it was."""
+    digest = hashlib.sha256()
+
+    def blocks():
+        lines, size = [], 0
+        for row in rows:
+            line = (canonical_json(row) + "\n").encode("utf-8")
+            lines.append(line)
+            size += len(line)
+            if size >= _WRITE_BLOCK:
+                block = b"".join(lines)
+                digest.update(block)
+                yield block
+                lines, size = [], 0
+        block = b"".join(lines)
+        digest.update(block)
+        yield block
+
+    write_atomic(path, blocks())
+    return digest.hexdigest()
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -180,6 +238,16 @@ def read_rows(path: str | Path, parse, skip=None) -> list:
     return rows
 
 
+def sha256_file(path: str | Path) -> str:
+    """The sha256 of a file, read ``CHUNK`` bytes at a time: a paper-scale
+    ``expanded.jsonl`` is 87 MB, which ``read_bytes`` would hold at once."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def read_json(path: str | Path):
     """The JSON value of a whole file. A file that is not UTF-8, not JSON or
     nested too deeply to parse is refused with a ForgeError naming it; a
@@ -207,16 +275,18 @@ def optional_string(row: dict, key: str) -> str | None:
     return value
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one step: write a temp file in the
-    same directory, then ``os.replace`` it over the target, and fsync the
-    directory so that the rename, too, outlives a power loss. A crash or
-    failed write leaves the previous file whole and removes the temp file."""
+def write_atomic(path: str | Path, data: bytes | Iterable[bytes]) -> None:
+    """Replace ``path`` with ``data``, given whole or as an iterable of
+    blocks, in one step: write a temp file in the same directory, then
+    ``os.replace`` it over the target, and fsync the directory so that the
+    rename, too, outlives a power loss. A crash, a failed write or an
+    iterable that raises leaves the previous file whole and removes the temp
+    file."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines((data,) if isinstance(data, bytes) else data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -22,9 +22,7 @@ from ecomforge.cli import (
     EXIT_OK,
     EXIT_PARTIAL,
     STAGES,
-    _HASH_CHUNK,
     OutDirLock,
-    _sha256_file,
     build_parser,
     demo_data_path,
     main,
@@ -34,7 +32,7 @@ from ecomforge.config import DEFAULTS, _validate, load_config, parse_override
 from ecomforge.core import TAXONOMY, Action, ForgeError, ProductRecord, TaskKind, clean_text
 from ecomforge.curate import load_jsonl
 from ecomforge.expand import ExpansionFailure
-from ecomforge.ingest import build_record, canonical_json, write_rows
+from ecomforge.ingest import CHUNK, build_record, canonical_json, sha256_file, write_rows
 from ecomforge.modelio import (
     LOGPROBS,
     BackendResponse,
@@ -1307,7 +1305,7 @@ REFUSALS = [
         for id, text in (("empty-file", ""), ("blank-line", "\n"))
     ),
     Row("ratings-duplicate", _ratings_file(f"{_rating()}\n{_rating()}\n"), EXIT_ERROR,
-        "error: duplicate rating for ('a', 's1')\n", made=OUT),
+        "error: ratings.jsonl:2: duplicate rating for ('a', 's1')\n", made=OUT),
     *(
         Row(f"ratings-{id}", _ratings_file(f"{_rating(sample_id='s0')}\n{row}\n"), EXIT_ERROR,
             f"error: ratings.jsonl:2: {message}\n", made=OUT)
@@ -1505,10 +1503,10 @@ class TestManifestAndLock:
         assert not (tmp_path / "out" / ".forge.lock").exists()
 
     def test_file_hash_spans_several_chunks(self, tmp_path):
-        data = bytes(range(256)) * (3 * _HASH_CHUNK // 256) + b"tail"
+        data = bytes(range(256)) * (3 * CHUNK // 256) + b"tail"
         path = tmp_path / "big.bin"
         path.write_bytes(data)
-        assert _sha256_file(path) == hashlib.sha256(data).hexdigest()
+        assert sha256_file(path) == hashlib.sha256(data).hexdigest()
 
 
 def _formulate_and_expand(tmp_path):
@@ -1758,8 +1756,8 @@ class TestArtifactRows:
         assert "achète" in errors[1]["reason"]
         failures = [ExpansionFailure(**row) for row in rows["diagnostics.jsonl"]]
         assert len(failures) == 1 and failures[0].reason.endswith("refusé")
-        written = write_rows(tmp_path / "failures.jsonl", failures)
-        assert written == (out / "diagnostics.jsonl").read_bytes()
+        write_rows(tmp_path / "failures.jsonl", failures)
+        assert (tmp_path / "failures.jsonl").read_bytes() == (out / "diagnostics.jsonl").read_bytes()
 
     def test_crlf_and_space_padded_inputs_write_the_same_artifacts(self, tmp_path):
         # No padded line takes read_rows's fast path: json.loads reads each.

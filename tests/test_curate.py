@@ -259,6 +259,22 @@ class TestDedup:
         assert dedup(pairs, threshold) == expected
         assert [p.id for p in expected if p.id.startswith("case")] == ["case0"]
 
+    @pytest.mark.parametrize("limit", [1, 7, 40])
+    def test_ranks_do_not_depend_on_the_chunks(self, monkeypatch, limit):
+        # The clone corpus fits one default chunk; at these limits a chunk
+        # holds one array, or a run of arrays at most ``limit`` ids long.
+        _, grams, n_grams = curate._distinct_streams(_random_clone_pairs(5))
+        whole = [array("i", ids) for ids in grams]
+        assert curate._chunks(whole) == [(0, len(whole))]
+        curate._rank_in_place(whole, n_grams)
+        monkeypatch.setattr(curate, "_RANK_CHUNK", limit)
+        bounds = curate._chunks(grams)
+        assert [k for start, stop in bounds for k in range(start, stop)] == list(range(len(grams)))
+        assert all(stop - start == 1 or sum(map(len, grams[start:stop])) <= limit
+                   for start, stop in bounds)
+        curate._rank_in_place(grams, n_grams)
+        assert grams == whole
+
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(st.lists(STREAMS, min_size=1, max_size=14), st.sampled_from(PROPERTY_THRESHOLDS))
     def test_matches_oracle_on_tiny_vocabulary(self, streams, threshold):

@@ -2,10 +2,13 @@ import hashlib
 import json
 import math
 import os
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from ecomforge import ingest
 from ecomforge.core import Action, ForgeError, ProductRecord
 from ecomforge.ingest import (
     build_record,
@@ -367,6 +370,94 @@ class TestReadRowsOracle:
     def test_matches_the_per_line_oracle(self, tmp_path, lines):
         data = b"".join(line + end for line, end in lines)
         _assert_read_as_the_oracle_reads(tmp_path / "rows.jsonl", data, _parse_any)
+
+
+# Bytes that end lines, open objects, and split a code point or a \r\n when
+# a chunk ends between them.
+_LINE_BYTES = st.lists(
+    st.sampled_from([b"a", b"{", b"}", b"\r", b"\n", "\u00e9".encode(), b"\xff"]), max_size=40
+).map(b"".join)
+
+
+class TestChunkedRead:
+    @settings(
+        derandomize=True,
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(_LINE_BYTES, st.integers(1, 8))
+    def test_lines_are_those_of_the_whole_file(self, tmp_path, data, chunk):
+        p = tmp_path / "rows.jsonl"
+        p.write_bytes(data)
+        with mock.patch.object(ingest, "CHUNK", chunk):
+            assert list(ingest._lines(p)) == list(enumerate(p.read_bytes().splitlines(), 1))
+
+    def test_crlf_across_a_chunk_boundary(self, tmp_path):
+        # Each chunk ends between a \r and its \n: a reader that ends the
+        # line at the \r reads an extra blank line and shifts every number.
+        first = _line(0).encode() + b"\r"
+        data = first + b"\nnot json\r\n" + _line(2).encode() + b"\r\n"
+        path = tmp_path / "rows.jsonl"
+        with mock.patch.object(ingest, "CHUNK", len(first)):
+            _assert_read_as_the_oracle_reads(path, data, _parse_any)
+            with pytest.raises(ForgeError, match=r":2: Expecting value"):
+                read_rows(path, _parse_any)
+
+    def test_the_file_is_never_read_whole(self, tmp_path, monkeypatch):
+        p = tmp_path / "rows.jsonl"
+        write_rows(p, [{"id": f"r{i}"} for i in range(3 * ingest.CHUNK // 10)])
+
+        def read_bytes(self):
+            raise AssertionError(f"{self} read whole")
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        assert len(read_rows(p, dict)) == 3 * ingest.CHUNK // 10
+
+
+class _Interrupted(Exception):
+    pass
+
+
+class TestChunkedWrite:
+    def test_rows_that_raise_leave_the_previous_file(self, tmp_path):
+        p = tmp_path / "rows.jsonl"
+        write_rows(p, [{"id": "old"}])
+        before = p.read_bytes()
+
+        def rows():
+            # Enough rows for several blocks to reach the temp file first.
+            for i in range(3 * ingest.CHUNK // 10):
+                yield {"id": f"r{i}"}
+            raise _Interrupted
+
+        with pytest.raises(_Interrupted):
+            write_rows(p, rows())
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["rows.jsonl"]
+
+    @pytest.mark.parametrize("n", [0, 1, 5000])
+    def test_returns_the_sha256_of_the_file(self, tmp_path, n):
+        p = tmp_path / "rows.jsonl"
+        digest = write_rows(p, [{"id": f"r{i}", "t": "\u00e9" * (i % 7)} for i in range(n)])
+        assert digest == hashlib.sha256(p.read_bytes()).hexdigest()
+
+    def test_no_block_passes_the_block_size_by_more_than_a_row(self, tmp_path, monkeypatch):
+        rows = [{"id": f"r{i}", "t": "\u00e9x" * (i % 300)} for i in range(2000)]
+        longest = max(len(canonical_json(row).encode()) + 1 for row in rows)
+        blocks, write = [], ingest.write_atomic
+
+        def recording_write(path, data):
+            blocks.extend(data)
+            write(path, blocks)
+
+        monkeypatch.setattr(ingest, "write_atomic", recording_write)
+        p = tmp_path / "rows.jsonl"
+        write_rows(p, rows)
+        assert len(blocks) > 2
+        assert max(map(len, blocks)) < ingest._WRITE_BLOCK + longest
+        assert b"".join(blocks) == p.read_bytes()
+        assert read_rows(p, dict) == rows
 
 
 class TestFilterByAction:
